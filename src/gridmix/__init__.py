@@ -27,7 +27,6 @@ from .lp import (
     Relation,
     Sense,
     Solution,
-    SolverOptions,
     Status,
     check_feasible,
     solve,
@@ -55,7 +54,6 @@ __all__ = [
     "Relation",
     "Sense",
     "Solution",
-    "SolverOptions",
     "Status",
     "FeasibilityReport",
     "solve",

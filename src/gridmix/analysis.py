@@ -3,12 +3,13 @@ and the audit of the published result tables.
 
 The vertex oracle intersects every n-subset of constraint hyperplanes
 (variable bounds included), keeps the feasible intersection points, and
-takes the best objective over them. It shares no code path with the
-simplex, which is what makes agreement between the two a certificate.
+takes the best objective over them. It shares no pivoting code with the
+simplex, which is what makes agreement between the two a certificate;
+both test points against rows with the one kernel ``lp.check_rows``.
 Singular subsystems are detected by batched partial-pivot elimination on
-row-equilibrated matrices with a 1e-12 pivot threshold; equilibration
-matters because the built-in models mix fraction-scale rows with 1e13 g
-emission rows.
+row-equilibrated matrices with the SINGULAR_TOL pivot threshold;
+equilibration matters because the built-in models mix fraction-scale
+rows with 1e13 g emission rows.
 
 The audit never corrects the published tables silently: every cell that
 disagrees with its own model becomes a ledger item carrying both numbers.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import get_scenario
-from .lp import LinearProgram, Relation, Sense, SolverOptions, Status, check_feasible, solve
+from .lp import ROW_TOL, LinearProgram, Rows, Sense, Status, check_feasible, check_rows, solve
 from .model import CoefficientVariant, ObjectiveMode, Scenario, compile_scenario
 
 __all__ = [
@@ -49,6 +50,10 @@ __all__ = [
 _MATCH = 1e-3     # headline classification thresholds (relative)
 _NEAR = 1e-2
 
+ORACLE_BOX = 1e8       # far walls x_i <= ORACLE_BOX that turn unboundedness into a box optimum
+SINGULAR_TOL = 1e-12   # smallest pivot of a vertex subsystem, absolute on equilibrated rows
+TIE_TOL = 1e-9         # oracle objective ties, relative to max(1, |best objective|)
+
 
 class UnsupportedSizeError(ValueError):
     """Vertex enumeration is combinatorial and capped at 4 variables."""
@@ -66,9 +71,10 @@ class OracleResult:
     status: Status
     objective: float | None
     point: tuple[float, ...] | None
+    vertices: tuple[Vertex, ...]     # the boxed vertex set the verdict was taken over
 
 
-def _batch_solve(a: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def _batch_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve a (K, n, n) batch of square systems by Gauss-Jordan with
     partial pivoting; returns solutions and a nonsingular mask."""
     k, n, _ = a.shape
@@ -84,8 +90,8 @@ def _batch_solve(a: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-12) -> tupl
         m[rows, pivot_row] = m[rows, col]
         m[rows, col] = swap
         pivots = m[:, col, col]
-        ok &= np.abs(pivots) > pivot_tol
-        safe = np.where(np.abs(pivots) > pivot_tol, pivots, 1.0)
+        ok &= np.abs(pivots) > SINGULAR_TOL
+        safe = np.where(np.abs(pivots) > SINGULAR_TOL, pivots, 1.0)
         m[:, col, :] /= safe[:, None]
         factors = m[:, :, col].copy()
         factors[:, col] = 0.0
@@ -93,71 +99,41 @@ def _batch_solve(a: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-12) -> tupl
     return m[:, :, n], ok
 
 
-def _planes(lp: LinearProgram, box: float | None) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    rows = [list(c.coefficients) for c in lp.constraints]
-    rhs = [c.rhs for c in lp.constraints]
-    labels = [c.label for c in lp.constraints]
-    for i in range(lp.var_count):
-        unit = [0.0] * lp.var_count
-        unit[i] = 1.0
-        rows.append(unit)
-        rhs.append(lp.lower_bounds[i])
-        labels.append(f"lb_{lp.variable_names[i]}")
-    if box is not None:
-        for i in range(lp.var_count):
-            unit = [0.0] * lp.var_count
-            unit[i] = 1.0
-            rows.append(unit)
-            rhs.append(box)
-            labels.append(f"box_{lp.variable_names[i]}")
-    return np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float), labels
+def _planes(lp: LinearProgram, box: float | None) -> Rows:
+    """The program's rows, plus one ``x_i <= box`` row per variable."""
+    rows = lp.rows
+    if box is None:
+        return rows
+    n = lp.var_count
+    return Rows(
+        matrix=np.concatenate((rows.matrix, np.eye(n))),
+        rhs=np.append(rows.rhs, np.full(n, box)),
+        sense=np.append(rows.sense, np.ones(n)),
+    )
 
 
-def _feasible_mask(lp: LinearProgram, points: np.ndarray, tol: float, box: float | None) -> np.ndarray:
-    if points.size == 0:
-        return np.zeros(0, dtype=bool)
-    mask = np.ones(points.shape[0], dtype=bool)
-    for c in lp.constraints:
-        acts = points @ np.asarray(c.coefficients)
-        gap = acts - c.rhs
-        scale = max(1.0, abs(c.rhs))
-        if c.relation is Relation.LE:
-            violation = np.maximum(0.0, gap)
-        elif c.relation is Relation.GE:
-            violation = np.maximum(0.0, -gap)
-        else:
-            violation = np.abs(gap)
-        mask &= violation <= tol * scale
-    lbs = np.asarray(lp.lower_bounds)
-    mask &= np.all(points >= lbs - tol * np.maximum(1.0, np.abs(lbs)), axis=1)
-    if box is not None:
-        mask &= np.all(points <= box * (1.0 + tol), axis=1)
-    return mask
+def _near_any(point: np.ndarray, others) -> bool:
+    """Whether *point* equals one of *others*: every coordinate within
+    ROW_TOL * max(1, the largest |coordinate| of the pair)."""
+    for q in others:
+        span = max(1.0, float(np.max(np.abs(point))), float(np.max(np.abs(q))))
+        if float(np.max(np.abs(point - q))) <= ROW_TOL * span:
+            return True
+    return False
 
 
-def _dedup(points: np.ndarray, tol: float) -> list[np.ndarray]:
-    kept: list[np.ndarray] = []
-    order = np.lexsort(points.T[::-1]) if points.size else []
-    for idx in order:
-        p = points[idx]
-        is_new = True
-        for q in kept:
-            span = max(1.0, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
-            if float(np.max(np.abs(p - q))) <= tol * span:
-                is_new = False
-                break
-        if is_new:
-            kept.append(p)
+def _dedup(points: np.ndarray) -> list[int]:
+    """Indices of *points* in lexicographic order, skipping each point
+    that ``_near_any`` matches to one already kept."""
+    kept: list[int] = []
+    for idx in np.lexsort(points.T[::-1]) if points.size else ():
+        if not _near_any(points[idx], points[kept]):
+            kept.append(int(idx))
     return kept
 
 
-def enumerate_vertices(
-    lp: LinearProgram,
-    tol: float = 1e-6,
-    *,
-    _box: float | None = None,
-) -> list[Vertex]:
-    """All vertices of the feasible region, deduplicated at *tol* relative.
+def enumerate_vertices(lp: LinearProgram, *, _box: float | None = None) -> list[Vertex]:
+    """All vertices of the feasible region, deduplicated at ROW_TOL relative.
 
     Works by solving every n-subset of the constraint/bound hyperplanes;
     singular subsets are skipped. Capped at var_count <= 4.
@@ -165,53 +141,54 @@ def enumerate_vertices(
     n = lp.var_count
     if n > 4:
         raise UnsupportedSizeError(f"vertex enumeration supports at most 4 variables, got {n}")
-    rows, rhs, _labels = _planes(lp, _box)
-    combos = list(itertools.combinations(range(rows.shape[0]), n))
+    planes = _planes(lp, _box)
+    combos = list(itertools.combinations(range(len(planes.rhs)), n))
     if not combos:
         return []
     idx = np.asarray(combos)
-    points, ok = _batch_solve(rows[idx], rhs[idx])
+    points, ok = _batch_solve(planes.matrix[idx], planes.rhs[idx])
     points = points[ok]
-    points = points[_feasible_mask(lp, points, tol, _box)]
-    unique = _dedup(points, tol)
+    _, _, satisfied, binding = check_rows(planes, points)
+    feasible = satisfied.all(axis=1)
+    points, binding = points[feasible], binding[feasible]
 
     objective = np.asarray(lp.objective)
-    vertices = []
-    for p in unique:
-        binding = frozenset(
-            c.label
-            for c in lp.constraints
-            if abs(c.activity(p) - c.rhs) <= tol * max(1.0, abs(c.rhs))
+    vertices = [
+        Vertex(
+            point=tuple(float(v) for v in points[i]),
+            objective=float(points[i] @ objective),
+            binding=frozenset(c.label for c, b in zip(lp.constraints, binding[i]) if b),
         )
-        vertices.append(
-            Vertex(point=tuple(float(v) for v in p), objective=float(p @ objective), binding=binding)
-        )
+        for i in _dedup(points)
+    ]
     vertices.sort(key=lambda v: (v.objective, v.point))
     return vertices
 
 
-def oracle_solve(lp: LinearProgram, tol: float = 1e-6, box: float = 1e8) -> OracleResult:
+def oracle_solve(lp: LinearProgram) -> OracleResult:
     """Classify and solve *lp* by brute force.
 
-    Far-out box walls (x_i = box) are added so unboundedness shows up as
-    the optimum escaping to the box: no feasible vertex means infeasible;
-    an optimum attained only on the box means unbounded.
+    Far-out box walls (x_i = ORACLE_BOX) are added so unboundedness shows
+    up as the optimum escaping to the box: no feasible vertex means
+    infeasible; an optimum attained only on the box means unbounded.
     """
-    vertices = enumerate_vertices(lp, tol, _box=box)
+    vertices = tuple(enumerate_vertices(lp, _box=ORACLE_BOX))
     if not vertices:
-        return OracleResult(status=Status.INFEASIBLE, objective=None, point=None)
+        return OracleResult(status=Status.INFEASIBLE, objective=None, point=None, vertices=())
     best = min if lp.sense is Sense.MINIMIZE else max
     best_value = best(v.objective for v in vertices)
     ties = [
         v
         for v in vertices
-        if abs(v.objective - best_value) <= 1e-9 * max(1.0, abs(best_value))
+        if abs(v.objective - best_value) <= TIE_TOL * max(1.0, abs(best_value))
     ]
-    interior = [v for v in ties if all(x < box * (1.0 - 1e-6) for x in v.point)]
+    interior = [v for v in ties if all(x < ORACLE_BOX * (1.0 - ROW_TOL) for x in v.point)]
     if not interior:
-        return OracleResult(status=Status.UNBOUNDED, objective=None, point=None)
+        return OracleResult(status=Status.UNBOUNDED, objective=None, point=None, vertices=vertices)
     chosen = interior[0]
-    return OracleResult(status=Status.OPTIMAL, objective=chosen.objective, point=chosen.point)
+    return OracleResult(
+        status=Status.OPTIMAL, objective=chosen.objective, point=chosen.point, vertices=vertices
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -553,23 +530,12 @@ def _recompute_cell(cell: _RefCell, scenario: Scenario, point: tuple[float, ...]
     raise ValueError(f"unknown cell kind {cell.kind!r}")
 
 
-def _near_vertex(point: tuple[float, ...], vertices: list[Vertex], tol: float = 1e-6) -> bool:
-    p = np.asarray(point)
-    for v in vertices:
-        q = np.asarray(v.point)
-        span = max(1.0, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
-        if float(np.max(np.abs(p - q))) <= tol * span:
-            return True
-    return False
-
-
-def _audit_result_table(ref: _RefTable, opts: SolverOptions) -> TableAudit:
+def _audit_result_table(ref: _RefTable) -> TableAudit:
     scenario = get_scenario(ref.scenario, CoefficientVariant.AS_PRINTED)
     lp = compile_scenario(scenario)
-    solution = solve(lp, opts)
+    solution = solve(lp)
     oracle = oracle_solve(lp)
     feasibility = check_feasible(lp, ref.point)
-    vertices = enumerate_vertices(lp)
 
     cells = []
     for cell in ref.cells:
@@ -603,23 +569,22 @@ def _audit_result_table(ref: _RefTable, opts: SolverOptions) -> TableAudit:
         expected=ref.expected,
         tolerance=ref.tolerance,
         point_feasible=feasibility.feasible,
-        point_is_vertex=_near_vertex(ref.point, vertices),
+        point_is_vertex=_near_any(np.asarray(ref.point), (v.point for v in oracle.vertices)),
         cells=tuple(cells),
         ledger=ref.ledger,
         notes=ref.notes,
     )
 
 
-def _audit_corner_table(spec: dict, opts: SolverOptions) -> TableAudit:
+def _audit_corner_table(spec: dict) -> TableAudit:
     # Corner tables evaluate alternate objectives over the reconstructed
     # corner-point region; the headline compares our optimum (attained at
     # corner B) with the printed value at B.
     scenario = get_scenario("a1_om_objective", CoefficientVariant.AS_PRINTED)
     scenario = scenario.with_objective(spec["objective"])
     lp = compile_scenario(scenario)
-    solution = solve(lp, opts)
+    solution = solve(lp)
     oracle = oracle_solve(lp)
-    vertices = enumerate_vertices(lp)
     feasibility = check_feasible(lp, CORNER_B)
 
     if solution.is_optimal:
@@ -647,24 +612,28 @@ def _audit_corner_table(spec: dict, opts: SolverOptions) -> TableAudit:
         expected="match",
         tolerance=_MATCH,
         point_feasible=feasibility.feasible,
-        point_is_vertex=_near_vertex(CORNER_B, vertices),
+        point_is_vertex=_near_any(np.asarray(CORNER_B), (v.point for v in oracle.vertices)),
         cells=tuple(cells),
         ledger=("results-implied-shares", "emissions-cap-drift"),
         notes=("corner C is excluded by the source analysis itself and is not reproduced",),
     )
 
 
-def audit_reference_results(opts: SolverOptions | None = None) -> ReferenceAudit:
+def audit_reference_results() -> ReferenceAudit:
     """Audit every published result table against the as-printed models.
 
     For each table: feasibility and vertex-membership of the printed
     point, our solver optimum, the oracle optimum, recomputed cells, and
     a classification of the headline objective delta (match <= 0.1%,
     near <= 1%, discrepancy beyond).
+
+    Vertex membership is tested against the oracle's boxed vertex set.
+    Every printed point lies far inside the box (coordinates <= 3.5e7
+    against 1e8), so no box-wall vertex, and no vertex beyond the box,
+    can match one.
     """
-    opts = opts or SolverOptions()
-    tables = [_audit_result_table(ref, opts) for ref in _REFERENCE_TABLES]
-    tables.extend(_audit_corner_table(spec, opts) for spec in _CORNER_TABLES)
+    tables = [_audit_result_table(ref) for ref in _REFERENCE_TABLES]
+    tables.extend(_audit_corner_table(spec) for spec in _CORNER_TABLES)
     for table in tables:
         unknown = set(table.ledger) - _DISCREPANCY_IDS
         if unknown:

@@ -18,6 +18,8 @@ silent fix; the audit in ``gridmix.analysis`` reports where they diverge.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .derivation import PUBLISHED
 from .model import (
     BudgetRates,
@@ -152,10 +154,8 @@ def _m0(variant: CoefficientVariant) -> Scenario:
     # Demand-only baseline over all six sources; no caps. Identical in
     # both variants (nothing to disagree about).
     sources = (
-        EnergySource(name="wind", lcoe=37.80, capital_cost=27.45, om_cost=10.35,
-                     emissions=4970.0, land_use=1065.6),
-        EnergySource(name="solar", lcoe=58.62, capital_cost=39.12, om_cost=19.51,
-                     emissions=45_000.0, land_use=204.5),
+        replace(_wind(variant), period_fractions=None),
+        replace(_solar(variant, rooftop=0.0), period_fractions=None),
         EnergySource(name="nuclear", lcoe=96.2, emissions=49_000.0, land_use=3.23),
         EnergySource(name="geothermal", lcoe=39.61, emissions=38_000.0, land_use=9.6875),
         EnergySource(name="gas_combined_cycle", lcoe=37.50, emissions=490_000.0),

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, catalog, derivation
-from .lp import Status, solve
+from .lp import LPError, Status, solve
 from .model import (
     CoefficientVariant,
     DemandMode,
@@ -517,12 +517,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, KeyError) as exc:
+    except (ScenarioError, KeyError, LPError, analysis.UnsupportedSizeError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"gridmix: error: {message}", file=sys.stderr)
-        return 1
-    except analysis.UnsupportedSizeError as exc:
-        print(f"gridmix: error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,6 +11,12 @@ Pivoting defaults to Dantzig's rule (most negative reduced cost, smallest
 ratio, ties broken toward the lowest row index). If the objective stalls
 for 2*(m+n) iterations the solver falls back to Bland's rule, which
 guarantees termination on degenerate instances.
+
+``LinearProgram.rows`` is one dense view of a program's constraints and
+lower bounds, built once and read by ``standardize``, ``check_feasible``,
+the binding set of a Solution and the vertex oracle. ``check_rows`` is
+the only test of points against rows. Every threshold is a module
+constant below (ROW_TOL, FEAS_TOL, ...), never a parameter.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +34,7 @@ __all__ = [
     "Status",
     "Constraint",
     "LinearProgram",
-    "SolverOptions",
+    "Rows",
     "Solution",
     "StandardForm",
     "Tableau",
@@ -39,8 +46,16 @@ __all__ = [
     "solve",
     "standardize",
     "pivot_rule",
+    "check_rows",
     "check_feasible",
 ]
+
+ROW_TOL = 1e-6       # row check and point equality, relative to max(1, |rhs|) or the point scale
+FEAS_TOL = 1e-7      # phase-1 residual, relative to max(1, largest tableau rhs)
+PIVOT_TOL = 1e-9     # smallest pivot entry, absolute on equilibrated rows; also the ratio tie band
+OPT_TOL = 1e-9       # entering reduced cost, relative to max(1, largest |reduced cost|)
+STALL_TOL = 1e-12    # smallest objective decrease that resets the stall count, relative
+MAX_ITER = 10_000    # pivots per phase
 
 
 class LPError(Exception):
@@ -98,8 +113,42 @@ class Constraint:
         if not any(c != 0.0 for c in self.coefficients):
             raise ValidationError(f"constraint {self.label!r}: all coefficients are zero")
 
-    def activity(self, values: tuple[float, ...] | np.ndarray) -> float:
-        return float(np.dot(self.coefficients, values))
+
+_SENSE = {Relation.LE: 1.0, Relation.GE: -1.0, Relation.EQ: 0.0}
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Dense half-spaces ``matrix @ x  <sense>  rhs``; callers never write
+    to the arrays, which a LinearProgram shares with every reader.
+
+    ``sense`` is +1 for <=, -1 for >= and 0 for =.
+    """
+
+    matrix: np.ndarray              # (r, n)
+    rhs: np.ndarray                 # (r,)
+    sense: np.ndarray               # (r,)
+    scale: np.ndarray = field(init=False)   # max(1, |rhs|), each row's tolerance scale
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", np.maximum(1.0, np.abs(self.rhs)))
+
+
+def check_rows(rows: Rows, points: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Test a (k, n) batch of points against every row of *rows*.
+
+    Returns (k, r) arrays: activities, violations (0.0 when satisfied),
+    and the satisfied and binding masks. A row is satisfied when its
+    violation, and binding when |activity - rhs|, is at most
+    ROW_TOL * max(1, |rhs|).
+    """
+    activity = points @ rows.matrix.T
+    gap = activity - rows.rhs
+    distance = np.abs(gap)
+    # An inequality whose gap points into its half-space is not violated.
+    violation = np.where(rows.sense * gap < 0.0, 0.0, distance)
+    band = ROW_TOL * rows.scale
+    return activity, violation, violation <= band, distance <= band
 
 
 @dataclass(frozen=True)
@@ -142,15 +191,19 @@ class LinearProgram:
     def objective_at(self, values: tuple[float, ...] | np.ndarray) -> float:
         return float(np.dot(self.objective, values))
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    feas_tol: float = 1e-7          # relative to row scale
-    pivot_tol: float = 1e-9         # absolute, on equilibrated rows
-    opt_tol: float = 1e-9           # reduced-cost threshold, relative to cost scale
-    max_iter: int = 10_000
-    anti_cycling: bool = True       # arm the Bland fallback on stall
-    bland: bool = False             # force Bland's rule from the first pivot
+    @cached_property
+    def rows(self) -> Rows:
+        """Every half-space of the feasible region: the constraints in
+        order, then ``x_i >= lower_bounds[i]``."""
+        n, m = self.var_count, len(self.constraints)
+        matrix = np.eye(m + n, n, -m)          # unit lower-bound rows below the constraints
+        for i, c in enumerate(self.constraints):
+            matrix[i] = c.coefficients
+        return Rows(
+            matrix=matrix,
+            rhs=np.array([c.rhs for c in self.constraints] + list(self.lower_bounds), dtype=float),
+            sense=np.array([_SENSE[c.relation] for c in self.constraints] + [-1.0] * n),
+        )
 
 
 @dataclass(frozen=True)
@@ -159,7 +212,6 @@ class Solution:
     values: tuple[float, ...]
     objective_value: float
     activities: tuple[float, ...]
-    slacks: tuple[float, ...]
     binding: frozenset[str]
     iterations: int
 
@@ -217,18 +269,6 @@ class StandardForm:
     shifts: tuple[float, ...]       # per-variable lower-bound shift
 
     @property
-    def slack_count(self) -> int:
-        return len(self.slack_cols)
-
-    @property
-    def surplus_count(self) -> int:
-        return len(self.surplus_cols)
-
-    @property
-    def artificial_count(self) -> int:
-        return len(self.artificial_cols)
-
-    @property
     def column_count(self) -> int:
         return self.matrix.shape[1]
 
@@ -237,12 +277,11 @@ def standardize(lp: LinearProgram) -> StandardForm:
     """Augment *lp* into equality form with slack/surplus/artificial columns."""
     m = len(lp.constraints)
     n = lp.var_count
-    shifts = np.asarray(lp.lower_bounds, dtype=float)
+    view = lp.rows
+    shifts = view.rhs[m:]
 
-    rows = np.array([c.coefficients for c in lp.constraints], dtype=float).reshape(m, n)
-    rhs = np.array([c.rhs for c in lp.constraints], dtype=float)
-    rhs = rhs - rows @ shifts
-    relations = [c.relation for c in lp.constraints]
+    rows = view.matrix[:m]
+    rhs = view.rhs[:m] - rows @ shifts
 
     scales = np.max(np.abs(rows), axis=1) if m else np.empty(0)
     # Every constraint has a nonzero coefficient, so scales > 0.
@@ -251,19 +290,15 @@ def standardize(lp: LinearProgram) -> StandardForm:
         rhs = rhs / scales
 
     # Flip rows with negative rhs so the textbook augmentation applies.
-    for i in range(m):
-        if rhs[i] < 0.0:
-            rows[i] *= -1.0
-            rhs[i] = -rhs[i]
-            relations[i] = {
-                Relation.LE: Relation.GE,
-                Relation.GE: Relation.LE,
-                Relation.EQ: Relation.EQ,
-            }[relations[i]]
+    sense = view.sense[:m].tolist()
+    for i in np.flatnonzero(rhs < 0.0):
+        rows[i] *= -1.0
+        rhs[i] = -rhs[i]
+        sense[i] = -sense[i]
 
-    n_slack = sum(1 for r in relations if r is Relation.LE)
-    n_surplus = sum(1 for r in relations if r is Relation.GE)
-    n_artificial = sum(1 for r in relations if r is not Relation.LE)
+    n_slack = sense.count(1.0)
+    n_surplus = sense.count(-1.0)
+    n_artificial = m - n_slack
     total = n + n_slack + n_surplus + n_artificial
 
     matrix = np.zeros((m, total))
@@ -274,12 +309,12 @@ def standardize(lp: LinearProgram) -> StandardForm:
     next_slack = n
     next_surplus = n + n_slack
     next_artificial = n + n_slack + n_surplus
-    for i, rel in enumerate(relations):
-        if rel is Relation.LE:
+    for i, s in enumerate(sense):
+        if s > 0.0:
             matrix[i, next_slack] = 1.0
             slack_cols.append(next_slack)
             next_slack += 1
-        elif rel is Relation.GE:
+        elif s < 0.0:
             matrix[i, next_surplus] = -1.0
             surplus_cols.append(next_surplus)
             next_surplus += 1
@@ -340,7 +375,7 @@ class Tableau:
         return -float(self.cost[-1])
 
 
-def pivot_rule(tableau: Tableau, opts: SolverOptions, *, bland: bool = False) -> tuple[int, int] | None:
+def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | None:
     """Pick the next (row, col) pivot, or None when no reduced cost is negative.
 
     Default: Dantzig entering column with the smallest-ratio leaving row,
@@ -351,7 +386,7 @@ def pivot_rule(tableau: Tableau, opts: SolverOptions, *, bland: bool = False) ->
     Raises _Unbounded when the chosen column has no positive pivot entry.
     """
     reduced = tableau.cost[:-1]
-    tol = opts.opt_tol * max(1.0, float(np.max(np.abs(reduced))) if reduced.size else 1.0)
+    tol = OPT_TOL * max(1.0, float(np.max(np.abs(reduced))) if reduced.size else 1.0)
 
     col = -1
     if bland:
@@ -373,13 +408,13 @@ def pivot_rule(tableau: Tableau, opts: SolverOptions, *, bland: bool = False) ->
     row = -1
     best_ratio = math.inf
     for i in range(tableau.rows):
-        if column[i] <= opts.pivot_tol:
+        if column[i] <= PIVOT_TOL:
             continue
         ratio = rhs[i] / column[i]
         if row < 0:
             row, best_ratio = i, ratio
             continue
-        tie_band = opts.pivot_tol * max(1.0, abs(best_ratio))
+        tie_band = PIVOT_TOL * max(1.0, abs(best_ratio))
         if ratio < best_ratio - tie_band:
             row, best_ratio = i, ratio
         elif abs(ratio - best_ratio) <= tie_band and bland and tableau.basis[i] < tableau.basis[row]:
@@ -400,28 +435,28 @@ def _apply_pivot(tableau: Tableau, row: int, col: int) -> None:
     tableau.basis[row] = col
 
 
-def _run_simplex(tableau: Tableau, opts: SolverOptions) -> int:
+def _run_simplex(tableau: Tableau) -> int:
     """Iterate to optimality; returns the iteration count. Raises _Unbounded."""
     iterations = 0
     stall = 0
     stall_limit = 2 * (tableau.rows + tableau.cols)
-    bland = opts.bland
+    bland = False
     last = tableau.objective_value()
     while True:
-        pivot = pivot_rule(tableau, opts, bland=bland)
+        pivot = pivot_rule(tableau, bland=bland)
         if pivot is None:
             return iterations
         _apply_pivot(tableau, *pivot)
         iterations += 1
-        if iterations > opts.max_iter:
-            raise IterationLimitError(f"no convergence within {opts.max_iter} iterations")
+        if iterations > MAX_ITER:
+            raise IterationLimitError(f"no convergence within {MAX_ITER} iterations")
         current = tableau.objective_value()
-        if current < last - 1e-12 * max(1.0, abs(last)):
+        if current < last - STALL_TOL * max(1.0, abs(last)):
             stall = 0
-            bland = opts.bland
+            bland = False
         else:
             stall += 1
-            if opts.anti_cycling and stall >= stall_limit:
+            if stall >= stall_limit:
                 bland = True
         last = current
 
@@ -437,7 +472,7 @@ def _priced_cost_row(matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basi
     return row
 
 
-def _drive_out_artificials(tableau: Tableau, artificial: set[int], pivot_tol: float) -> list[int]:
+def _drive_out_artificials(tableau: Tableau, artificial: set[int]) -> list[int]:
     """Pivot zero-valued artificials out of the basis; return redundant rows."""
     redundant: list[int] = []
     for i in range(tableau.rows):
@@ -447,7 +482,7 @@ def _drive_out_artificials(tableau: Tableau, artificial: set[int], pivot_tol: fl
         for j in range(tableau.cols):
             if j in artificial:
                 continue
-            if abs(tableau.body[i, j]) > pivot_tol:
+            if abs(tableau.body[i, j]) > PIVOT_TOL:
                 target = j
                 break
         if target >= 0:
@@ -457,16 +492,14 @@ def _drive_out_artificials(tableau: Tableau, artificial: set[int], pivot_tol: fl
     return redundant
 
 
-def solve(lp: LinearProgram, opts: SolverOptions | None = None) -> Solution:
+def solve(lp: LinearProgram) -> Solution:
     """Solve *lp* with the two-phase simplex.
 
     Returns a Solution whose status is Optimal, Infeasible (phase 1 ends
     with a positive artificial objective), or Unbounded (an improving
-    column has no blocking row in phase 2). Optimal values satisfy every
-    constraint within ``opts.feas_tol`` relative to row scale; activities,
-    slacks, and the objective are recomputed against the original rows.
+    column has no blocking row in phase 2). Activities, the binding set
+    and the objective are recomputed against the original rows.
     """
-    opts = opts or SolverOptions()
     form = standardize(lp)
     m = form.matrix.shape[0]
     n_total = form.column_count
@@ -499,13 +532,13 @@ def solve(lp: LinearProgram, opts: SolverOptions | None = None) -> Solution:
         body = np.hstack([matrix, rhs[:, None]])
         tableau = Tableau(body=body, cost=_priced_cost_row(matrix, rhs, phase1_cost, basis), basis=basis)
         try:
-            iterations += _run_simplex(tableau, opts)
+            iterations += _run_simplex(tableau)
         except _Unbounded:  # the phase-1 objective is bounded below by zero
             raise LPError("phase 1 reported unbounded; input is numerically degenerate")
         scale = max(1.0, float(np.max(np.abs(tableau.body[:, -1]))))
-        if tableau.objective_value() > opts.feas_tol * scale:
+        if tableau.objective_value() > FEAS_TOL * scale:
             return _build_solution(lp, Status.INFEASIBLE, None, iterations)
-        redundant = set(_drive_out_artificials(tableau, artificial, opts.pivot_tol))
+        redundant = set(_drive_out_artificials(tableau, artificial))
         keep = [i for i in range(tableau.rows) if i not in redundant]
         body = tableau.body[keep]
         basis = [tableau.basis[i] for i in keep]
@@ -520,7 +553,7 @@ def solve(lp: LinearProgram, opts: SolverOptions | None = None) -> Solution:
         blocked=frozenset(artificial),
     )
     try:
-        iterations += _run_simplex(tableau, opts)
+        iterations += _run_simplex(tableau)
     except _Unbounded:
         return _build_solution(lp, Status.UNBOUNDED, None, iterations)
 
@@ -544,75 +577,50 @@ def _build_solution(
             values=empty,
             objective_value=math.nan,
             activities=(),
-            slacks=(),
             binding=frozenset(),
             iterations=iterations,
         )
-    activities = tuple(c.activity(values) for c in lp.constraints)
-    slacks = tuple(abs(a - c.rhs) for a, c in zip(activities, lp.constraints))
-    binding = frozenset(
-        c.label
-        for a, c in zip(activities, lp.constraints)
-        if abs(a - c.rhs) <= 1e-6 * max(1.0, abs(c.rhs))
-    )
+    activity, _, _, binding = check_rows(lp.rows, np.array([values]))
     return Solution(
         status=status,
         values=values,
         objective_value=lp.objective_at(values),
-        activities=activities,
-        slacks=slacks,
-        binding=binding,
+        activities=tuple(activity[0, : len(lp.constraints)].tolist()),
+        binding=frozenset(c.label for c, b in zip(lp.constraints, binding[0].tolist()) if b),
         iterations=iterations,
     )
 
 
-def check_feasible(lp: LinearProgram, values: tuple[float, ...], tol: float = 1e-6) -> FeasibilityReport:
+def check_feasible(lp: LinearProgram, values: tuple[float, ...]) -> FeasibilityReport:
     """Audit a candidate point against every constraint and lower bound.
 
-    Violations and binding tests are relative to each row's scale
-    (max(1, |rhs|)), which keeps gram-scale rows (~1e12) and fraction-scale
-    demand rows comparable.
+    Violations and binding tests are those of ``check_rows``, relative to
+    each row's scale max(1, |rhs|), which keeps gram-scale rows (~1e12)
+    and fraction-scale demand rows comparable.
     """
     if len(values) != lp.var_count:
         raise ValidationError(f"expected {lp.var_count} values, got {len(values)}")
-    checks: list[ConstraintCheck] = []
-    worst = 0.0
-    worst_label: str | None = None
-    for c in lp.constraints:
-        activity = c.activity(values)
-        scale = max(1.0, abs(c.rhs))
-        gap = activity - c.rhs
-        if c.relation is Relation.LE:
-            violation = max(0.0, gap)
-        elif c.relation is Relation.GE:
-            violation = max(0.0, -gap)
-        else:
-            violation = abs(gap)
-        satisfied = violation <= tol * scale
-        binding = abs(gap) <= tol * scale
-        checks.append(
-            ConstraintCheck(
-                label=c.label,
-                relation=c.relation,
-                activity=activity,
-                rhs=c.rhs,
-                violation=violation,
-                satisfied=satisfied,
-                binding=binding,
-            )
-        )
-        if violation / scale > worst:
-            worst = violation / scale
-            worst_label = c.label
-    bounds_ok = all(
-        v >= lb - tol * max(1.0, abs(lb)) for v, lb in zip(values, lp.lower_bounds)
+    m = len(lp.constraints)
+    rows = lp.rows
+    activity, violation, satisfied, binding = (
+        a[0] for a in check_rows(rows, np.array([values], dtype=float))
     )
+    checks = tuple(
+        ConstraintCheck(c.label, c.relation, act, c.rhs, vio, sat, bind)
+        for c, act, vio, sat, bind in zip(
+            lp.constraints, activity.tolist(), violation.tolist(), satisfied.tolist(), binding.tolist()
+        )
+    )
+    relative = violation[:m] / rows.scale[:m]
+    worst = float(relative.max(initial=0.0))
+    bounds_ok = bool(satisfied[m:].all())
+    violated = frozenset(ch.label for ch in checks if not ch.satisfied)
     return FeasibilityReport(
-        feasible=bounds_ok and all(ch.satisfied for ch in checks),
-        checks=tuple(checks),
+        feasible=bounds_ok and not violated,
+        checks=checks,
         bounds_ok=bounds_ok,
         worst_violation=worst,
-        worst_label=worst_label,
+        worst_label=lp.constraints[int(np.argmax(relative))].label if worst > 0.0 else None,
         binding=frozenset(ch.label for ch in checks if ch.binding),
-        violated=frozenset(ch.label for ch in checks if not ch.satisfied),
+        violated=violated,
     )

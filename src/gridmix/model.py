@@ -553,7 +553,11 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
     _reject_unknown(caps_doc, _CAP_KEYS, f"{where}.caps")
     caps = {}
     for key in sorted(_CAP_KEYS):
-        caps[key] = _number(_require(caps_doc, key, f"{where}.caps"), f"{where}.caps.{key}")
+        value = _require(caps_doc, key, f"{where}.caps")
+        if value is None:  # null: no cap
+            caps[key] = None
+            continue
+        caps[key] = _number(value, f"{where}.caps.{key}")
         if caps[key] <= 0.0:
             raise ScenarioFormatError(f"{where}.caps.{key}: must be > 0")
 

@@ -72,7 +72,7 @@ def test_criterion_03_period_demand_reproduction():
         lp = compile_scenario(get_scenario("m2_period_demand", AP))
         sol = solve(lp)
         assert sol.status is Status.OPTIMAL
-        assert check_feasible(lp, sol.values, tol=1e-6).feasible
+        assert check_feasible(lp, sol.values).feasible
         assert sol.values[1] == pytest.approx(344_900.0, rel=1e-9)
         assert "space_solar" in sol.binding
         assert abs(sol.objective_value - 1_309_379_704.0) / 1_309_379_704.0 <= 0.005

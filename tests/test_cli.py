@@ -116,6 +116,51 @@ def test_solve_scenario_file_with_base(tmp_path, capsys):
     assert "infeasible" in out
 
 
+def test_solve_scenario_file_with_uncapped_base(tmp_path, capsys):
+    # m3_shared_space has no rooftop cap, so its serialized base carries a
+    # null cap, which means "no cap".
+    path = tmp_path / "m3_file.json"
+    path.write_text(json.dumps({"name": "m3_file"}))
+    code, out, err = run(capsys, "solve", str(path), "--base", "m3_shared_space")
+    assert (code, err) == (0, "")
+    assert "scenario: m3_file (as_printed)" in out
+    assert "status: optimal" in out
+
+
+def test_solver_input_error_exits_one(tmp_path, capsys):
+    # A valid file whose only source emits nothing compiles an all-zero
+    # emissions row, which the LP layer rejects.
+    doc = {
+        "name": "hydro_only",
+        "objective_mode": "lcoe",
+        "coefficient_variant": "as_printed",
+        "annual_need_mwh": 1000.0,
+        "demand_mode": "flat_annual",
+        "periods": [],
+        "sources": [
+            {
+                "name": "hydroelectric",
+                "lcoe": 63.9,
+                "capital_cost": 0.0,
+                "om_cost": 0.0,
+                "emissions_g_per_mwh": 0.0,
+                "land_ft2_per_mwh": 0.0,
+                "rooftop_allowance_mwh": 0.0,
+                "period_fractions": [0.3, 0.5, 0.2],
+                "min_annual_output_mwh": 0.0,
+            }
+        ],
+        "caps": {"emissions_g": 1e12, "budget_usd": 1e9, "land_ft2": 1e10, "rooftop_mwh": 1e5},
+        "space_mode": "separate_bounds",
+    }
+    path = tmp_path / "hydro.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "gridmix: error: constraint 'emissions': all coefficients are zero\n"
+
+
 def test_base_requires_file(capsys):
     code, _, err = run(capsys, "solve", "m1_flat_demand", "--base", "m2_period_demand")
     assert code == 1

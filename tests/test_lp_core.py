@@ -14,7 +14,6 @@ from gridmix.lp import (
     LinearProgram,
     Relation,
     Sense,
-    SolverOptions,
     Status,
     Tableau,
     ValidationError,
@@ -209,15 +208,15 @@ def test_standardize_single_le_row():
     lp = lp_min([1.0, 1.0], [Constraint((1.0, 2.0), Relation.LE, 5.0, "cap")])
     form = standardize(lp)
     assert form.column_count == 3
-    assert form.slack_count == 1
-    assert form.surplus_count == 0
-    assert form.artificial_count == 0
+    assert len(form.slack_cols) == 1
+    assert len(form.surplus_cols) == 0
+    assert len(form.artificial_cols) == 0
 
 
 def test_standardize_m2_slack_surplus_counts():
     form = standardize(compile_scenario(get_scenario("m2_period_demand")))
-    assert form.surplus_count == 3
-    assert form.slack_count == 4
+    assert len(form.surplus_cols) == 3
+    assert len(form.slack_cols) == 4
 
 
 def test_standardize_shifts_nuclear_floor():
@@ -234,9 +233,9 @@ def test_standardize_flips_negative_rhs():
     lp = lp_min([1.0], [Constraint((-1.0,), Relation.LE, -2.0, "neg")])
     form = standardize(lp)
     # -x <= -2 becomes x >= 2: surplus plus artificial, no slack.
-    assert form.slack_count == 0
-    assert form.surplus_count == 1
-    assert form.artificial_count == 1
+    assert len(form.slack_cols) == 0
+    assert len(form.surplus_cols) == 1
+    assert len(form.artificial_cols) == 1
     sol = solve(lp)
     assert sol.values == pytest.approx((2.0,))
 
@@ -251,7 +250,7 @@ def test_pivot_rule_optimal_returns_none():
         cost=np.array([0.3, 0.2, 0.0]),
         basis=[0],
     )
-    assert pivot_rule(tableau, SolverOptions()) is None
+    assert pivot_rule(tableau) is None
 
 
 def test_pivot_rule_forced_pivot():
@@ -260,7 +259,7 @@ def test_pivot_rule_forced_pivot():
         cost=np.array([-1.0, 0.0, 0.0]),
         basis=[1, 2],
     )
-    assert pivot_rule(tableau, SolverOptions()) == (0, 0)
+    assert pivot_rule(tableau) == (0, 0)
 
 
 def test_pivot_rule_bland_picks_lowest_index():
@@ -269,8 +268,8 @@ def test_pivot_rule_bland_picks_lowest_index():
         cost=np.array([-1.0, -5.0, 0.0]),
         basis=[2],
     )
-    assert pivot_rule(tableau, SolverOptions(), bland=True) == (0, 0)
-    assert pivot_rule(tableau, SolverOptions(), bland=False) == (0, 1)
+    assert pivot_rule(tableau, bland=True) == (0, 0)
+    assert pivot_rule(tableau, bland=False) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +321,7 @@ def test_optimal_solutions_pass_check_feasible():
         lp = compile_scenario(scenario)
         sol = solve(lp)
         if sol.status is Status.OPTIMAL:
-            assert check_feasible(lp, sol.values, tol=1e-6).feasible, scenario.name
+            assert check_feasible(lp, sol.values).feasible, scenario.name
 
 
 def test_demand_monotonicity_on_m1():

@@ -160,7 +160,6 @@ def test_zero_production_report_is_zero():
         values=(0.0, 0.0),
         objective_value=0.0,
         activities=(0.0,) * 5,
-        slacks=(0.0,) * 5,
         binding=frozenset(),
         iterations=0,
     )
@@ -370,7 +369,10 @@ def test_catalog_solves_with_known_exception():
 
 
 def test_scenario_to_dict_round_trips_through_validation():
-    scenario = get_scenario("m2_period_demand")
-    rebuilt = scenario_from_dict(scenario_to_dict(scenario))
-    assert rebuilt.annual_need == scenario.annual_need
-    assert [s.name for s in rebuilt.sources] == ["wind", "solar"]
+    for scenario in builtin_scenarios():
+        rebuilt = scenario_from_dict(scenario_to_dict(scenario))
+        key = (scenario.name, scenario.coefficient_variant)
+        assert rebuilt.annual_need == scenario.annual_need, key
+        assert [s.name for s in rebuilt.sources] == [s.name for s in scenario.sources], key
+        for cap in ("emissions_cap", "budget_cap", "land_cap", "rooftop_cap"):
+            assert getattr(rebuilt, cap) == getattr(scenario, cap), (key, cap)
