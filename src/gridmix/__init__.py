@@ -7,82 +7,32 @@ compiling energy-mix models into LPs (``gridmix.model``,
 plus reproduction audit (``gridmix.analysis``).
 """
 
-from .analysis import (
-    CornerReport,
-    OracleResult,
-    ReferenceAudit,
-    Vertex,
-    audit_reference_results,
-    corner_report,
-    enumerate_vertices,
-    oracle_solve,
-    sweep,
-)
-from .catalog import builtin_scenarios, get_scenario, scenario_names
-from .derivation import DerivedConstants, derive_all
-from .lp import (
-    Constraint,
-    FeasibilityReport,
-    LinearProgram,
-    Relation,
-    Sense,
-    Solution,
-    Status,
-    check_feasible,
-    solve,
-    standardize,
-)
-from .model import (
-    CoefficientVariant,
-    DayPeriod,
-    DemandMode,
-    EnergySource,
-    ObjectiveMode,
-    Scenario,
-    ScenarioReport,
-    SpaceMode,
-    compile_scenario,
-    load_scenario_file,
-    report,
-)
+from importlib import import_module
+
+# Each re-export and its defining module. They load on first use (PEP 562),
+# so importing one submodule, e.g. ``gridmix.cli``, loads only what it needs.
+_SOURCES = {
+    "lp": ("Constraint", "LinearProgram", "Relation", "Sense", "Solution", "Status",
+           "FeasibilityReport", "solve", "standardize", "check_feasible"),
+    "model": ("EnergySource", "DayPeriod", "Scenario", "ScenarioReport", "DemandMode", "SpaceMode",
+              "ObjectiveMode", "CoefficientVariant", "compile_scenario", "report", "load_scenario_file"),
+    "catalog": ("builtin_scenarios", "get_scenario", "scenario_names"),
+    "derivation": ("DerivedConstants", "derive_all"),
+    "analysis": ("Vertex", "OracleResult", "CornerReport", "ReferenceAudit", "enumerate_vertices",
+                 "oracle_solve", "corner_report", "sweep", "audit_reference_results"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Constraint",
-    "LinearProgram",
-    "Relation",
-    "Sense",
-    "Solution",
-    "Status",
-    "FeasibilityReport",
-    "solve",
-    "standardize",
-    "check_feasible",
-    "EnergySource",
-    "DayPeriod",
-    "Scenario",
-    "ScenarioReport",
-    "DemandMode",
-    "SpaceMode",
-    "ObjectiveMode",
-    "CoefficientVariant",
-    "compile_scenario",
-    "report",
-    "load_scenario_file",
-    "builtin_scenarios",
-    "get_scenario",
-    "scenario_names",
-    "DerivedConstants",
-    "derive_all",
-    "Vertex",
-    "OracleResult",
-    "CornerReport",
-    "ReferenceAudit",
-    "enumerate_vertices",
-    "oracle_solve",
-    "corner_report",
-    "sweep",
-    "audit_reference_results",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import get_scenario
-from .lp import ROW_TOL, LinearProgram, Rows, Sense, Status, check_feasible, check_rows, solve
+from .lp import ROW_TOL, LinearProgram, LPError, Rows, Sense, Status, check_feasible, check_rows, solve
 from .model import CoefficientVariant, ObjectiveMode, Scenario, compile_scenario
 
 __all__ = [
@@ -55,7 +55,7 @@ SINGULAR_TOL = 1e-12   # smallest pivot of a vertex subsystem, absolute on equil
 TIE_TOL = 1e-9         # oracle objective ties, relative to max(1, |best objective|)
 
 
-class UnsupportedSizeError(ValueError):
+class UnsupportedSizeError(LPError, ValueError):
     """Vertex enumeration is combinatorial and capped at 4 variables."""
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, catalog, derivation
+from . import catalog
 from .lp import LPError, Status, solve
 from .model import (
     CoefficientVariant,
@@ -244,6 +244,8 @@ def _cmd_solve(args) -> int:
     rep = report(scenario, solution)
     oracle = None
     if args.oracle:
+        from . import analysis
+
         oracle = analysis.oracle_solve(lp)
         if oracle.status is not solution.status:
             print(
@@ -276,6 +278,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import analysis
+
     if args.steps < 1:
         raise ScenarioError("--steps must be >= 1")
     if args.start > args.stop:
@@ -402,6 +406,8 @@ def _audit_csv(audit, table_ids) -> str:
 
 
 def _cmd_audit(args) -> int:
+    from . import analysis
+
     audit = analysis.audit_reference_results()
     table_ids = set(args.table) if args.table else set()
     known = {t.table_id for t in audit.tables}
@@ -424,6 +430,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_derive(args) -> int:
+    from . import derivation
+
     derived = derivation.derive_all()
     if args.format == "json":
         doc = {
@@ -517,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, KeyError, LPError, analysis.UnsupportedSizeError) as exc:
+    except (ScenarioError, KeyError, LPError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"gridmix: error: {message}", file=sys.stderr)
         return 1

@@ -17,11 +17,20 @@ lower bounds, built once and read by ``standardize``, ``check_feasible``,
 the binding set of a Solution and the vertex oracle. ``check_rows`` is
 the only test of points against rows. Every threshold is a module
 constant below (ROW_TOL, FEAS_TOL, ...), never a parameter.
+
+``solve`` is deterministic to the bit, and tests/test_solve_golden.py pins
+every field of its Solutions. At this size a numpy call costs more than
+its arithmetic, so the pivot choice, the basis bookkeeping and the
+standard form read Python lists taken with one ``tolist()`` each; Python
+floats round exactly as numpy's. Numpy stays where the order of a sum
+fixes the result: the pivot's outer product, the priced-out cost rows,
+and ``@``/``np.dot`` for activities and objectives.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -108,9 +117,9 @@ class Constraint:
     def __post_init__(self) -> None:
         if not math.isfinite(self.rhs):
             raise ValidationError(f"constraint {self.label!r}: rhs is not finite")
-        if not all(math.isfinite(c) for c in self.coefficients):
+        if not all(map(math.isfinite, self.coefficients)):
             raise ValidationError(f"constraint {self.label!r}: non-finite coefficient")
-        if not any(c != 0.0 for c in self.coefficients):
+        if not any(self.coefficients):
             raise ValidationError(f"constraint {self.label!r}: all coefficients are zero")
 
 
@@ -137,18 +146,18 @@ class Rows:
 def check_rows(rows: Rows, points: np.ndarray) -> tuple[np.ndarray, ...]:
     """Test a (k, n) batch of points against every row of *rows*.
 
-    Returns (k, r) arrays: activities, violations (0.0 when satisfied),
-    and the satisfied and binding masks. A row is satisfied when its
-    violation, and binding when |activity - rhs|, is at most
-    ROW_TOL * max(1, |rhs|).
+    Returns (k, r) arrays: activities, violations, and the satisfied and
+    binding masks. A row is binding when |activity - rhs| is at most
+    ROW_TOL * max(1, |rhs|), and satisfied when it is binding or, for an
+    inequality, when the gap points into its half-space. The violation is
+    0.0 for a satisfied row and |activity - rhs| otherwise.
     """
     activity = points @ rows.matrix.T
     gap = activity - rows.rhs
     distance = np.abs(gap)
-    # An inequality whose gap points into its half-space is not violated.
-    violation = np.where(rows.sense * gap < 0.0, 0.0, distance)
-    band = ROW_TOL * rows.scale
-    return activity, violation, violation <= band, distance <= band
+    binding = distance <= ROW_TOL * rows.scale
+    satisfied = binding | (rows.sense * gap < 0.0)
+    return activity, np.where(satisfied, 0.0, distance), satisfied, binding
 
 
 @dataclass(frozen=True)
@@ -167,7 +176,7 @@ class LinearProgram:
             raise ValidationError(
                 f"objective has {len(self.objective)} coefficients for {self.var_count} variables"
             )
-        if not all(math.isfinite(c) for c in self.objective):
+        if not all(map(math.isfinite, self.objective)):
             raise ValidationError("objective contains a non-finite coefficient")
         if not self.lower_bounds:
             object.__setattr__(self, "lower_bounds", (0.0,) * self.var_count)
@@ -196,11 +205,10 @@ class LinearProgram:
         """Every half-space of the feasible region: the constraints in
         order, then ``x_i >= lower_bounds[i]``."""
         n, m = self.var_count, len(self.constraints)
-        matrix = np.eye(m + n, n, -m)          # unit lower-bound rows below the constraints
-        for i, c in enumerate(self.constraints):
-            matrix[i] = c.coefficients
+        units = [0.0] * (n * n)                # unit lower-bound rows below the constraints
+        units[:: n + 1] = [1.0] * n
         return Rows(
-            matrix=matrix,
+            matrix=np.array([a for c in self.constraints for a in c.coefficients] + units).reshape(m + n, n),
             rhs=np.array([c.rhs for c in self.constraints] + list(self.lower_bounds), dtype=float),
             sense=np.array([_SENSE[c.relation] for c in self.constraints] + [-1.0] * n),
         )
@@ -250,27 +258,26 @@ class FeasibilityReport:
 class StandardForm:
     """Equality-form data for the two-phase tableau.
 
-    Columns are ordered structural | slack | surplus | artificial. Rows are
-    equilibrated by their max-abs structural coefficient and sign-flipped
-    where needed so every rhs is nonnegative. Nonzero variable lower bounds
-    are shifted into the rhs (x = shift + x') and recorded for un-shifting.
+    Columns are ordered structural | slack | surplus | artificial, and the
+    rhs follows them as the last column of ``body``. Rows are equilibrated
+    by their max-abs structural coefficient and sign-flipped where needed
+    so every rhs is nonnegative. Nonzero variable lower bounds are shifted
+    into the rhs (x = shift + x') and recorded for un-shifting.
     """
 
-    matrix: np.ndarray              # (m, total_cols)
-    rhs: np.ndarray                 # (m,)
-    objective: np.ndarray           # minimization costs over structural columns, zero-padded
-    objective_offset: float         # c . shift, added back when reporting
+    body: np.ndarray                # (m, total_cols + 1), rhs last
+    objective: tuple[float, ...]    # minimization cost of each column, zero past the structural ones
     var_count: int
     slack_cols: tuple[int, ...]
     surplus_cols: tuple[int, ...]
     artificial_cols: tuple[int, ...]
-    row_labels: tuple[str, ...]
+    basis: tuple[int, ...]          # each row's slack or artificial column: the phase-1 basis
     row_scales: tuple[float, ...]   # divisor applied to each original row
     shifts: tuple[float, ...]       # per-variable lower-bound shift
 
     @property
     def column_count(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.objective)
 
 
 def standardize(lp: LinearProgram) -> StandardForm:
@@ -279,69 +286,65 @@ def standardize(lp: LinearProgram) -> StandardForm:
     n = lp.var_count
     view = lp.rows
     shifts = view.rhs[m:]
-
     rows = view.matrix[:m]
-    rhs = view.rhs[:m] - rows @ shifts
 
-    scales = np.max(np.abs(rows), axis=1) if m else np.empty(0)
-    # Every constraint has a nonzero coefficient, so scales > 0.
-    if m:
-        rows = rows / scales[:, None]
-        rhs = rhs / scales
-
-    # Flip rows with negative rhs so the textbook augmentation applies.
-    sense = view.sense[:m].tolist()
-    for i in np.flatnonzero(rhs < 0.0):
-        rows[i] *= -1.0
-        rhs[i] = -rhs[i]
-        sense[i] = -sense[i]
+    # Equilibrate each row by its max-abs coefficient (every constraint has
+    # a nonzero one) and flip rows with negative rhs so the textbook
+    # augmentation applies. Python floats round exactly as numpy's do.
+    scaled: list[list[float]] = []
+    rhs: list[float] = []
+    scales: list[float] = []
+    sense: list[float] = []
+    for coefficients, b, s in zip(rows.tolist(), (view.rhs[:m] - rows @ shifts).tolist(), view.sense.tolist()):
+        scale = max(map(abs, coefficients))
+        row = [c / scale for c in coefficients]
+        b /= scale
+        if b < 0.0:
+            row, b, s = [-c for c in row], -b, -s
+        scaled.append(row)
+        rhs.append(b)
+        scales.append(scale)
+        sense.append(s)
 
     n_slack = sense.count(1.0)
     n_surplus = sense.count(-1.0)
-    n_artificial = m - n_slack
-    total = n + n_slack + n_surplus + n_artificial
-
-    matrix = np.zeros((m, total))
-    matrix[:, :n] = rows
+    total = n + m + n_surplus
     slack_cols: list[int] = []
     surplus_cols: list[int] = []
     artificial_cols: list[int] = []
+    basis: list[int] = []
     next_slack = n
     next_surplus = n + n_slack
     next_artificial = n + n_slack + n_surplus
-    for i, s in enumerate(sense):
-        if s > 0.0:
-            matrix[i, next_slack] = 1.0
-            slack_cols.append(next_slack)
-            next_slack += 1
-        elif s < 0.0:
-            matrix[i, next_surplus] = -1.0
+    for row, b, s in zip(scaled, rhs, sense):
+        row += [0.0] * (total - n)
+        row.append(b)
+        if s < 0.0:
+            row[next_surplus] = -1.0
             surplus_cols.append(next_surplus)
             next_surplus += 1
-            matrix[i, next_artificial] = 1.0
-            artificial_cols.append(next_artificial)
-            next_artificial += 1
+        if s > 0.0:
+            basic = next_slack
+            slack_cols.append(basic)
+            next_slack += 1
         else:
-            matrix[i, next_artificial] = 1.0
-            artificial_cols.append(next_artificial)
+            basic = next_artificial
+            artificial_cols.append(basic)
             next_artificial += 1
+        row[basic] = 1.0
+        basis.append(basic)
 
-    cost = np.zeros(total)
     sign = 1.0 if lp.sense is Sense.MINIMIZE else -1.0
-    cost[:n] = sign * np.asarray(lp.objective, dtype=float)
-
     return StandardForm(
-        matrix=matrix,
-        rhs=rhs,
-        objective=cost,
-        objective_offset=float(np.dot(lp.objective, shifts)),
+        body=np.array(scaled, dtype=float).reshape(m, total + 1),
+        objective=tuple([sign * c for c in lp.objective] + [0.0] * (total - n)),
         var_count=n,
         slack_cols=tuple(slack_cols),
         surplus_cols=tuple(surplus_cols),
         artificial_cols=tuple(artificial_cols),
-        row_labels=tuple(c.label for c in lp.constraints),
-        row_scales=tuple(float(s) for s in scales),
-        shifts=tuple(float(s) for s in shifts),
+        basis=tuple(basis),
+        row_scales=tuple(scales),
+        shifts=tuple(shifts.tolist()),
     )
 
 
@@ -385,39 +388,32 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | No
 
     Raises _Unbounded when the chosen column has no positive pivot entry.
     """
-    reduced = tableau.cost[:-1]
-    tol = OPT_TOL * max(1.0, float(np.max(np.abs(reduced))) if reduced.size else 1.0)
-
-    col = -1
+    reduced = tableau.cost[:-1].tolist()
+    tol = OPT_TOL * max(1.0, max(map(abs, reduced), default=1.0))
+    for j in tableau.blocked:
+        reduced[j] = 0.0
     if bland:
-        for j in range(reduced.size):
-            if j not in tableau.blocked and reduced[j] < -tol:
-                col = j
-                break
+        col = next((j for j, r in enumerate(reduced) if r < -tol), -1)
     else:
-        best = -tol
-        for j in range(reduced.size):
-            if j not in tableau.blocked and reduced[j] < best:
-                best = reduced[j]
-                col = j
+        best = min(reduced, default=0.0)
+        col = reduced.index(best) if best < -tol else -1   # the lowest index among equal minima
     if col < 0:
         return None
 
-    column = tableau.body[:, col]
-    rhs = tableau.body[:, -1]
     row = -1
     best_ratio = math.inf
-    for i in range(tableau.rows):
-        if column[i] <= PIVOT_TOL:
+    basis = tableau.basis
+    for i, (entry, rhs) in enumerate(zip(tableau.body[:, col].tolist(), tableau.body[:, -1].tolist())):
+        if entry <= PIVOT_TOL:
             continue
-        ratio = rhs[i] / column[i]
+        ratio = rhs / entry
         if row < 0:
             row, best_ratio = i, ratio
             continue
         tie_band = PIVOT_TOL * max(1.0, abs(best_ratio))
         if ratio < best_ratio - tie_band:
             row, best_ratio = i, ratio
-        elif abs(ratio - best_ratio) <= tie_band and bland and tableau.basis[i] < tableau.basis[row]:
+        elif abs(ratio - best_ratio) <= tie_band and bland and basis[i] < basis[row]:
             row = i
         # default rule keeps the lowest row index already held on ties
     if row < 0:
@@ -427,11 +423,12 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | No
 
 def _apply_pivot(tableau: Tableau, row: int, col: int) -> None:
     body = tableau.body
-    body[row] /= body[row, col]
+    pivot_row = body[row]
+    pivot_row /= pivot_row[col]
     factors = body[:, col].copy()
     factors[row] = 0.0
-    body -= np.outer(factors, body[row])
-    tableau.cost -= tableau.cost[col] * body[row]
+    body -= factors[:, None] * pivot_row       # np.outer(factors, pivot_row), without its wrapper
+    tableau.cost -= tableau.cost[col] * pivot_row
     tableau.basis[row] = col
 
 
@@ -461,30 +458,26 @@ def _run_simplex(tableau: Tableau) -> int:
         last = current
 
 
-def _priced_cost_row(matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int]) -> np.ndarray:
-    row = np.append(cost.astype(float), 0.0)
-    for i, j in enumerate(basis):
-        factor = row[j]
+def _priced_cost_row(body: np.ndarray, cost: Sequence[float], basis: list[int]) -> np.ndarray:
+    """The cost row over *body*'s columns with every basic column priced
+    out; its last entry holds -objective."""
+    row = np.array([*cost, 0.0])
+    # Basic columns are exact unit vectors, so no subtraction below changes
+    # a factor before its turn: all can be read up front.
+    for i, factor in enumerate(row.take(basis).tolist()):
         if factor != 0.0:
-            row[:-1] -= factor * matrix[i]
-            row[-1] -= factor * rhs[i]
-    # store -objective in the last slot
+            row -= factor * body[i]
     return row
 
 
 def _drive_out_artificials(tableau: Tableau, artificial: set[int]) -> list[int]:
     """Pivot zero-valued artificials out of the basis; return redundant rows."""
     redundant: list[int] = []
-    for i in range(tableau.rows):
-        if tableau.basis[i] not in artificial:
+    for i, basic in enumerate(tableau.basis):
+        if basic not in artificial:
             continue
-        target = -1
-        for j in range(tableau.cols):
-            if j in artificial:
-                continue
-            if abs(tableau.body[i, j]) > PIVOT_TOL:
-                target = j
-                break
+        entries = tableau.body[i, :-1].tolist()
+        target = next((j for j, v in enumerate(entries) if j not in artificial and abs(v) > PIVOT_TOL), -1)
         if target >= 0:
             _apply_pivot(tableau, i, target)
         else:
@@ -501,54 +494,40 @@ def solve(lp: LinearProgram) -> Solution:
     and the objective are recomputed against the original rows.
     """
     form = standardize(lp)
-    m = form.matrix.shape[0]
-    n_total = form.column_count
+    m = len(form.basis)
+    total = form.column_count
     iterations = 0
 
     if m == 0:
         # Only lower bounds constrain the problem; the minimum sits at the shift.
-        if any(c < 0.0 for c in form.objective[: form.var_count]):
+        if min(form.objective, default=0.0) < 0.0:
             return _build_solution(lp, Status.UNBOUNDED, None, 0)
         return _build_solution(lp, Status.OPTIMAL, form.shifts, 0)
 
-    matrix = form.matrix.copy()
-    rhs = form.rhs.copy()
+    body = form.body.copy()
+    basis = list(form.basis)
     artificial = set(form.artificial_cols)
 
-    # Phase 1 starts from the slack/artificial identity basis.
-    basis: list[int] = []
-    for i in range(m):
-        slot = -1
-        for j in (*form.slack_cols, *form.artificial_cols):
-            if matrix[i, j] == 1.0:
-                slot = j
-                break
-        basis.append(slot)
-
     if artificial:
-        phase1_cost = np.zeros(n_total)
-        for j in artificial:
-            phase1_cost[j] = 1.0
-        body = np.hstack([matrix, rhs[:, None]])
-        tableau = Tableau(body=body, cost=_priced_cost_row(matrix, rhs, phase1_cost, basis), basis=basis)
+        phase1_cost = [0.0] * (total - len(artificial)) + [1.0] * len(artificial)
+        tableau = Tableau(body=body, cost=_priced_cost_row(body, phase1_cost, basis), basis=basis)
         try:
             iterations += _run_simplex(tableau)
         except _Unbounded:  # the phase-1 objective is bounded below by zero
             raise LPError("phase 1 reported unbounded; input is numerically degenerate")
-        scale = max(1.0, float(np.max(np.abs(tableau.body[:, -1]))))
+        scale = max(1.0, max(map(abs, tableau.body[:, -1].tolist())))
         if tableau.objective_value() > FEAS_TOL * scale:
             return _build_solution(lp, Status.INFEASIBLE, None, iterations)
-        redundant = set(_drive_out_artificials(tableau, artificial))
-        keep = [i for i in range(tableau.rows) if i not in redundant]
-        body = tableau.body[keep]
-        basis = [tableau.basis[i] for i in keep]
-    else:
-        body = np.hstack([matrix, rhs[:, None]])
+        redundant = _drive_out_artificials(tableau, artificial)
+        if redundant:
+            keep = [i for i in range(m) if i not in redundant]
+            body = tableau.body[keep]
+            basis = [tableau.basis[i] for i in keep]
 
     # Phase 2: original costs over the feasible basis; artificials barred.
     tableau = Tableau(
         body=body,
-        cost=_priced_cost_row(body[:, :-1], body[:, -1], form.objective, basis),
+        cost=_priced_cost_row(body, form.objective, basis),
         basis=basis,
         blocked=frozenset(artificial),
     )
@@ -557,10 +536,10 @@ def solve(lp: LinearProgram) -> Solution:
     except _Unbounded:
         return _build_solution(lp, Status.UNBOUNDED, None, iterations)
 
-    shifted = np.zeros(n_total)
-    for i, j in enumerate(tableau.basis):
-        shifted[j] = tableau.body[i, -1]
-    values = tuple(float(v) for v in (shifted[: form.var_count] + np.asarray(form.shifts)))
+    shifted = [0.0] * total
+    for j, value in zip(tableau.basis, tableau.body[:, -1].tolist()):
+        shifted[j] = value
+    values = tuple(v + s for v, s in zip(shifted, form.shifts))
     return _build_solution(lp, Status.OPTIMAL, values, iterations)
 
 

@@ -581,8 +581,12 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serialize *scenario* into the documented tree (built-in-only fields
-    such as per-period overrides and budget pricing do not round-trip)."""
+    """Serialize *scenario* into the documented tree.
+
+    The tree has no key for pinned period demand (``DayPeriod.demand_mwh``)
+    or budget pricing (``budget_rates``), so those two do not round-trip;
+    ``load_scenario_file`` carries them over from its base instead.
+    """
     return {
         "name": scenario.name,
         "objective_mode": scenario.objective_mode.value,
@@ -619,7 +623,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def load_scenario_file(path: str | Path, *, base: Scenario | None = None) -> Scenario:
     """Load a scenario document; with *base*, file keys override the base
-    scenario key-by-key (caps merge per key, lists replace wholesale)."""
+    scenario key-by-key (caps merge per key, lists replace wholesale).
+
+    The base's budget pricing always carries over, and so do its periods,
+    pinned demand included, unless the file sets ``periods``,
+    ``annual_need_mwh`` or ``demand_mode``.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -639,5 +648,9 @@ def load_scenario_file(path: str | Path, *, base: Scenario | None = None) -> Sce
                 merged["caps"] = {**merged["caps"], **value}
             else:
                 merged[key] = value
-        doc = merged
+        scenario = scenario_from_dict(merged, where=str(path))
+        kept = {"budget_rates": base.budget_rates}
+        if not doc.keys() & {"periods", "annual_need_mwh", "demand_mode"}:
+            kept["periods"] = base.periods
+        return replace(scenario, **kept)
     return scenario_from_dict(doc, where=str(path))

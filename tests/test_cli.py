@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,3 +334,30 @@ def test_derive_csv(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["name", "value", "unit", "provenance"]
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+def test_solve_does_not_load_the_analysis_layer():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = (
+        "import sys, gridmix.cli\n"
+        "loaded_at_import = 'gridmix.analysis' in sys.modules\n"
+        "code = gridmix.cli.main(['solve', 'm1_flat_demand'])\n"
+        "print(loaded_at_import, 'gridmix.analysis' in sys.modules, code)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "False False 0"
+
+
+def test_package_reexports_resolve_lazily():
+    import gridmix
+    from gridmix import analysis, oracle_solve
+
+    assert oracle_solve is analysis.oracle_solve
+    assert all(hasattr(gridmix, name) for name in gridmix.__all__)
+    with pytest.raises(AttributeError):
+        gridmix.no_such_name

@@ -304,6 +304,26 @@ def test_check_feasible_m3_daytime_slack():
     assert abs(expected - 14_900.0) < 100.0
 
 
+def test_check_feasible_names_no_worst_row_at_catalog_vertices():
+    # Exact vertices miss their binding rows only by rounding; a gap within
+    # the row tolerance is no violation, so no worst row is named.
+    from gridmix.analysis import enumerate_vertices
+    from gridmix.catalog import builtin_scenarios
+
+    checked = 0
+    for scenario in builtin_scenarios():
+        lp = compile_scenario(scenario)
+        if lp.var_count > 4:
+            continue
+        for vertex in enumerate_vertices(lp):
+            rep = check_feasible(lp, vertex.point)
+            assert rep.feasible, (scenario.name, vertex.point)
+            assert (rep.worst_violation, rep.worst_label) == (0.0, None), (scenario.name, vertex.point)
+            assert all(c.violation == 0.0 for c in rep.checks)
+            checked += 1
+    assert checked >= 80
+
+
 def test_check_feasible_length_mismatch():
     lp = compile_scenario(get_scenario("m1_flat_demand"))
     with pytest.raises(ValidationError):

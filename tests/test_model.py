@@ -376,3 +376,25 @@ def test_scenario_to_dict_round_trips_through_validation():
         assert [s.name for s in rebuilt.sources] == [s.name for s in scenario.sources], key
         for cap in ("emissions_cap", "budget_cap", "land_cap", "rooftop_cap"):
             assert getattr(rebuilt, cap) == getattr(scenario, cap), (key, cap)
+
+
+@pytest.mark.parametrize("variant", [AP, TD])
+@pytest.mark.parametrize("name", ["m3_shared_space", "b1_min_emissions"])
+def test_base_file_that_overrides_nothing_compiles_to_the_base(tmp_path, name, variant):
+    # The file format has no key for pinned period demand or budget
+    # pricing; both must come from the base.
+    path = tmp_path / "same.json"
+    path.write_text(json.dumps({"name": name}))
+    base = get_scenario(name, variant)
+    assert compile_scenario(load_scenario_file(path, base=base)) == compile_scenario(base)
+
+
+def test_base_file_that_sets_demand_drops_pinned_period_demand(tmp_path):
+    base = get_scenario("m3_shared_space")
+    assert any(p.demand_mwh is not None for p in base.periods)
+    path = tmp_path / "need.json"
+    path.write_text(json.dumps({"name": "need", "annual_need_mwh": base.annual_need}))
+    scenario = load_scenario_file(path, base=base)
+    assert all(p.demand_mwh is None for p in scenario.periods)
+    demand = [c.rhs for c in compile_scenario(scenario).constraints if c.label.startswith("demand_")]
+    assert demand == [base.annual_need * p.demand_fraction for p in base.periods]
