@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import get_scenario
-from .lp import ROW_TOL, LinearProgram, LPError, Rows, Sense, Status, check_feasible, check_rows, solve
+from .lp import (
+    ROW_TOL, LinearProgram, LPError, Rows, Sense, Status, check_feasible, check_rows, solve, solve_many,
+)
 from .model import CoefficientVariant, ObjectiveMode, Scenario, compile_scenario
 
 __all__ = [
@@ -258,22 +260,29 @@ class SweepPoint:
 
 
 def sweep(scenario: Scenario, parameter: str, values: list[float]) -> tuple[SweepPoint, ...]:
-    """Re-solve *scenario* for each cap value; infeasible points are kept
-    in the trajectory with their status rather than dropped."""
+    """Solve *scenario* at each cap value; infeasible points are kept in
+    the trajectory with their status rather than dropped.
+
+    Every point is compiled on its own, so ``compile_scenario`` stays the
+    one map from a cap to rhs entries, and all points are solved by one
+    ``solve_many`` call: each point's Solution is the one ``solve`` would
+    return, to the bit, but the points share one tableau, with one rhs
+    column each, until their pivots differ.
+    """
     if parameter not in CAP_FIELDS:
         raise KeyError(f"unknown sweep parameter {parameter!r}; known: {', '.join(CAP_FIELDS)}")
-    points = []
-    for value in values:
-        solution = solve(compile_scenario(scenario.with_cap(CAP_FIELDS[parameter], value)))
-        points.append(
-            SweepPoint(
-                value=float(value),
-                status=solution.status,
-                objective=solution.objective_value if solution.is_optimal else math.nan,
-                production=solution.values if solution.is_optimal else (math.nan,) * len(scenario.sources),
-            )
+    cap = CAP_FIELDS[parameter]
+    solutions = solve_many([compile_scenario(scenario.with_cap(cap, value)) for value in values])
+    missing = (math.nan,) * len(scenario.sources)
+    return tuple(
+        SweepPoint(
+            value=float(value),
+            status=solution.status,
+            objective=solution.objective_value if solution.is_optimal else math.nan,
+            production=solution.values if solution.is_optimal else missing,
         )
-    return tuple(points)
+        for value, solution in zip(values, solutions)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,31 @@ standard form read Python lists taken with one ``tolist()`` each; Python
 floats round exactly as numpy's. Numpy stays where the order of a sum
 fixes the result: the pivot's outer product, the priced-out cost rows,
 and ``@``/``np.dot`` for activities and objectives.
+
+``solve_many`` solves a batch. Programs that differ only in their
+constraints' rhs, and whose standardized rhs have the same signs, have the
+same tableau but for the rhs, so they share one: its body carries one rhs
+column per program, and every pivot updates the whole block. Each pivot
+is chosen by ``pivot_rule`` for the lead (first) column; the others replay
+its ratio test, tie band included, in ``_leaving_rows``. The entering
+column depends only on the cost row and the Bland flag, which all columns
+of a block share, so a column leaves its block only where its leaving
+row, its Bland flag (from its own stall count) or its phase-1 verdict
+differs from the lead's; it continues in a block of its own from the same
+state. This is parametric rhs analysis (Bertsimas & Tsitsiklis,
+*Introduction to Linear Optimization*, §5.2): one basis stays optimal over
+an interval of rhs values, so a sweep's grid needs few blocks. The bits
+match ``solve`` because every operation on the tableau is elementwise per
+column (the outer-product update, the priced cost row, the ratios and
+tolerances) and each optimum's activities and objective come from its own
+``@`` and ``np.dot``, exactly as in ``solve``. ``solve`` is the one-column
+case of the same loop.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,6 +73,7 @@ __all__ = [
     "ValidationError",
     "IterationLimitError",
     "solve",
+    "solve_many",
     "standardize",
     "pivot_rule",
     "check_rows",
@@ -135,7 +156,7 @@ class Rows:
     """
 
     matrix: np.ndarray              # (r, n)
-    rhs: np.ndarray                 # (r,)
+    rhs: np.ndarray                 # (r,), or (k, r) with one rhs per point of a check
     sense: np.ndarray               # (r,)
     scale: np.ndarray = field(init=False)   # max(1, |rhs|), each row's tolerance scale
 
@@ -152,7 +173,12 @@ def check_rows(rows: Rows, points: np.ndarray) -> tuple[np.ndarray, ...]:
     inequality, when the gap points into its half-space. The violation is
     0.0 for a satisfied row and |activity - rhs| otherwise.
     """
-    activity = points @ rows.matrix.T
+    return _check_activity(rows, points @ rows.matrix.T)
+
+
+def _check_activity(rows: Rows, activity: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``check_rows`` for activities already computed. Every step is
+    elementwise, so *rows*' rhs may hold one row of rhs per point."""
     gap = activity - rows.rhs
     distance = np.abs(gap)
     binding = distance <= ROW_TOL * rows.scale
@@ -356,30 +382,42 @@ def standardize(lp: LinearProgram) -> StandardForm:
 class Tableau:
     """Canonical-form simplex tableau: body rows plus a priced cost row.
 
-    ``body`` is (m, N+1) with the rhs in the last column; ``cost`` is the
-    reduced-cost row of length N+1 whose last entry holds the negated
-    objective value. ``basis[i]`` is the column basic in row i.
+    ``body`` is (m, N+k): N matrix columns, then one rhs column for each
+    of the k programs named in ``ids``. ``cost`` is the reduced-cost row of
+    length N+k whose rhs entries hold each program's negated objective
+    value. ``basis[i]`` is the column basic in row i. The first rhs column
+    leads: ``pivot_rule`` reads it.
     """
 
     body: np.ndarray
     cost: np.ndarray
     basis: list[int]
     blocked: frozenset[int] = field(default_factory=frozenset)  # columns barred from entering
+    ids: tuple[int, ...] = (0,)                                 # the program of each rhs column
+    cols: int = field(init=False)                               # N, the matrix columns
+
+    def __post_init__(self) -> None:
+        self.cols = self.body.shape[1] - len(self.ids)
 
     @property
     def rows(self) -> int:
         return self.body.shape[0]
 
-    @property
-    def cols(self) -> int:
-        return self.body.shape[1] - 1
-
-    def objective_value(self) -> float:
-        return -float(self.cost[-1])
+    def take(self, picks: list[int]) -> Tableau:
+        """A copy holding only the rhs columns at positions *picks*."""
+        index = [*range(self.cols), *(self.cols + k for k in picks)]
+        return Tableau(
+            body=self.body[:, index],
+            cost=self.cost[index],
+            basis=list(self.basis),
+            blocked=self.blocked,
+            ids=tuple(self.ids[k] for k in picks),
+        )
 
 
 def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | None:
-    """Pick the next (row, col) pivot, or None when no reduced cost is negative.
+    """Pick the next (row, col) pivot for the lead rhs column, or None when
+    no reduced cost is negative.
 
     Default: Dantzig entering column with the smallest-ratio leaving row,
     ratio ties broken toward the lowest row index. Bland: lowest-index
@@ -388,7 +426,8 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | No
 
     Raises _Unbounded when the chosen column has no positive pivot entry.
     """
-    reduced = tableau.cost[:-1].tolist()
+    cols = tableau.cols
+    reduced = tableau.cost[:cols].tolist()
     tol = OPT_TOL * max(1.0, max(map(abs, reduced), default=1.0))
     for j in tableau.blocked:
         reduced[j] = 0.0
@@ -403,7 +442,7 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | No
     row = -1
     best_ratio = math.inf
     basis = tableau.basis
-    for i, (entry, rhs) in enumerate(zip(tableau.body[:, col].tolist(), tableau.body[:, -1].tolist())):
+    for i, (entry, rhs) in enumerate(zip(tableau.body[:, col].tolist(), tableau.body[:, cols].tolist())):
         if entry <= PIVOT_TOL:
             continue
         ratio = rhs / entry
@@ -421,6 +460,34 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | No
     return row, col
 
 
+def _leaving_rows(tableau: Tableau, col: int, bland: bool) -> np.ndarray:
+    """``pivot_rule``'s ratio test for entering column *col*, replayed on
+    every rhs column at once: the leaving row of each.
+
+    Which rows are eligible depends on column *col* alone, so every rhs
+    column starts from the same first eligible row; the ratios, tie bands
+    and comparisons are pivot_rule's own, elementwise.
+    """
+    rhs = tableau.body[:, tableau.cols:]
+    basis = np.array(tableau.basis)
+    row = best = None
+    for i, entry in enumerate(tableau.body[:, col].tolist()):
+        if entry <= PIVOT_TOL:
+            continue
+        ratio = rhs[i] / entry
+        if row is None:
+            row, best = np.full(len(ratio), i), ratio
+            continue
+        tie_band = PIVOT_TOL * np.maximum(1.0, np.abs(best))
+        lower = ratio < best - tie_band
+        take = lower
+        if bland:
+            take = lower | ((np.abs(ratio - best) <= tie_band) & (basis[i] < basis[row]))
+        row = np.where(take, i, row)
+        best = np.where(lower, ratio, best)
+    return row
+
+
 def _apply_pivot(tableau: Tableau, row: int, col: int) -> None:
     body = tableau.body
     pivot_row = body[row]
@@ -432,36 +499,68 @@ def _apply_pivot(tableau: Tableau, row: int, col: int) -> None:
     tableau.basis[row] = col
 
 
-def _run_simplex(tableau: Tableau) -> int:
-    """Iterate to optimality; returns the iteration count. Raises _Unbounded."""
-    iterations = 0
-    stall = 0
-    stall_limit = 2 * (tableau.rows + tableau.cols)
-    bland = False
-    last = tableau.objective_value()
-    while True:
-        pivot = pivot_rule(tableau, bland=bland)
-        if pivot is None:
-            return iterations
-        _apply_pivot(tableau, *pivot)
-        iterations += 1
-        if iterations > MAX_ITER:
-            raise IterationLimitError(f"no convergence within {MAX_ITER} iterations")
-        current = tableau.objective_value()
-        if current < last - STALL_TOL * max(1.0, abs(last)):
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall >= stall_limit:
-                bland = True
-        last = current
+def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
+    """Iterate every rhs column of *tableau* to optimality.
+
+    The columns of a block share its entering column, which depends only
+    on the cost row and the Bland flag. Before a pivot, the columns whose
+    leaving row or Bland flag differs from the lead's are split off into
+    a block of their own, which continues from the same state. Returns
+    (block, iterations, unbounded) for *tableau* and for every block split
+    from it.
+    """
+    cols = tableau.cols
+    stall_limit = 2 * (tableau.rows + cols)
+    todo = [(tableau, 0, [0] * len(tableau.ids), tableau.cost[cols:].tolist())]
+    done: list[tuple[Tableau, int, bool]] = []
+    while todo:
+        tableau, iterations, stall, last = todo.pop()
+        while True:
+            bland = stall[0] >= stall_limit
+            try:
+                pivot = pivot_rule(tableau, bland=bland)
+            except _Unbounded:
+                done.append((tableau, iterations, True))
+                break
+            if pivot is None:
+                done.append((tableau, iterations, False))
+                break
+            row, col = pivot
+            if len(stall) > 1:
+                rows = _leaving_rows(tableau, col, bland).tolist()
+                moved = [r != row or (count >= stall_limit) != bland for r, count in zip(rows, stall)]
+                if any(moved):
+                    away = [k for k, m in enumerate(moved) if m]
+                    kept = [k for k, m in enumerate(moved) if not m]
+                    todo.append(
+                        (tableau.take(away), iterations, [stall[k] for k in away], [last[k] for k in away])
+                    )
+                    tableau = tableau.take(kept)
+                    stall, last = [stall[k] for k in kept], [last[k] for k in kept]
+            _apply_pivot(tableau, row, col)
+            iterations += 1
+            if iterations > MAX_ITER:
+                raise IterationLimitError(f"no convergence within {MAX_ITER} iterations")
+            # The count of pivots since the objective last fell, Bland's rule
+            # from stall_limit on. The cost row holds -objective, so the
+            # objective falls where that entry rises.
+            current = tableau.cost[cols:].tolist()
+            if len(current) == 1:   # every plain solve: the same test without a comprehension's ~1 us
+                stall = [0 if current[0] > last[0] + STALL_TOL * max(1.0, abs(last[0])) else stall[0] + 1]
+            else:
+                stall = [
+                    0 if now > before + STALL_TOL * max(1.0, abs(before)) else count + 1
+                    for now, before, count in zip(current, last, stall)
+                ]
+            last = current
+    return done
 
 
 def _priced_cost_row(body: np.ndarray, cost: Sequence[float], basis: list[int]) -> np.ndarray:
     """The cost row over *body*'s columns with every basic column priced
-    out; its last entry holds -objective."""
-    row = np.array([*cost, 0.0])
+    out; its entries past *cost* hold -objective of each rhs column."""
+    row = np.zeros(body.shape[1])
+    row[: len(cost)] = cost
     # Basic columns are exact unit vectors, so no subtraction below changes
     # a factor before its turn: all can be read up front.
     for i, factor in enumerate(row.take(basis).tolist()):
@@ -476,13 +575,80 @@ def _drive_out_artificials(tableau: Tableau, artificial: set[int]) -> list[int]:
     for i, basic in enumerate(tableau.basis):
         if basic not in artificial:
             continue
-        entries = tableau.body[i, :-1].tolist()
+        entries = tableau.body[i, : tableau.cols].tolist()
         target = next((j for j, v in enumerate(entries) if j not in artificial and abs(v) > PIVOT_TOL), -1)
         if target >= 0:
             _apply_pivot(tableau, i, target)
         else:
             redundant.append(i)
     return redundant
+
+
+_Outcome = tuple[int, Status, tuple[float, ...] | None, int]   # (rhs column, status, values, iterations)
+
+
+def _two_phase(form: StandardForm, body: np.ndarray) -> list[_Outcome]:
+    """Run both simplex phases on *body*: *form*'s rows with one rhs column
+    per program. Returns one outcome per rhs column, in no fixed order."""
+    total = form.column_count
+    ids = tuple(range(body.shape[1] - total))
+    if not form.basis:
+        # Only lower bounds constrain the problem; the minimum sits at the shift.
+        if min(form.objective, default=0.0) < 0.0:
+            return [(k, Status.UNBOUNDED, None, 0) for k in ids]
+        return [(k, Status.OPTIMAL, form.shifts, 0) for k in ids]
+
+    outcomes: list[_Outcome] = []
+    artificial = set(form.artificial_cols)
+    starts = []   # phase-2 blocks: body, basis, ids, phase-1 iterations
+    if not artificial:
+        starts.append((body, list(form.basis), ids, 0))
+    else:
+        phase1_cost = [0.0] * (total - len(artificial)) + [1.0] * len(artificial)
+        cost = _priced_cost_row(body, phase1_cost, form.basis)
+        phase1 = Tableau(body=body, cost=cost, basis=list(form.basis), ids=ids)
+        for tableau, iterations, unbounded in _run_simplex(phase1):
+            if unbounded:  # the phase-1 objective is bounded below by zero
+                raise LPError("phase 1 reported unbounded; input is numerically degenerate")
+            cols = tableau.cols
+            feasible = []
+            columns = zip(tableau.cost[cols:].tolist(), tableau.body[:, cols:].T.tolist())
+            for k, (negated, rhs) in enumerate(columns):
+                if -negated > FEAS_TOL * max(1.0, max(map(abs, rhs))):   # the cost row holds -objective
+                    outcomes.append((tableau.ids[k], Status.INFEASIBLE, None, iterations))
+                else:
+                    feasible.append(k)
+            if not feasible:
+                continue
+            if len(feasible) < len(tableau.ids):
+                tableau = tableau.take(feasible)
+            redundant = _drive_out_artificials(tableau, artificial)
+            if redundant:
+                keep = [i for i in range(tableau.rows) if i not in redundant]
+                starts.append((tableau.body[keep], [tableau.basis[i] for i in keep], tableau.ids, iterations))
+            else:
+                starts.append((tableau.body, tableau.basis, tableau.ids, iterations))
+
+    # Phase 2: original costs over the feasible basis; artificials barred.
+    for body, basis, ids, before in starts:
+        phase2 = Tableau(
+            body=body,
+            cost=_priced_cost_row(body, form.objective, basis),
+            basis=basis,
+            blocked=frozenset(artificial),
+            ids=ids,
+        )
+        for tableau, iterations, unbounded in _run_simplex(phase2):
+            if unbounded:
+                outcomes += [(k, Status.UNBOUNDED, None, before + iterations) for k in tableau.ids]
+                continue
+            for k, rhs in zip(tableau.ids, tableau.body[:, tableau.cols:].T.tolist()):
+                shifted = [0.0] * total
+                for j, value in zip(tableau.basis, rhs):
+                    shifted[j] = value
+                values = tuple(v + s for v, s in zip(shifted, form.shifts))
+                outcomes.append((k, Status.OPTIMAL, values, before + iterations))
+    return outcomes
 
 
 def solve(lp: LinearProgram) -> Solution:
@@ -494,53 +660,70 @@ def solve(lp: LinearProgram) -> Solution:
     and the objective are recomputed against the original rows.
     """
     form = standardize(lp)
-    m = len(form.basis)
-    total = form.column_count
-    iterations = 0
+    ((_, status, values, iterations),) = _two_phase(form, form.body.copy())
+    return _build_solution(lp, status, values, iterations)
 
-    if m == 0:
-        # Only lower bounds constrain the problem; the minimum sits at the shift.
-        if min(form.objective, default=0.0) < 0.0:
-            return _build_solution(lp, Status.UNBOUNDED, None, 0)
-        return _build_solution(lp, Status.OPTIMAL, form.shifts, 0)
 
-    body = form.body.copy()
-    basis = list(form.basis)
-    artificial = set(form.artificial_cols)
-
-    if artificial:
-        phase1_cost = [0.0] * (total - len(artificial)) + [1.0] * len(artificial)
-        tableau = Tableau(body=body, cost=_priced_cost_row(body, phase1_cost, basis), basis=basis)
-        try:
-            iterations += _run_simplex(tableau)
-        except _Unbounded:  # the phase-1 objective is bounded below by zero
-            raise LPError("phase 1 reported unbounded; input is numerically degenerate")
-        scale = max(1.0, max(map(abs, tableau.body[:, -1].tolist())))
-        if tableau.objective_value() > FEAS_TOL * scale:
-            return _build_solution(lp, Status.INFEASIBLE, None, iterations)
-        redundant = _drive_out_artificials(tableau, artificial)
-        if redundant:
-            keep = [i for i in range(m) if i not in redundant]
-            body = tableau.body[keep]
-            basis = [tableau.basis[i] for i in keep]
-
-    # Phase 2: original costs over the feasible basis; artificials barred.
-    tableau = Tableau(
-        body=body,
-        cost=_priced_cost_row(body, form.objective, basis),
-        basis=basis,
-        blocked=frozenset(artificial),
+def _shape(lp: LinearProgram) -> tuple:
+    """Everything a Solution of *lp* depends on except the constraints' rhs,
+    to the bit (so 0.0 and -0.0 differ)."""
+    cons = lp.constraints
+    floats = [*lp.objective, *lp.lower_bounds, *[a for c in cons for a in c.coefficients]]
+    return (
+        lp.sense,
+        tuple([c.relation for c in cons]),
+        tuple([c.label for c in cons]),
+        struct.pack(f"{len(floats)}d", *floats),
     )
-    try:
-        iterations += _run_simplex(tableau)
-    except _Unbounded:
-        return _build_solution(lp, Status.UNBOUNDED, None, iterations)
 
-    shifted = [0.0] * total
-    for j, value in zip(tableau.basis, tableau.body[:, -1].tolist()):
-        shifted[j] = value
-    values = tuple(v + s for v, s in zip(shifted, form.shifts))
-    return _build_solution(lp, Status.OPTIMAL, values, iterations)
+
+def solve_many(programs: Sequence[LinearProgram]) -> tuple[Solution, ...]:
+    """Solve every program in *programs*; each Solution equals ``solve``'s,
+    to the bit.
+
+    Programs that differ only in their constraints' rhs, and whose
+    standardized rhs have the same signs, share one tableau with one rhs
+    column each. An error that ``solve`` would raise for any program is
+    raised here.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, lp in enumerate(programs):
+        groups.setdefault(_shape(lp), []).append(i)
+    solutions: list[Solution | None] = [None] * len(programs)
+    for members in groups.values():
+        lead = programs[members[0]]
+        view = lead.rows
+        m = len(lead.constraints)
+        given = np.array([[c.rhs for c in programs[i].constraints] for i in members]).T
+        # standardize's rhs of every member at once: shifted, equilibrated, flipped to >= 0
+        scales = np.abs(view.matrix[:m]).max(axis=1)
+        rhs = (given - (view.matrix[:m] @ view.rhs[m:])[:, None]) / scales[:, None]
+        flips = rhs < 0.0
+        rhs = np.where(flips, -rhs, rhs)
+        signs: dict[tuple, list[int]] = {}
+        for k, flipped in enumerate(flips.T.tolist()):
+            signs.setdefault(tuple(flipped), []).append(k)
+        outcomes: list[_Outcome] = []
+        for picks in signs.values():
+            form = standardize(programs[members[picks[0]]])
+            body = np.concatenate((form.body[:, :-1], rhs[:, picks]), axis=1)
+            outcomes += [(picks[k], *outcome) for k, *outcome in _two_phase(form, body)]
+
+        # Each optimum's activities come from its own product, as in solve;
+        # the rest of the row check is elementwise, so one call serves all.
+        optimal = [(k, values) for k, _, values, _ in outcomes if values is not None]
+        checked: dict[int, tuple[list[float], list[bool]]] = {}
+        if optimal:
+            activity = np.concatenate([np.array([values]) @ view.matrix.T for _, values in optimal])
+            at = [k for k, _ in optimal]
+            bounds = np.broadcast_to(view.rhs[m:], (len(at), lead.var_count))
+            rows = Rows(view.matrix, np.concatenate((given[:, at].T, bounds), axis=1), view.sense)
+            _, _, _, binding = _check_activity(rows, activity)
+            checked = dict(zip(at, zip(activity.tolist(), binding.tolist())))
+        for k, status, values, iterations in outcomes:
+            lp = programs[members[k]]
+            solutions[members[k]] = _build_solution(lp, status, values, iterations, checked.get(k))
+    return tuple(solutions)
 
 
 def _build_solution(
@@ -548,7 +731,10 @@ def _build_solution(
     status: Status,
     values: tuple[float, ...] | None,
     iterations: int,
+    checked: tuple[list[float], list[bool]] | None = None,
 ) -> Solution:
+    """*checked* holds the activities and binding mask of every row of
+    ``lp.rows`` at *values*; they are computed here when it is None."""
     if values is None:
         empty = (0.0,) * lp.var_count
         return Solution(
@@ -559,13 +745,16 @@ def _build_solution(
             binding=frozenset(),
             iterations=iterations,
         )
-    activity, _, _, binding = check_rows(lp.rows, np.array([values]))
+    if checked is None:
+        activity, _, _, binding = check_rows(lp.rows, np.array([values]))
+        checked = activity[0].tolist(), binding[0].tolist()
+    activity, binding = checked
     return Solution(
         status=status,
         values=values,
         objective_value=lp.objective_at(values),
-        activities=tuple(activity[0, : len(lp.constraints)].tolist()),
-        binding=frozenset(c.label for c, b in zip(lp.constraints, binding[0].tolist()) if b),
+        activities=tuple(activity[: len(lp.constraints)]),
+        binding=frozenset(c.label for c, b in zip(lp.constraints, binding) if b),
         iterations=iterations,
     )
 
