@@ -27,7 +27,7 @@ from .catalog import get_scenario
 from .lp import (
     ROW_TOL, LinearProgram, LPError, Rows, Sense, Status, check_feasible, check_rows, solve, solve_many,
 )
-from .model import CoefficientVariant, ObjectiveMode, Scenario, compile_scenario
+from .model import CAP_FIELDS, CoefficientVariant, ObjectiveMode, Scenario, compile_scenario
 
 __all__ = [
     "UnsupportedSizeError",
@@ -242,14 +242,6 @@ def corner_report(lp: LinearProgram, objectives: list[tuple[str, tuple[float, ..
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-CAP_FIELDS = {
-    "emissions_g": "emissions_cap",
-    "budget_usd": "budget_cap",
-    "land_ft2": "land_cap",
-    "rooftop_mwh": "rooftop_cap",
-}
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -539,47 +531,56 @@ def _recompute_cell(cell: _RefCell, scenario: Scenario, point: tuple[float, ...]
     raise ValueError(f"unknown cell kind {cell.kind!r}")
 
 
-def _audit_result_table(ref: _RefTable) -> TableAudit:
-    scenario = get_scenario(ref.scenario, CoefficientVariant.AS_PRINTED)
+def _audit_table(
+    scenario: Scenario,
+    point: tuple[float, ...],
+    printed_objective: float,
+    cells: list[tuple[str, float, float]],
+    **described,
+) -> TableAudit:
+    """Audit one printed table against *scenario*: the solver's and the
+    oracle's optimum against *printed_objective*, the printed *point*'s
+    feasibility and vertex membership, and each (label, printed,
+    recomputed) cell. *described* carries the table's id, title,
+    expectation, tolerance, ledger and notes."""
     lp = compile_scenario(scenario)
     solution = solve(lp)
     oracle = oracle_solve(lp)
-    feasibility = check_feasible(lp, ref.point)
-
-    cells = []
-    for cell in ref.cells:
-        recomputed = _recompute_cell(cell, scenario, ref.point)
-        delta = abs(recomputed - cell.printed) / max(1.0, abs(cell.printed))
-        cells.append(
-            CellAudit(
-                label=cell.label,
-                printed=cell.printed,
-                recomputed=recomputed,
-                rel_delta=delta,
-                flagged=delta > _MATCH,
-            )
-        )
-
     if solution.is_optimal:
-        headline = abs(solution.objective_value - ref.objective_total) / abs(ref.objective_total)
+        headline = abs(solution.objective_value - printed_objective) / abs(printed_objective)
     else:
         headline = math.inf
+    audited = []
+    for label, printed, recomputed in cells:
+        delta = abs(recomputed - printed) / max(1.0, abs(printed))
+        audited.append(CellAudit(label, printed, recomputed, delta, delta > _MATCH))
     return TableAudit(
-        table_id=ref.table_id,
-        scenario=ref.scenario,
-        title=ref.title,
-        printed_objective=ref.objective_total,
+        scenario=scenario.name,
+        printed_objective=printed_objective,
         solver_status=solution.status,
         solver_objective=solution.objective_value if solution.is_optimal else None,
         oracle_status=oracle.status,
         oracle_objective=oracle.objective,
         headline_delta=headline,
         classification=_classify(headline),
+        point_feasible=check_feasible(lp, point).feasible,
+        point_is_vertex=_near_any(np.asarray(point), (v.point for v in oracle.vertices)),
+        cells=tuple(audited),
+        **described,
+    )
+
+
+def _audit_result_table(ref: _RefTable) -> TableAudit:
+    scenario = get_scenario(ref.scenario, CoefficientVariant.AS_PRINTED)
+    return _audit_table(
+        scenario,
+        ref.point,
+        ref.objective_total,
+        [(cell.label, cell.printed, _recompute_cell(cell, scenario, ref.point)) for cell in ref.cells],
+        table_id=ref.table_id,
+        title=ref.title,
         expected=ref.expected,
         tolerance=ref.tolerance,
-        point_feasible=feasibility.feasible,
-        point_is_vertex=_near_any(np.asarray(ref.point), (v.point for v in oracle.vertices)),
-        cells=tuple(cells),
         ledger=ref.ledger,
         notes=ref.notes,
     )
@@ -592,37 +593,18 @@ def _audit_corner_table(spec: dict) -> TableAudit:
     scenario = get_scenario("a1_om_objective", CoefficientVariant.AS_PRINTED)
     scenario = scenario.with_objective(spec["objective"])
     lp = compile_scenario(scenario)
-    solution = solve(lp)
-    oracle = oracle_solve(lp)
-    feasibility = check_feasible(lp, CORNER_B)
-
-    if solution.is_optimal:
-        headline = abs(solution.objective_value - spec["b_value"]) / abs(spec["b_value"])
-    else:
-        headline = math.inf
-    vec = tuple(lp.objective)
-    cells = []
-    for label, corner in (("A", CORNER_A), ("D", CORNER_D)):
-        printed = spec["others"][label]
-        recomputed = float(np.dot(vec, corner))
-        delta = abs(recomputed - printed) / abs(printed)
-        cells.append(CellAudit(f"corner {label} value", printed, recomputed, delta, delta > _MATCH))
-    return TableAudit(
+    return _audit_table(
+        scenario,
+        CORNER_B,
+        spec["b_value"],
+        [
+            (f"corner {label} value", spec["others"][label], lp.objective_at(corner))
+            for label, corner in (("A", CORNER_A), ("D", CORNER_D))
+        ],
         table_id=spec["table_id"],
-        scenario="a1_om_objective",
         title=f"corner-point values under the {spec['objective'].value} objective",
-        printed_objective=spec["b_value"],
-        solver_status=solution.status,
-        solver_objective=solution.objective_value if solution.is_optimal else None,
-        oracle_status=oracle.status,
-        oracle_objective=oracle.objective,
-        headline_delta=headline,
-        classification=_classify(headline),
         expected="match",
         tolerance=_MATCH,
-        point_feasible=feasibility.feasible,
-        point_is_vertex=_near_any(np.asarray(CORNER_B), (v.point for v in oracle.vertices)),
-        cells=tuple(cells),
         ledger=("results-implied-shares", "emissions-cap-drift"),
         notes=("corner C is excluded by the source analysis itself and is not reproduced",),
     )

@@ -1,8 +1,10 @@
 """Command-line interface: list scenarios, solve, sweep caps, audit, derive.
 
 Exit codes: 0 optimal / success, 1 input error, 2 infeasible, 3 unbounded.
-Text reports round MWh and dollars to whole units with thousands
-separators; JSON carries full precision; CSV uses RFC-4180 quoting.
+Each command builds its records once and ``_emit`` prints them: text
+reports round MWh and dollars to whole units with thousands separators;
+JSON carries full precision, keyed by the library records' field names;
+CSV is a column projection of the JSON records, with RFC-4180 quoting.
 Identical invocations produce byte-identical output.
 """
 
@@ -10,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -92,48 +94,63 @@ def _resolve_scenario(ref: str, variant: CoefficientVariant, base: str | None) -
 
 
 # ---------------------------------------------------------------------------
+# output
+
+# CSV columns: each table's projection of its JSON records.
+_AMOUNTS = ("annual_mwh", "land_ft2", "emissions_g", "capital_usd", "objective")
+_SOLVE_CSV = ("source", "early_mwh", "daytime_mwh", "evening_mwh", *_AMOUNTS)
+_AUDIT_CSV = ("table", "scenario", "classification", "expected", "printed_objective",
+              "solver_objective", "oracle_objective", "headline_delta", "point_feasible",
+              "point_is_vertex")
+_DERIVE_CSV = (("name", "value", "unit", "provenance"),
+               ("delta", "recomputed", "published", "rel_delta", "note"))
+
+
+def _emit(fmt: str, doc, text: str, *tables) -> None:
+    """Print a command's output in *fmt*: *doc* as JSON, *text* as is, or
+    each (header, rows) of *tables* as CSV, a blank line between tables."""
+    if fmt == "json":
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        for i, (header, rows) in enumerate(tables):
+            if i:
+                writer.writerow(())
+            writer.writerow(header)
+            writer.writerows(rows)
+    else:
+        sys.stdout.write(text)
+
+
+def _record(obj, **renamed) -> dict:
+    """A dataclass as a JSON record: its fields, with *renamed* field=key."""
+    return {renamed.get(key, key): value for key, value in asdict(obj).items()}
+
+
+# ---------------------------------------------------------------------------
 # list
 
 
 def _cmd_list(args) -> int:
-    variant_filter = _VARIANTS[args.variant] if args.variant else None
-    entries = []
-    for scenario in catalog.builtin_scenarios():
-        if variant_filter and scenario.coefficient_variant is not variant_filter:
-            continue
-        entries.append(scenario)
+    variant = _VARIANTS[args.variant] if args.variant else None
     extra = _extra_catalog()
+    found = (("builtin", catalog.builtin_scenarios()), ("file", [extra[name] for name in sorted(extra)]))
     rows = [
         {
             "name": s.name,
             "variant": s.coefficient_variant.value,
             "objective": s.objective_mode.value,
             "sources": [src.name for src in s.sources],
-            "description": s.description,
-            "origin": "builtin",
+            "description": s.description or ("(scenario file)" if origin == "file" else ""),
+            "origin": origin,
         }
-        for s in entries
+        for origin, scenarios in found
+        for s in scenarios
+        if variant in (None, s.coefficient_variant)
     ]
-    for name in sorted(extra):
-        s = extra[name]
-        if variant_filter and s.coefficient_variant is not variant_filter:
-            continue
-        rows.append(
-            {
-                "name": s.name,
-                "variant": s.coefficient_variant.value,
-                "objective": s.objective_mode.value,
-                "sources": [src.name for src in s.sources],
-                "description": s.description or "(scenario file)",
-                "origin": "file",
-            }
-        )
-    if args.format == "json":
-        print(json.dumps(rows, indent=2, sort_keys=True))
-        return 0
     width = max(len(r["name"]) for r in rows)
-    for r in rows:
-        print(f"{r['name']:<{width}}  {r['variant']:<13}  {r['description']}")
+    text = "".join(f"{r['name']:<{width}}  {r['variant']:<13}  {r['description']}\n" for r in rows)
+    _emit(args.format, rows, text)
     return 0
 
 
@@ -141,98 +158,27 @@ def _cmd_list(args) -> int:
 # solve
 
 
-def _rows_with_total(rep):
-    return (*rep.rows, rep.total) if rep.total else rep.rows
-
-
-def _report_text(scenario: Scenario, solution, rep) -> str:
-    out = io.StringIO()
-    out.write(f"scenario: {scenario.name} ({scenario.coefficient_variant.value})\n")
-    out.write(f"status: {solution.status.value}\n")
-    if solution.status is not Status.OPTIMAL:
-        return out.getvalue()
-    if scenario.objective_mode is ObjectiveMode.EMISSIONS:
-        out.write(f"objective (emissions): {_fmt(solution.objective_value)} g CO2\n")
-    else:
-        out.write(f"objective ({scenario.objective_mode.value}): ${_fmt(solution.objective_value)}\n")
-    out.write(f"binding: {', '.join(sorted(solution.binding)) or '(none)'}\n\n")
-    per_period = scenario.demand_mode is DemandMode.PER_PERIOD
-    headers = ["source"]
-    if per_period:
-        headers += ["early MWh", "daytime MWh", "evening MWh"]
-    headers += ["annual MWh", "land ft^2", "emissions g", "capital $", "objective"]
-    table = [headers]
-    for row in _rows_with_total(rep):
-        cells = [row.source]
-        if per_period:
-            cells += [_fmt(v) for v in (row.per_period or (0.0, 0.0, 0.0))]
-        cells += [
-            _fmt(row.annual),
-            _fmt(row.land_ft2),
-            _fmt(row.emissions_g),
-            _fmt(row.capital_usd),
-            _fmt(row.objective),
-        ]
-        table.append(cells)
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-    for r in table:
-        out.write("  ".join(c.rjust(w) if i else c.ljust(w) for i, (c, w) in enumerate(zip(r, widths))))
-        out.write("\n")
-    return out.getvalue()
-
-
-def _report_json(scenario: Scenario, solution, rep, oracle=None) -> str:
-    doc = {
-        "scenario": scenario.name,
-        "variant": scenario.coefficient_variant.value,
-        "objective_mode": scenario.objective_mode.value,
-        "status": solution.status.value,
-    }
+def _solve_text(scenario: Scenario, solution, records: list[dict], oracle) -> str:
+    lines = [f"scenario: {scenario.name} ({scenario.coefficient_variant.value})",
+             f"status: {solution.status.value}"]
     if solution.status is Status.OPTIMAL:
-        doc.update(
-            {
-                "objective_value": solution.objective_value,
-                "values": {
-                    name: value
-                    for name, value in zip((s.name for s in scenario.sources), solution.values)
-                },
-                "binding": sorted(solution.binding),
-                "iterations": solution.iterations,
-                "rows": [
-                    {
-                        "source": r.source,
-                        "per_period_mwh": list(r.per_period) if r.per_period else None,
-                        "annual_mwh": r.annual,
-                        "land_ft2": r.land_ft2,
-                        "emissions_g": r.emissions_g,
-                        "capital_usd": r.capital_usd,
-                        "objective": r.objective,
-                    }
-                    for r in _rows_with_total(rep)
-                ],
-            }
-        )
-    if oracle is not None:
-        doc["oracle"] = {
-            "status": oracle.status.value,
-            "objective": oracle.objective,
-        }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _report_csv(scenario: Scenario, solution, rep) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["source", "early_mwh", "daytime_mwh", "evening_mwh", "annual_mwh",
-         "land_ft2", "emissions_g", "capital_usd", "objective"]
-    )
-    if solution.status is Status.OPTIMAL:
-        for r in _rows_with_total(rep):
-            period = r.per_period or ("", "", "")
-            writer.writerow([r.source, *period, r.annual, r.land_ft2, r.emissions_g,
-                             r.capital_usd, r.objective])
-    return out.getvalue()
+        if scenario.objective_mode is ObjectiveMode.EMISSIONS:
+            lines.append(f"objective (emissions): {_fmt(solution.objective_value)} g CO2")
+        else:
+            lines.append(f"objective ({scenario.objective_mode.value}): ${_fmt(solution.objective_value)}")
+        lines += [f"binding: {', '.join(sorted(solution.binding)) or '(none)'}", ""]
+        per_period = scenario.demand_mode is DemandMode.PER_PERIOD
+        periods = ["early MWh", "daytime MWh", "evening MWh"] if per_period else []
+        table = [["source", *periods, "annual MWh", "land ft^2", "emissions g", "capital $", "objective"]]
+        for r in records:
+            shares = (r["per_period_mwh"] or (0.0, 0.0, 0.0)) if per_period else ()
+            table.append([r["source"], *map(_fmt, shares), *(_fmt(r[key]) for key in _AMOUNTS)])
+        widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+        for row in table:
+            lines.append("  ".join(c.rjust(w) if i else c.ljust(w) for i, (c, w) in enumerate(zip(row, widths))))
+        if oracle is not None:
+            lines.append(f"oracle: agrees (objective {_fmt(oracle.objective)})")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_solve(args) -> int:
@@ -262,14 +208,35 @@ def _cmd_solve(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-    if args.format == "json":
-        print(_report_json(scenario, solution, rep, oracle))
-    elif args.format == "csv":
-        sys.stdout.write(_report_csv(scenario, solution, rep))
-    else:
-        sys.stdout.write(_report_text(scenario, solution, rep))
-        if oracle is not None and solution.status is Status.OPTIMAL:
-            print(f"oracle: agrees (objective {_fmt(oracle.objective)})")
+    records = [
+        {
+            "source": r.source,
+            "per_period_mwh": r.per_period,
+            **dict(zip(_AMOUNTS, (r.annual, r.land_ft2, r.emissions_g, r.capital_usd, r.objective))),
+        }
+        for r in ((*rep.rows, rep.total) if rep.total else rep.rows)
+    ]
+    doc = {
+        "scenario": scenario.name,
+        "variant": scenario.coefficient_variant.value,
+        "objective_mode": scenario.objective_mode.value,
+        "status": solution.status.value,
+    }
+    if solution.status is Status.OPTIMAL:
+        doc.update(
+            objective_value=solution.objective_value,
+            values=dict(zip((s.name for s in scenario.sources), solution.values)),
+            binding=sorted(solution.binding),
+            iterations=solution.iterations,
+            rows=records,
+        )
+    if oracle is not None:
+        doc["oracle"] = {"status": oracle.status.value, "objective": oracle.objective}
+    csv_rows = [
+        [r["source"], *(r["per_period_mwh"] or ("", "", "")), *(r[key] for key in _AMOUNTS)]
+        for r in records
+    ]
+    _emit(args.format, doc, _solve_text(scenario, solution, records, oracle), (_SOLVE_CSV, csv_rows))
     return _EXIT_BY_STATUS[solution.status]
 
 
@@ -294,13 +261,13 @@ def _cmd_sweep(args) -> int:
     else:
         values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
     points = analysis.sweep(scenario, args.param, values)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["value", "status", "objective", *(s.name for s in scenario.sources)])
-    for p in points:
-        if p.status is Status.OPTIMAL:
-            writer.writerow([p.value, p.status.value, p.objective, *p.production])
-        else:
-            writer.writerow([p.value, p.status.value, "", *([""] * len(scenario.sources))])
+    names = [s.name for s in scenario.sources]
+    rows = [
+        [p.value, p.status.value,
+         *((p.objective, *p.production) if p.status is Status.OPTIMAL else [""] * (1 + len(names)))]
+        for p in points
+    ]
+    _emit("csv", None, "", (("value", "status", "objective", *names), rows))
     return 0
 
 
@@ -308,101 +275,31 @@ def _cmd_sweep(args) -> int:
 # audit
 
 
-def _audit_text(audit, table_ids) -> str:
-    out = io.StringIO()
-    for t in audit.tables:
-        if table_ids and t.table_id not in table_ids:
-            continue
+def _audit_text(tables, discrepancies) -> str:
+    lines = []
+    for t in tables:
         delta = "inf" if t.headline_delta == float("inf") else f"{100 * t.headline_delta:.4f}%"
-        out.write(
-            f"table {t.table_id} ({t.scenario}): {t.classification} "
-            f"[expected {t.expected}]\n"
-        )
-        out.write(f"  {t.title}\n")
         solver_obj = "-" if t.solver_objective is None else _fmt(t.solver_objective)
         oracle_obj = "-" if t.oracle_objective is None else _fmt(t.oracle_objective)
-        out.write(
+        lines += [
+            f"table {t.table_id} ({t.scenario}): {t.classification} [expected {t.expected}]",
+            f"  {t.title}",
             f"  printed objective {_fmt(t.printed_objective)}  solver {solver_obj} "
-            f"({t.solver_status.value})  oracle {oracle_obj} ({t.oracle_status.value})  "
-            f"delta {delta}\n"
-        )
-        out.write(
+            f"({t.solver_status.value})  oracle {oracle_obj} ({t.oracle_status.value})  delta {delta}",
             f"  printed point: feasible={'yes' if t.point_feasible else 'no'} "
-            f"vertex={'yes' if t.point_is_vertex else 'no'}\n"
-        )
-        for cell in t.cells:
-            flag = "  [ledger]" if cell.flagged else ""
-            out.write(
-                f"    {cell.label}: printed {_fmt(cell.printed)} vs recomputed "
-                f"{_fmt(cell.recomputed)} ({100 * cell.rel_delta:.4f}%){flag}\n"
-            )
+            f"vertex={'yes' if t.point_is_vertex else 'no'}",
+        ]
+        lines += [
+            f"    {c.label}: printed {_fmt(c.printed)} vs recomputed {_fmt(c.recomputed)} "
+            f"({100 * c.rel_delta:.4f}%){'  [ledger]' if c.flagged else ''}"
+            for c in t.cells
+        ]
         if t.ledger:
-            out.write(f"  ledger items: {', '.join(t.ledger)}\n")
-        for note in t.notes:
-            out.write(f"  note: {note}\n")
-    if not table_ids:
-        out.write("\ndiscrepancy ledger:\n")
-        for d in audit.discrepancies:
-            out.write(f"  {d.ident}: {d.summary}\n")
-    return out.getvalue()
-
-
-def _audit_json(audit, table_ids) -> str:
-    doc = {
-        "tables": [
-            {
-                "table": t.table_id,
-                "scenario": t.scenario,
-                "title": t.title,
-                "classification": t.classification,
-                "expected": t.expected,
-                "tolerance": t.tolerance,
-                "printed_objective": t.printed_objective,
-                "solver_status": t.solver_status.value,
-                "solver_objective": t.solver_objective,
-                "oracle_status": t.oracle_status.value,
-                "oracle_objective": t.oracle_objective,
-                "headline_delta": t.headline_delta,
-                "point_feasible": t.point_feasible,
-                "point_is_vertex": t.point_is_vertex,
-                "cells": [
-                    {
-                        "label": c.label,
-                        "printed": c.printed,
-                        "recomputed": c.recomputed,
-                        "rel_delta": c.rel_delta,
-                        "flagged": c.flagged,
-                    }
-                    for c in t.cells
-                ],
-                "ledger": list(t.ledger),
-                "notes": list(t.notes),
-            }
-            for t in audit.tables
-            if not table_ids or t.table_id in table_ids
-        ],
-        "discrepancies": [{"id": d.ident, "summary": d.summary} for d in audit.discrepancies],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _audit_csv(audit, table_ids) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["table", "scenario", "classification", "expected", "printed_objective",
-         "solver_objective", "oracle_objective", "headline_delta", "point_feasible",
-         "point_is_vertex"]
-    )
-    for t in audit.tables:
-        if table_ids and t.table_id not in table_ids:
-            continue
-        writer.writerow(
-            [t.table_id, t.scenario, t.classification, t.expected, t.printed_objective,
-             t.solver_objective, t.oracle_objective, t.headline_delta, t.point_feasible,
-             t.point_is_vertex]
-        )
-    return out.getvalue()
+            lines.append(f"  ledger items: {', '.join(t.ledger)}")
+        lines += [f"  note: {note}" for note in t.notes]
+    if discrepancies:
+        lines += ["", "discrepancy ledger:", *(f"  {d.ident}: {d.summary}" for d in discrepancies)]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_audit(args) -> int:
@@ -414,12 +311,11 @@ def _cmd_audit(args) -> int:
     unknown = table_ids - known
     if unknown:
         raise ScenarioError(f"unknown table id(s): {', '.join(sorted(unknown))}")
-    if args.format == "json":
-        print(_audit_json(audit, table_ids))
-    elif args.format == "csv":
-        sys.stdout.write(_audit_csv(audit, table_ids))
-    else:
-        sys.stdout.write(_audit_text(audit, table_ids))
+    tables = [t for t in audit.tables if not table_ids or t.table_id in table_ids]
+    records = [_record(t, table_id="table") for t in tables]
+    doc = {"tables": records, "discrepancies": [_record(d, ident="id") for d in audit.discrepancies]}
+    text = _audit_text(tables, () if table_ids else audit.discrepancies)
+    _emit(args.format, doc, text, (_AUDIT_CSV, [[r[key] for key in _AUDIT_CSV] for r in records]))
     if args.strict:
         return 0 if audit.strict_passed else 1
     return 0 if audit.passed else 1
@@ -433,44 +329,22 @@ def _cmd_derive(args) -> int:
     from . import derivation
 
     derived = derivation.derive_all()
-    if args.format == "json":
-        doc = {
-            "constants": [
-                {"name": c.name, "value": c.value, "unit": c.unit, "provenance": c.provenance}
-                for c in derived.constants
-            ],
-            "deltas": [
-                {
-                    "name": d.name,
-                    "recomputed": d.recomputed,
-                    "published": d.published,
-                    "rel_delta": d.rel_delta,
-                    "note": d.note,
-                }
-                for d in derived.deltas
-            ],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["name", "value", "unit", "provenance"])
-        for c in derived.constants:
-            writer.writerow([c.name, repr(c.value), c.unit, c.provenance])
-        writer.writerow([])
-        writer.writerow(["delta", "recomputed", "published", "rel_delta", "note"])
-        for d in derived.deltas:
-            writer.writerow([d.name, repr(d.recomputed), repr(d.published), d.rel_delta, d.note])
-    else:
-        width = max(len(c.name) for c in derived.constants)
-        for c in derived.constants:
-            print(f"{c.name:<{width}}  {c.value!r:>24}  {c.unit:<8}  {c.provenance}")
-        print("\ndeltas vs published values:")
-        for d in derived.deltas:
-            note = f"  ({d.note})" if d.note else ""
-            print(
-                f"  {d.name}: recomputed {d.recomputed!r} vs published {d.published!r} "
-                f"({100 * d.rel_delta:.4f}%){note}"
-            )
+    width = max(len(c.name) for c in derived.constants)
+    lines = [f"{c.name:<{width}}  {c.value!r:>24}  {c.unit:<8}  {c.provenance}" for c in derived.constants]
+    lines.append("\ndeltas vs published values:")
+    for d in derived.deltas:
+        note = f"  ({d.note})" if d.note else ""
+        lines.append(
+            f"  {d.name}: recomputed {d.recomputed!r} vs published {d.published!r} "
+            f"({100 * d.rel_delta:.4f}%){note}"
+        )
+    _emit(
+        args.format,
+        asdict(derived),
+        "\n".join(lines) + "\n",
+        (_DERIVE_CSV[0], map(astuple, derived.constants)),
+        (_DERIVE_CSV[1], map(astuple, derived.deltas)),
+    )
     return 0
 
 

@@ -8,9 +8,9 @@ phase 1 so pivot ratios stay well conditioned in 64-bit floats; the
 scaling is undone when the solution is reported.
 
 Pivoting defaults to Dantzig's rule (most negative reduced cost, smallest
-ratio, ties broken toward the lowest row index). If the objective stalls
-for 2*(m+n) iterations the solver falls back to Bland's rule, which
-guarantees termination on degenerate instances.
+ratio, ties broken toward the lowest row index). If the objective does
+not fall below its best so far for 2*(m+n) iterations the solver falls
+back to Bland's rule, which guarantees termination on degenerate instances.
 
 ``LinearProgram.rows`` is one dense view of a program's constraints and
 lower bounds, built once and read by ``standardize``, ``check_feasible``,
@@ -84,7 +84,7 @@ ROW_TOL = 1e-6       # row check and point equality, relative to max(1, |rhs|) o
 FEAS_TOL = 1e-7      # phase-1 residual, relative to max(1, largest tableau rhs)
 PIVOT_TOL = 1e-9     # smallest pivot entry, absolute on equilibrated rows; also the ratio tie band
 OPT_TOL = 1e-9       # entering reduced cost, relative to max(1, largest |reduced cost|)
-STALL_TOL = 1e-12    # smallest objective decrease that resets the stall count, relative
+STALL_TOL = 1e-12    # smallest decrease below the best objective so far that resets the stall count, relative
 MAX_ITER = 10_000    # pivots per phase
 
 
@@ -514,7 +514,7 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     todo = [(tableau, 0, [0] * len(tableau.ids), tableau.cost[cols:].tolist())]
     done: list[tuple[Tableau, int, bool]] = []
     while todo:
-        tableau, iterations, stall, last = todo.pop()
+        tableau, iterations, stall, best = todo.pop()
         while True:
             bland = stall[0] >= stall_limit
             try:
@@ -533,26 +533,30 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
                     away = [k for k, m in enumerate(moved) if m]
                     kept = [k for k, m in enumerate(moved) if not m]
                     todo.append(
-                        (tableau.take(away), iterations, [stall[k] for k in away], [last[k] for k in away])
+                        (tableau.take(away), iterations, [stall[k] for k in away], [best[k] for k in away])
                     )
                     tableau = tableau.take(kept)
-                    stall, last = [stall[k] for k in kept], [last[k] for k in kept]
+                    stall, best = [stall[k] for k in kept], [best[k] for k in kept]
             _apply_pivot(tableau, row, col)
             iterations += 1
             if iterations > MAX_ITER:
                 raise IterationLimitError(f"no convergence within {MAX_ITER} iterations")
-            # The count of pivots since the objective last fell, Bland's rule
-            # from stall_limit on. The cost row holds -objective, so the
-            # objective falls where that entry rises.
+            # The count of pivots since the objective last fell below its
+            # best so far, Bland's rule from stall_limit on. Measured against
+            # the previous pivot instead, a cycle whose objective falls and
+            # rises by rounding-level steps would reset the count forever.
+            # The cost row holds -objective, so the objective falls where
+            # that entry rises.
             current = tableau.cost[cols:].tolist()
-            if len(current) == 1:   # every plain solve: the same test without a comprehension's ~1 us
-                stall = [0 if current[0] > last[0] + STALL_TOL * max(1.0, abs(last[0])) else stall[0] + 1]
+            if len(current) == 1:   # every plain solve: the same test without comprehensions' ~1 us
+                if current[0] > best[0] + STALL_TOL * max(1.0, abs(best[0])):
+                    stall, best = [0], current
+                else:
+                    stall = [stall[0] + 1]
             else:
-                stall = [
-                    0 if now > before + STALL_TOL * max(1.0, abs(before)) else count + 1
-                    for now, before, count in zip(current, last, stall)
-                ]
-            last = current
+                fell = [now > top + STALL_TOL * max(1.0, abs(top)) for now, top in zip(current, best)]
+                stall = [0 if f else count + 1 for f, count in zip(fell, stall)]
+                best = [now if f else top for f, now, top in zip(fell, current, best)]
     return done
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "report",
     "load_scenario_file",
     "scenario_from_dict",
+    "CAP_FIELDS",
 ]
 
 
@@ -147,6 +148,15 @@ ROW_UNITS = {
     "land": "ft^2",
 }
 
+# Each cap's key in a scenario file (its unit in the name) -> its Scenario
+# attribute; the one list of caps that files, sweeps and validation share.
+CAP_FIELDS = {
+    "emissions_g": "emissions_cap",
+    "budget_usd": "budget_cap",
+    "land_ft2": "land_cap",
+    "rooftop_mwh": "rooftop_cap",
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -168,7 +178,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.annual_need <= 0.0:
             raise ScenarioError(f"scenario {self.name!r}: annual need must be positive")
-        for cap_name in ("emissions_cap", "budget_cap", "land_cap", "rooftop_cap"):
+        for cap_name in CAP_FIELDS.values():
             cap = getattr(self, cap_name)
             if cap is not None and not (math.isfinite(cap) and cap > 0.0):
                 raise ScenarioError(f"scenario {self.name!r}: {cap_name} must be > 0")
@@ -182,7 +192,7 @@ class Scenario:
         return replace(self, objective_mode=mode)
 
     def with_cap(self, cap_name: str, value: float) -> "Scenario":
-        if cap_name not in ("emissions_cap", "budget_cap", "land_cap", "rooftop_cap"):
+        if cap_name not in CAP_FIELDS.values():
             raise ScenarioError(f"unknown cap {cap_name!r}")
         return replace(self, **{cap_name: value})
 
@@ -429,7 +439,6 @@ _SOURCE_KEYS = {
     "period_fractions",
     "min_annual_output_mwh",
 }
-_CAP_KEYS = {"emissions_g", "budget_usd", "land_ft2", "rooftop_mwh"}
 
 _OBJECTIVE_VALUES = {m.value: m for m in ObjectiveMode}
 _DEMAND_VALUES = {m.value: m for m in DemandMode}
@@ -550,15 +559,15 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
     caps_doc = _require(doc, "caps", where)
     if not isinstance(caps_doc, dict):
         raise ScenarioFormatError(f"{where}.caps: expected an object")
-    _reject_unknown(caps_doc, _CAP_KEYS, f"{where}.caps")
+    _reject_unknown(caps_doc, set(CAP_FIELDS), f"{where}.caps")
     caps = {}
-    for key in sorted(_CAP_KEYS):
+    for key in sorted(CAP_FIELDS):
         value = _require(caps_doc, key, f"{where}.caps")
         if value is None:  # null: no cap
-            caps[key] = None
+            caps[CAP_FIELDS[key]] = None
             continue
-        caps[key] = _number(value, f"{where}.caps.{key}")
-        if caps[key] <= 0.0:
+        value = caps[CAP_FIELDS[key]] = _number(value, f"{where}.caps.{key}")
+        if value <= 0.0:
             raise ScenarioFormatError(f"{where}.caps.{key}: must be > 0")
 
     try:
@@ -568,10 +577,7 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
             annual_need=annual_need,
             demand_mode=demand_mode,
             periods=tuple(periods),
-            emissions_cap=caps["emissions_g"],
-            budget_cap=caps["budget_usd"],
-            land_cap=caps["land_ft2"],
-            rooftop_cap=caps["rooftop_mwh"],
+            **caps,
             space_mode=space_mode,
             objective_mode=objective,
             coefficient_variant=variant,
@@ -611,12 +617,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             }
             for s in scenario.sources
         ],
-        "caps": {
-            "emissions_g": scenario.emissions_cap,
-            "budget_usd": scenario.budget_cap,
-            "land_ft2": scenario.land_cap,
-            "rooftop_mwh": scenario.rooftop_cap,
-        },
+        "caps": {key: getattr(scenario, cap) for key, cap in CAP_FIELDS.items()},
         "space_mode": scenario.space_mode.value,
     }
 

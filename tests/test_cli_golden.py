@@ -46,6 +46,22 @@ def golden_argvs() -> list[list[str]]:
         ["derive"],
         ["list"],
     ]
+    # Added before the per-command renderers were folded into one emitter:
+    # every format of every command it rewrites, and the paths that only
+    # some formats take (oracle, objective override, infeasible points).
+    argvs += [
+        ["list", "--format", "json"],
+        ["list", "--variant", "table-derived"],
+        ["derive", "--format", "json"],
+        ["derive", "--format", "csv"],
+        *(["audit", "--table", "9", "--table", "12", "--format", fmt] for fmt in ("text", "json", "csv")),
+        ["audit", "--strict"],
+        *(["solve", "m4_nuclear", "--oracle", "--format", fmt] for fmt in ("json", "csv")),
+        *(["solve", "m1_flat_demand", "--objective", "emissions", "--format", fmt]
+          for fmt in ("text", "json", "csv")),
+        *(["solve", "m2_period_demand", "--format", fmt] for fmt in ("json", "csv")),
+        ["sweep", "m1_flat_demand", "--param", "emissions_g", "--from", "1", "--to", "2e11", "--steps", "7"],
+    ]
     return argvs
 
 

@@ -234,6 +234,23 @@ def test_block_splits_on_the_bland_flag_with_the_bits_of_solve(pivot_log):
     assert pivot_log[first_apart + 1] == ((1, 2), True)
 
 
+def test_stall_count_is_measured_against_the_best_objective_so_far(pivot_log):
+    # Without its y row and with rhs 1e-11 on r0, the cycle's objective
+    # falls and rises by rounding-level steps; counted from the previous
+    # pivot's objective the stall count kept resetting, Bland's rule never
+    # engaged and the solve hit the iteration limit.
+    rows = tuple(
+        Constraint(a, relation, 1e-11 if i == 0 else 0.0, f"r{i}")
+        for i, (a, relation) in enumerate(CYCLING_ROWS)
+    )
+    program = LinearProgram(Sense.MINIMIZE, CYCLING_OBJECTIVE[:6], rows, 6)
+    solution = solve(program)
+    assert solution.status is Status.OPTIMAL
+    assert solution.iterations < 100
+    assert any(bland for _, bland in pivot_log)
+    assert_same_as_solve([program, program])
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
