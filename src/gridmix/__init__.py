@@ -13,9 +13,10 @@ from importlib import import_module
 # so importing one submodule, e.g. ``gridmix.cli``, loads only what it needs.
 _SOURCES = {
     "lp": ("Constraint", "LinearProgram", "Relation", "Sense", "Solution", "Status",
-           "FeasibilityReport", "solve", "solve_many", "standardize", "check_feasible"),
+           "FeasibilityReport", "solve", "solve_many", "solve_rhs", "standardize", "check_feasible"),
     "model": ("EnergySource", "DayPeriod", "Scenario", "ScenarioReport", "DemandMode", "SpaceMode",
-              "ObjectiveMode", "CoefficientVariant", "compile_scenario", "report", "load_scenario_file"),
+              "ObjectiveMode", "CoefficientVariant", "compile_scenario", "compile_sweep", "report",
+              "load_scenario_file"),
     "catalog": ("builtin_scenarios", "get_scenario", "scenario_names"),
     "derivation": ("DerivedConstants", "derive_all"),
     "analysis": ("Vertex", "OracleResult", "CornerReport", "ReferenceAudit", "enumerate_vertices",

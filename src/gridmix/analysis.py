@@ -23,11 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Loaded with the analysis layer because perfbench/tracing.py wraps
+# derivation.derive_all and needs the module loaded by the time it installs.
+from . import derivation  # noqa: F401
 from .catalog import get_scenario
 from .lp import (
-    ROW_TOL, LinearProgram, LPError, Rows, Sense, Status, check_feasible, check_rows, solve, solve_many,
+    ROW_TOL, LinearProgram, LPError, Rows, Sense, Status, check_feasible, check_rows, solve, solve_rhs,
 )
-from .model import CAP_FIELDS, CoefficientVariant, ObjectiveMode, Scenario, compile_scenario
+from .model import CAP_FIELDS, CoefficientVariant, ObjectiveMode, Scenario, compile_scenario, compile_sweep
 
 __all__ = [
     "UnsupportedSizeError",
@@ -255,16 +258,19 @@ def sweep(scenario: Scenario, parameter: str, values: list[float]) -> tuple[Swee
     """Solve *scenario* at each cap value; infeasible points are kept in
     the trajectory with their status rather than dropped.
 
-    Every point is compiled on its own, so ``compile_scenario`` stays the
-    one map from a cap to rhs entries, and all points are solved by one
-    ``solve_many`` call: each point's Solution is the one ``solve`` would
-    return, to the bit, but the points share one tableau, with one rhs
-    column each, until their pivots differ.
+    The scenario is compiled once: ``compile_sweep`` checks every value as
+    ``with_cap`` would and writes each point's rhs with the expressions of
+    ``compile_scenario``, and one ``solve_rhs`` call solves every point.
+    Each point's Solution is the one ``solve`` returns for
+    ``compile_scenario(scenario.with_cap(cap, value))``, to the bit, but
+    the points share one tableau, with one rhs column each, until their
+    pivots differ.
     """
     if parameter not in CAP_FIELDS:
         raise KeyError(f"unknown sweep parameter {parameter!r}; known: {', '.join(CAP_FIELDS)}")
-    cap = CAP_FIELDS[parameter]
-    solutions = solve_many([compile_scenario(scenario.with_cap(cap, value)) for value in values])
+    if not values:
+        return ()
+    solutions = solve_rhs(*compile_sweep(scenario, CAP_FIELDS[parameter], values))
     missing = (math.nan,) * len(scenario.sources)
     return tuple(
         SweepPoint(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .derivation import PUBLISHED
 from .model import (
     BudgetRates,
     CoefficientVariant,
@@ -38,6 +37,23 @@ __all__ = [
     "get_scenario",
     "scenario_names",
 ]
+
+# Published values the catalog consumes verbatim; ``gridmix.derivation``
+# recomputes each from its raw inputs.
+PUBLISHED: dict[str, float] = {
+    "city_share_2010": 0.0588,
+    "annual_need_mwh": 25_621_059.0,
+    "city_total_2021_mwh": 76_389_561.0,
+    "baseline_emissions_g": 17.83e12,
+    "emissions_cap_g": 3.578e12,
+    "budget_cap_usd": 2e9,
+    "land_budget_ft2": 50_589_860_000.0,
+    "wind_production_bound_mwh": 47_475_469.0,
+    "rooftop_bound_mwh": 344_900.0,
+    "early_morning_rhs_mwh": 7.069e6,
+    "daytime_rhs_mwh": 13.192e6,
+    "evening_rhs_mwh": 6.006e6,
+}
 
 ANNUAL_NEED = PUBLISHED["annual_need_mwh"]
 EMISSIONS_CAP = PUBLISHED["emissions_cap_g"]

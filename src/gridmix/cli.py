@@ -398,7 +398,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Magnitudes past the float range would otherwise print an answer
+        # built on inf or nan.
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"gridmix: error: the input's magnitudes are out of range ({exc})", file=sys.stderr)
+        return 1
     except (ScenarioError, KeyError, LPError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"gridmix: error: {message}", file=sys.stderr)

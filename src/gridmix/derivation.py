@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .catalog import PUBLISHED
+
 __all__ = [
     "DerivationError",
     "DerivedConstant",
@@ -187,22 +189,6 @@ _BASELINE_MIX_SWAPPED = [
     (0.0021, 1_106_765.0),   # oil at the printed 0.21% label
     (0.0004, 230_000.0),     # biomass at the printed 0.04% label
 ]
-
-# Published values the catalog consumes verbatim.
-PUBLISHED: dict[str, float] = {
-    "city_share_2010": 0.0588,
-    "annual_need_mwh": 25_621_059.0,
-    "city_total_2021_mwh": 76_389_561.0,
-    "baseline_emissions_g": 17.83e12,
-    "emissions_cap_g": 3.578e12,
-    "budget_cap_usd": 2e9,
-    "land_budget_ft2": 50_589_860_000.0,
-    "wind_production_bound_mwh": 47_475_469.0,
-    "rooftop_bound_mwh": 344_900.0,
-    "early_morning_rhs_mwh": 7.069e6,
-    "daytime_rhs_mwh": 13.192e6,
-    "evening_rhs_mwh": 6.006e6,
-}
 
 _DEMAND_FRACTIONS = {"early_morning": 0.2759, "daytime": 0.5149, "evening": 0.2344}
 

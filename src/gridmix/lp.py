@@ -26,10 +26,13 @@ floats round exactly as numpy's. Numpy stays where the order of a sum
 fixes the result: the pivot's outer product, the priced-out cost rows,
 and ``@``/``np.dot`` for activities and objectives.
 
-``solve_many`` solves a batch. Programs that differ only in their
-constraints' rhs, and whose standardized rhs have the same signs, have the
-same tableau but for the rhs, so they share one: its body carries one rhs
-column per program, and every pivot updates the whole block. Each pivot
+``solve_rhs`` is the entry point for a block of rhs: it solves one
+program at each row of a (k, m) rhs array, and ``solve_many`` groups a
+batch of programs that differ only in their constraints' rhs into one
+``solve_rhs`` call each, so the rhs shift, equilibration and sign flip
+live in one place. Rows of rhs whose standardized rhs have the same signs
+have the same tableau but for the rhs, so they share one: its body carries
+one rhs column per row, and every pivot updates the whole block. Each pivot
 is chosen by ``pivot_rule`` for the lead (first) column; the others replay
 its ratio test, tie band included, in ``_leaving_rows``. The entering
 column depends only on the cost row and the Bland flag, which all columns
@@ -74,6 +77,7 @@ __all__ = [
     "IterationLimitError",
     "solve",
     "solve_many",
+    "solve_rhs",
     "standardize",
     "pivot_rule",
     "check_rows",
@@ -308,6 +312,11 @@ class StandardForm:
 
 def standardize(lp: LinearProgram) -> StandardForm:
     """Augment *lp* into equality form with slack/surplus/artificial columns."""
+    return _standardize(lp, lp.rows.rhs[: len(lp.constraints)])
+
+
+def _standardize(lp: LinearProgram, given: np.ndarray) -> StandardForm:
+    """``standardize`` of *lp* with *given* as its constraints' rhs."""
     m = len(lp.constraints)
     n = lp.var_count
     view = lp.rows
@@ -321,7 +330,7 @@ def standardize(lp: LinearProgram) -> StandardForm:
     rhs: list[float] = []
     scales: list[float] = []
     sense: list[float] = []
-    for coefficients, b, s in zip(rows.tolist(), (view.rhs[:m] - rows @ shifts).tolist(), view.sense.tolist()):
+    for coefficients, b, s in zip(rows.tolist(), (given - rows @ shifts).tolist(), view.sense.tolist()):
         scale = max(map(abs, coefficients))
         row = [c / scale for c in coefficients]
         b /= scale
@@ -685,48 +694,67 @@ def solve_many(programs: Sequence[LinearProgram]) -> tuple[Solution, ...]:
     """Solve every program in *programs*; each Solution equals ``solve``'s,
     to the bit.
 
-    Programs that differ only in their constraints' rhs, and whose
-    standardized rhs have the same signs, share one tableau with one rhs
-    column each. An error that ``solve`` would raise for any program is
-    raised here.
+    Programs that differ only in their constraints' rhs go to one
+    ``solve_rhs`` call. An error that ``solve`` would raise for any
+    program is raised here.
     """
     groups: dict[tuple, list[int]] = {}
     for i, lp in enumerate(programs):
         groups.setdefault(_shape(lp), []).append(i)
     solutions: list[Solution | None] = [None] * len(programs)
     for members in groups.values():
-        lead = programs[members[0]]
-        view = lead.rows
-        m = len(lead.constraints)
-        given = np.array([[c.rhs for c in programs[i].constraints] for i in members]).T
-        # standardize's rhs of every member at once: shifted, equilibrated, flipped to >= 0
-        scales = np.abs(view.matrix[:m]).max(axis=1)
-        rhs = (given - (view.matrix[:m] @ view.rhs[m:])[:, None]) / scales[:, None]
-        flips = rhs < 0.0
-        rhs = np.where(flips, -rhs, rhs)
-        signs: dict[tuple, list[int]] = {}
-        for k, flipped in enumerate(flips.T.tolist()):
-            signs.setdefault(tuple(flipped), []).append(k)
-        outcomes: list[_Outcome] = []
-        for picks in signs.values():
-            form = standardize(programs[members[picks[0]]])
-            body = np.concatenate((form.body[:, :-1], rhs[:, picks]), axis=1)
-            outcomes += [(picks[k], *outcome) for k, *outcome in _two_phase(form, body)]
+        given = np.array([[c.rhs for c in programs[i].constraints] for i in members], dtype=float)
+        for i, solution in zip(members, solve_rhs(programs[members[0]], given)):
+            solutions[i] = solution
+    return tuple(solutions)
 
-        # Each optimum's activities come from its own product, as in solve;
-        # the rest of the row check is elementwise, so one call serves all.
-        optimal = [(k, values) for k, _, values, _ in outcomes if values is not None]
-        checked: dict[int, tuple[list[float], list[bool]]] = {}
-        if optimal:
-            activity = np.concatenate([np.array([values]) @ view.matrix.T for _, values in optimal])
-            at = [k for k, _ in optimal]
-            bounds = np.broadcast_to(view.rhs[m:], (len(at), lead.var_count))
-            rows = Rows(view.matrix, np.concatenate((given[:, at].T, bounds), axis=1), view.sense)
-            _, _, _, binding = _check_activity(rows, activity)
-            checked = dict(zip(at, zip(activity.tolist(), binding.tolist())))
-        for k, status, values, iterations in outcomes:
-            lp = programs[members[k]]
-            solutions[members[k]] = _build_solution(lp, status, values, iterations, checked.get(k))
+
+def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
+    """Solve *lp* once for each row of *rhs*, a (k, m) array that takes the
+    place of its constraints' rhs. Solution i equals, to the bit, ``solve``
+    of *lp* with row i as its rhs.
+
+    Rows whose standardized rhs have the same signs share one tableau with
+    one rhs column each. An error that ``solve`` would raise for any row is
+    raised here.
+    """
+    m = len(lp.constraints)
+    given = np.asarray(rhs, dtype=float)
+    if given.ndim != 2 or given.shape[1] != m:
+        raise ValidationError(f"rhs has shape {given.shape}; expected (k, {m})")
+    finite = np.isfinite(given).all(axis=0).tolist()
+    if not all(finite):
+        raise ValidationError(f"constraint {lp.constraints[finite.index(False)].label!r}: rhs is not finite")
+    given = given.T
+    view = lp.rows
+    # standardize's rhs of every row at once: shifted, equilibrated, flipped to >= 0
+    scales = np.abs(view.matrix[:m]).max(axis=1)
+    shifted = (given - (view.matrix[:m] @ view.rhs[m:])[:, None]) / scales[:, None]
+    flips = shifted < 0.0
+    shifted = np.where(flips, -shifted, shifted)
+    signs: dict[tuple, list[int]] = {}
+    for k, flipped in enumerate(flips.T.tolist()):
+        signs.setdefault(tuple(flipped), []).append(k)
+    outcomes: list[_Outcome] = []
+    for picks in signs.values():
+        form = _standardize(lp, given[:, picks[0]])
+        body = np.concatenate((form.body[:, :-1], shifted[:, picks]), axis=1)
+        outcomes += [(picks[k], *outcome) for k, *outcome in _two_phase(form, body)]
+
+    # Each optimum's activities come from its own product, as in solve;
+    # the rest of the row check is elementwise, so one call serves all.
+    optimal = [(k, values) for k, _, values, _ in outcomes if values is not None]
+    checked: dict[int, tuple[list[float], list[bool]]] = {}
+    if optimal:
+        activity = np.concatenate([np.array([values]) @ view.matrix.T for _, values in optimal])
+        at = [k for k, _ in optimal]
+        bounds = np.broadcast_to(view.rhs[m:], (len(at), lp.var_count))
+        rows = Rows(view.matrix, np.concatenate((given[:, at].T, bounds), axis=1), view.sense)
+        _, _, _, binding = _check_activity(rows, activity)
+        checked = dict(zip(at, zip(activity.tolist(), binding.tolist())))
+    solutions: list[Solution | None] = [None] * given.shape[1]
+    for k, status, values, iterations in outcomes:
+        solutions[k] = _build_solution(lp, status, values, iterations, checked.get(k))
     return tuple(solutions)
 
 

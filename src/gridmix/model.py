@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 from .lp import Constraint, LinearProgram, Relation, Sense, Solution, Status
 
@@ -32,6 +35,7 @@ __all__ = [
     "SourceReportRow",
     "ScenarioReport",
     "compile_scenario",
+    "compile_sweep",
     "report",
     "load_scenario_file",
     "scenario_from_dict",
@@ -180,8 +184,8 @@ class Scenario:
             raise ScenarioError(f"scenario {self.name!r}: annual need must be positive")
         for cap_name in CAP_FIELDS.values():
             cap = getattr(self, cap_name)
-            if cap is not None and not (math.isfinite(cap) and cap > 0.0):
-                raise ScenarioError(f"scenario {self.name!r}: {cap_name} must be > 0")
+            if cap is not None:
+                _check_cap(self.name, cap_name, cap)
         if self.demand_mode is DemandMode.PER_PERIOD:
             if len(self.periods) != 3:
                 raise ScenarioError(f"scenario {self.name!r}: per-period demand needs 3 periods")
@@ -195,6 +199,11 @@ class Scenario:
         if cap_name not in CAP_FIELDS.values():
             raise ScenarioError(f"unknown cap {cap_name!r}")
         return replace(self, **{cap_name: value})
+
+
+def _check_cap(scenario_name: str, cap_name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ScenarioError(f"scenario {scenario_name!r}: {cap_name} must be > 0")
 
 
 def _objective_rate(source: EnergySource, mode: ObjectiveMode) -> float:
@@ -211,12 +220,33 @@ def compile_scenario(scenario: Scenario) -> LinearProgram:
     Row order is fixed (demand, emissions, budget, space) so identical
     scenarios compile to bit-identical programs.
     """
+    return _compile(scenario)[0]
+
+
+# A capped row: its index, the Scenario cap attribute it reads, and its rhs
+# as a function of that cap's value.
+_CapRow = tuple[int, str, Callable[[float], float]]
+
+
+def _same(cap: float) -> float:
+    return cap
+
+
+def _compile(scenario: Scenario) -> tuple[LinearProgram, list[_CapRow]]:
+    """``compile_scenario``, plus every row a cap writes and how: each
+    capped row's rhs is written by its own function of the cap."""
     if not scenario.sources:
         raise ScenarioError(f"scenario {scenario.name!r}: at least one source is required")
     sources = scenario.sources
     n = len(sources)
     objective = tuple(_objective_rate(s, scenario.objective_mode) for s in sources)
     constraints: list[Constraint] = []
+    capped: list[_CapRow] = []
+
+    def cap_row(cap_name: str, rhs_of: Callable[[float], float], coefficients, label: str, unit: str) -> None:
+        capped.append((len(constraints), cap_name, rhs_of))
+        rhs = rhs_of(getattr(scenario, cap_name))
+        constraints.append(Constraint(tuple(coefficients), Relation.LE, rhs, label, ROW_UNITS[unit]))
 
     if scenario.demand_mode is DemandMode.FLAT_ANNUAL:
         constraints.append(
@@ -251,15 +281,7 @@ def compile_scenario(scenario: Scenario) -> LinearProgram:
             )
 
     if scenario.emissions_cap is not None:
-        constraints.append(
-            Constraint(
-                coefficients=tuple(s.emissions for s in sources),
-                relation=Relation.LE,
-                rhs=scenario.emissions_cap,
-                label="emissions",
-                unit=ROW_UNITS["emissions"],
-            )
-        )
+        cap_row("emissions_cap", _same, (s.emissions for s in sources), "emissions", "emissions")
 
     if scenario.budget_cap is not None:
         rate = (
@@ -267,15 +289,7 @@ def compile_scenario(scenario: Scenario) -> LinearProgram:
             if scenario.budget_rates is BudgetRates.CAPITAL
             else (lambda s: s.lcoe)
         )
-        constraints.append(
-            Constraint(
-                coefficients=tuple(rate(s) for s in sources),
-                relation=Relation.LE,
-                rhs=scenario.budget_cap,
-                label="budget",
-                unit=ROW_UNITS["budget"],
-            )
-        )
+        cap_row("budget_cap", _same, (rate(s) for s in sources), "budget", "budget")
 
     if scenario.space_mode is SpaceMode.SEPARATE_BOUNDS:
         for j, s in enumerate(sources):
@@ -284,21 +298,13 @@ def compile_scenario(scenario: Scenario) -> LinearProgram:
                     raise ScenarioError(
                         f"scenario {scenario.name!r}: rooftop source {s.name!r} needs a rooftop cap"
                     )
-                bound = scenario.rooftop_cap
+                cap_name, rhs_of = "rooftop_cap", _same
             elif s.land_use > 0.0 and scenario.land_cap is not None:
-                bound = math.floor(scenario.land_cap / s.land_use)
+                cap_name, rhs_of = "land_cap", lambda cap, rate=s.land_use: math.floor(cap / rate)
             else:
                 continue
-            coeffs = tuple(1.0 if k == j else 0.0 for k in range(n))
-            constraints.append(
-                Constraint(
-                    coefficients=coeffs,
-                    relation=Relation.LE,
-                    rhs=bound,
-                    label=f"space_{s.name}",
-                    unit=ROW_UNITS["space_bound"],
-                )
-            )
+            coeffs = (1.0 if k == j else 0.0 for k in range(n))
+            cap_row(cap_name, rhs_of, coeffs, f"space_{s.name}", "space_bound")
     else:
         if scenario.land_cap is None:
             raise ScenarioError(
@@ -306,15 +312,7 @@ def compile_scenario(scenario: Scenario) -> LinearProgram:
             )
         # Rooftop-exempt output enters as an affine offset on the rhs.
         offset = sum(s.land_use * s.rooftop_allowance for s in sources)
-        constraints.append(
-            Constraint(
-                coefficients=tuple(s.land_use for s in sources),
-                relation=Relation.LE,
-                rhs=scenario.land_cap + offset,
-                label="land",
-                unit=ROW_UNITS["land"],
-            )
-        )
+        cap_row("land_cap", lambda cap: cap + offset, (s.land_use for s in sources), "land", "land")
 
     return LinearProgram(
         sense=Sense.MINIMIZE,
@@ -323,7 +321,29 @@ def compile_scenario(scenario: Scenario) -> LinearProgram:
         var_count=n,
         lower_bounds=tuple(s.min_annual_output for s in sources),
         variable_names=tuple(s.name for s in sources),
-    )
+    ), capped
+
+
+def compile_sweep(scenario: Scenario, cap_name: str, values: Sequence[float]) -> tuple[LinearProgram, np.ndarray]:
+    """Compile *scenario* once for a non-empty grid of *cap_name* values.
+
+    Returns the program of ``scenario.with_cap(cap_name, values[0])`` and a
+    (len(values), m) array whose row i holds, to the bit, the constraints'
+    rhs that ``compile_scenario(scenario.with_cap(cap_name, values[i]))``
+    writes; ``lp.solve_rhs`` solves the program at every row. Each value
+    is checked, and an error raised, as ``with_cap`` would.
+    """
+    if len(values) == 0:
+        raise ScenarioError(f"scenario {scenario.name!r}: no {cap_name} values to sweep")
+    program, capped = _compile(scenario.with_cap(cap_name, values[0]))
+    for value in values:
+        _check_cap(scenario.name, cap_name, value)
+    m = len(program.constraints)
+    rhs = np.tile(program.rows.rhs[:m], (len(values), 1))
+    for row, name, rhs_of in capped:
+        if name == cap_name:
+            rhs[:, row] = np.array([rhs_of(value) for value in values], dtype=float)
+    return program, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +481,14 @@ def _require(mapping: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFormatError(f"{where}: number out of range") from None
 
 
 def _enum(value, table: dict, where: str):
-    if value not in table:
+    if not isinstance(value, str) or value not in table:
         raise ScenarioFormatError(
             f"{where}: expected one of {sorted(table)}, got {value!r}"
         )
@@ -505,10 +528,13 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
         pname = _require(p, "name", loc)
         if pname not in PERIOD_NAMES:
             raise ScenarioFormatError(f"{loc}.name: expected one of {PERIOD_NAMES}, got {pname!r}")
+        hours = _number(_require(p, "hours", loc), f"{loc}.hours")
+        if not (math.isfinite(hours) and hours.is_integer()):
+            raise ScenarioFormatError(f"{loc}.hours: expected a whole number, got {hours!r}")
         periods.append(
             DayPeriod(
                 name=pname,
-                hours=int(_number(_require(p, "hours", loc), f"{loc}.hours")),
+                hours=int(hours),
                 demand_fraction=_number(_require(p, "demand_fraction", loc), f"{loc}.demand_fraction"),
             )
         )
@@ -639,6 +665,8 @@ def load_scenario_file(path: str | Path, *, base: Scenario | None = None) -> Sce
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:   # an integer past the digit limit, nesting past the stack
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
     if base is not None:
         if not isinstance(doc, dict):
             raise ScenarioFormatError(f"{path}: expected an object at the top level")

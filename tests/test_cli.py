@@ -1,18 +1,22 @@
 """CLI tests: exit codes, output formats, determinism, env catalog dir."""
 
+import copy
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridmix import cli
 from gridmix.lp import Status
-from gridmix.model import scenario_to_dict
+from gridmix.model import ScenarioFormatError, load_scenario_file, scenario_to_dict
 from gridmix.catalog import get_scenario
 
 
@@ -163,6 +167,88 @@ def test_solver_input_error_exits_one(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "gridmix: error: constraint 'emissions': all coefficients are zero\n"
+
+
+def nuclear_doc() -> dict:
+    return scenario_to_dict(get_scenario("m4_nuclear"))
+
+
+def with_period_hours(hours) -> dict:
+    doc = nuclear_doc()
+    doc["periods"][0]["hours"] = hours
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"space_mode": []}, "space_mode"),
+        ({"objective_mode": {}}, "objective_mode"),
+        ({"demand_mode": ["per_period"]}, "demand_mode"),
+        ({"coefficient_variant": 1}, "coefficient_variant"),
+        (with_period_hours(float("nan")), "periods[0].hours"),
+        (with_period_hours(float("inf")), "periods[0].hours"),
+        (with_period_hours(6.5), "periods[0].hours"),
+        ({"annual_need_mwh": 10**400}, "annual_need_mwh"),
+    ],
+)
+def test_malformed_file_fields_exit_one_without_a_traceback(tmp_path, capsys, doc, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioFormatError, match=where.replace("[", r"\[")):
+        load_scenario_file(path, base=get_scenario("m4_nuclear"))
+    code, out, err = run(capsys, "solve", str(path), "--base", "m4_nuclear")
+    assert (code, out) == (1, "")
+    assert err.startswith("gridmix: error: ") and where in err
+
+
+def test_out_of_range_magnitudes_exit_one_instead_of_printing_inf(tmp_path, capsys):
+    doc = nuclear_doc()
+    doc["sources"][0]["lcoe"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path), "--base", "m4_nuclear")
+    assert (code, out) == (1, "")
+    assert err.startswith("gridmix: error: the input's magnitudes are out of range")
+
+
+def json_paths(doc, prefix=()):
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from json_paths(value, (*prefix, key))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=12)
+    | st.sampled_from(["lcoe", "per_period", "shared_land", "table_derived", "daytime"]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_scenario_files_exit_with_a_documented_code(tmp_path, data):
+    doc = nuclear_doc()
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from([p for p in json_paths(doc) if p]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(data.draw(JSON_VALUES))
+    if doc and data.draw(st.booleans()):   # --base fills in the keys a file leaves out
+        doc = {key: doc[key] for key in data.draw(st.lists(st.sampled_from(sorted(doc)), unique=True))}
+    file = tmp_path / "mutated.json"
+    file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["solve", str(file), "--base", "m4_nuclear"])
+    assert code in {0, 1, 2, 3}
+    assert err.getvalue() == "" or err.getvalue().startswith("gridmix:")
 
 
 def test_base_requires_file(capsys):
@@ -351,6 +437,24 @@ def test_solve_does_not_load_the_analysis_layer():
     )
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.splitlines()[-1] == "False False 0"
+
+
+def test_solve_does_not_load_the_derivation_layer():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = (
+        "import sys, gridmix.cli\n"
+        "code = gridmix.cli.main(['solve', 'm1_flat_demand'])\n"
+        "print('gridmix.derivation' in sys.modules, code)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "False 0"
+
+
+def test_published_table_resolves_from_derivation():
+    from gridmix import catalog, derivation
+
+    assert derivation.PUBLISHED is catalog.PUBLISHED
 
 
 def test_package_reexports_resolve_lazily():
