@@ -3,9 +3,11 @@ and the audit of the published result tables.
 
 The vertex oracle intersects every n-subset of constraint hyperplanes
 (variable bounds included), keeps the feasible intersection points, and
-takes the best objective over them. It shares no pivoting code with the
-simplex, which is what makes agreement between the two a certificate;
-both test points against rows with the one kernel ``lp.check_rows``.
+takes the best objective over them once the same enumeration over the
+recession cone's extreme rays has ruled out unboundedness. It shares no
+pivoting code with the simplex, which is what makes agreement between the
+two a certificate; both test points against rows with the one kernel
+``lp.check_rows``.
 Singular subsystems are detected by batched partial-pivot elimination on
 row-equilibrated matrices with the SINGULAR_TOL pivot threshold;
 equilibration matters because the built-in models mix fraction-scale
@@ -28,9 +30,9 @@ import numpy as np
 from . import derivation  # noqa: F401
 from .catalog import get_scenario
 from .lp import (
-    ROW_TOL, LinearProgram, LPError, Rows, Sense, Status, check_feasible, check_rows, solve, solve_rhs,
+    ROW_TOL, Constraint, LinearProgram, LPError, Relation, Sense, Status, check_feasible, check_rows, solve, solve_rhs,
 )
-from .model import CAP_FIELDS, CoefficientVariant, ObjectiveMode, Scenario, compile_scenario, compile_sweep
+from .model import CAP_FIELDS, CoefficientVariant, ObjectiveMode, Scenario, compile_scenario, compile_sweep, tabulate
 
 __all__ = [
     "UnsupportedSizeError",
@@ -55,9 +57,9 @@ __all__ = [
 _MATCH = 1e-3     # headline classification thresholds (relative)
 _NEAR = 1e-2
 
-ORACLE_BOX = 1e8       # far walls x_i <= ORACLE_BOX that turn unboundedness into a box optimum
 SINGULAR_TOL = 1e-12   # smallest pivot of a vertex subsystem, absolute on equilibrated rows
-TIE_TOL = 1e-9         # oracle objective ties, relative to max(1, |best objective|)
+TIE_TOL = 1e-9         # oracle objective ties, relative to max(1, |best objective|),
+                       # and improving rays, relative to max(1, max|c|)
 
 
 class UnsupportedSizeError(LPError, ValueError):
@@ -76,7 +78,7 @@ class OracleResult:
     status: Status
     objective: float | None
     point: tuple[float, ...] | None
-    vertices: tuple[Vertex, ...]     # the boxed vertex set the verdict was taken over
+    vertices: tuple[Vertex, ...]     # every vertex of the feasible region, as enumerate_vertices orders them
 
 
 def _batch_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,19 +106,6 @@ def _batch_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[:, :, n], ok
 
 
-def _planes(lp: LinearProgram, box: float | None) -> Rows:
-    """The program's rows, plus one ``x_i <= box`` row per variable."""
-    rows = lp.rows
-    if box is None:
-        return rows
-    n = lp.var_count
-    return Rows(
-        matrix=np.concatenate((rows.matrix, np.eye(n))),
-        rhs=np.append(rows.rhs, np.full(n, box)),
-        sense=np.append(rows.sense, np.ones(n)),
-    )
-
-
 def _near_any(point: np.ndarray, others) -> bool:
     """Whether *point* equals one of *others*: every coordinate within
     ROW_TOL * max(1, the largest |coordinate| of the pair)."""
@@ -137,7 +126,7 @@ def _dedup(points: np.ndarray) -> list[int]:
     return kept
 
 
-def enumerate_vertices(lp: LinearProgram, *, _box: float | None = None) -> list[Vertex]:
+def enumerate_vertices(lp: LinearProgram) -> list[Vertex]:
     """All vertices of the feasible region, deduplicated at ROW_TOL relative.
 
     Works by solving every n-subset of the constraint/bound hyperplanes;
@@ -146,14 +135,14 @@ def enumerate_vertices(lp: LinearProgram, *, _box: float | None = None) -> list[
     n = lp.var_count
     if n > 4:
         raise UnsupportedSizeError(f"vertex enumeration supports at most 4 variables, got {n}")
-    planes = _planes(lp, _box)
-    combos = list(itertools.combinations(range(len(planes.rhs)), n))
+    rows = lp.rows
+    combos = list(itertools.combinations(range(len(rows.rhs)), n))
     if not combos:
         return []
     idx = np.asarray(combos)
-    points, ok = _batch_solve(planes.matrix[idx], planes.rhs[idx])
+    points, ok = _batch_solve(rows.matrix[idx], rows.rhs[idx])
     points = points[ok]
-    _, _, satisfied, binding = check_rows(planes, points)
+    _, _, satisfied, binding = check_rows(rows, points)
     feasible = satisfied.all(axis=1)
     points, binding = points[feasible], binding[feasible]
 
@@ -170,27 +159,45 @@ def enumerate_vertices(lp: LinearProgram, *, _box: float | None = None) -> list[
     return vertices
 
 
+def _recession_cone(lp: LinearProgram) -> LinearProgram:
+    """The directions d >= 0 along which *lp*'s region recedes, cut by
+    sum(d) = 1: its vertices are the extreme rays of the recession cone.
+
+    Each row keeps its relation with rhs 0 and is divided by its max-abs
+    coefficient, so ``check_rows``' absolute band at rhs 0 means the same
+    on 1e-2 rows as on 1e13 rows.
+    """
+    n = lp.var_count
+    rows = [Constraint((1.0,) * n, Relation.EQ, 1.0, "sum(d)")]
+    for c in lp.constraints:
+        scale = max(map(abs, c.coefficients))
+        rows.append(Constraint(tuple(a / scale for a in c.coefficients), c.relation, 0.0, c.label))
+    return LinearProgram(sense=lp.sense, objective=lp.objective, constraints=tuple(rows), var_count=n)
+
+
 def oracle_solve(lp: LinearProgram) -> OracleResult:
     """Classify and solve *lp* by brute force.
 
-    Far-out box walls (x_i = ORACLE_BOX) are added so unboundedness shows
-    up as the optimum escaping to the box: no feasible vertex means
-    infeasible; an optimum attained only on the box means unbounded.
+    No vertex means infeasible. Every variable is bounded below, so a
+    feasible region has a vertex, and it is unbounded exactly when an
+    extreme ray d of its recession cone improves the objective:
+    sign * c.d < -TIE_TOL * max(1, max|c|), with sign -1 when maximizing
+    (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
+    §4.8). The rays are enumerated only when some sign * c_i < 0, since
+    no d >= 0 improves otherwise. Else the optimum is the first vertex, in
+    ``enumerate_vertices``' order, within TIE_TOL of the best objective.
     """
-    vertices = tuple(enumerate_vertices(lp, _box=ORACLE_BOX))
+    vertices = tuple(enumerate_vertices(lp))
     if not vertices:
         return OracleResult(status=Status.INFEASIBLE, objective=None, point=None, vertices=())
-    best = min if lp.sense is Sense.MINIMIZE else max
-    best_value = best(v.objective for v in vertices)
-    ties = [
-        v
-        for v in vertices
-        if abs(v.objective - best_value) <= TIE_TOL * max(1.0, abs(best_value))
-    ]
-    interior = [v for v in ties if all(x < ORACLE_BOX * (1.0 - ROW_TOL) for x in v.point)]
-    if not interior:
-        return OracleResult(status=Status.UNBOUNDED, objective=None, point=None, vertices=vertices)
-    chosen = interior[0]
+    sign = 1.0 if lp.sense is Sense.MINIMIZE else -1.0
+    cost = [sign * c for c in lp.objective]
+    if min(cost) < 0.0:
+        band = TIE_TOL * max(1.0, max(map(abs, cost)))
+        if any(sign * ray.objective < -band for ray in enumerate_vertices(_recession_cone(lp))):
+            return OracleResult(status=Status.UNBOUNDED, objective=None, point=None, vertices=vertices)
+    best = (min if sign > 0.0 else max)(v.objective for v in vertices)
+    chosen = next(v for v in vertices if abs(v.objective - best) <= TIE_TOL * max(1.0, abs(best)))
     return OracleResult(
         status=Status.OPTIMAL, objective=chosen.objective, point=chosen.point, vertices=vertices
     )
@@ -320,7 +327,7 @@ _DISCREPANCY_IDS = {d.ident for d in DISCREPANCIES}
 class _RefCell:
     label: str
     printed: float
-    kind: str              # emissions_total | capital_total | objective_total | space_source | period_production | production
+    kind: str              # production | period_production | space_source | emissions_total | capital_total | space_total | objective_total
     source: int = 0        # source index, for per-source kinds
     period: int = 0        # period index, for period_production
 
@@ -514,26 +521,22 @@ def _classify(delta: float) -> str:
 
 
 def _recompute_cell(cell: _RefCell, scenario: Scenario, point: tuple[float, ...]) -> float:
-    sources = scenario.sources
-    if cell.kind == "production":
-        return point[cell.source]
-    if cell.kind == "period_production":
-        fractions = sources[cell.source].period_fractions or (0.0, 0.0, 0.0)
-        return point[cell.source] * fractions[cell.period]
-    if cell.kind == "emissions_total":
-        return sum(s.emissions * x for s, x in zip(sources, point))
-    if cell.kind == "capital_total":
-        return sum(s.capital_cost * x for s, x in zip(sources, point))
     if cell.kind == "objective_total":
-        lp = compile_scenario(scenario)
-        return lp.objective_at(point)
+        return compile_scenario(scenario).objective_at(point)
+    rows, total = tabulate(scenario, point)
+    row = rows[cell.source]
+    if cell.kind == "production":
+        return row.annual
+    if cell.kind == "period_production":
+        return row.per_period[cell.period]
     if cell.kind == "space_source":
-        s = sources[cell.source]
-        return s.land_use * max(0.0, point[cell.source] - s.rooftop_allowance)
+        return row.land_ft2
+    if cell.kind == "emissions_total":
+        return total.emissions_g
+    if cell.kind == "capital_total":
+        return total.capital_usd
     if cell.kind == "space_total":
-        return sum(
-            s.land_use * max(0.0, x - s.rooftop_allowance) for s, x in zip(sources, point)
-        )
+        return total.land_ft2
     raise ValueError(f"unknown cell kind {cell.kind!r}")
 
 
@@ -623,11 +626,6 @@ def audit_reference_results() -> ReferenceAudit:
     point, our solver optimum, the oracle optimum, recomputed cells, and
     a classification of the headline objective delta (match <= 0.1%,
     near <= 1%, discrepancy beyond).
-
-    Vertex membership is tested against the oracle's boxed vertex set.
-    Every printed point lies far inside the box (coordinates <= 3.5e7
-    against 1e8), so no box-wall vertex, and no vertex beyond the box,
-    can match one.
     """
     tables = [_audit_result_table(ref) for ref in _REFERENCE_TABLES]
     tables.extend(_audit_corner_table(spec) for spec in _CORNER_TABLES)

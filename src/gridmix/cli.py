@@ -41,11 +41,6 @@ _VARIANTS = {
     "as-printed": CoefficientVariant.AS_PRINTED,
     "table-derived": CoefficientVariant.TABLE_DERIVED,
 }
-_OBJECTIVES = {
-    "lcoe": ObjectiveMode.LCOE,
-    "om": ObjectiveMode.OM_ONLY,
-    "emissions": ObjectiveMode.EMISSIONS,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,7 +179,7 @@ def _solve_text(scenario: Scenario, solution, records: list[dict], oracle) -> st
 def _cmd_solve(args) -> int:
     scenario = _resolve_scenario(args.scenario, _VARIANTS[args.variant], args.base)
     if args.objective:
-        scenario = scenario.with_objective(_OBJECTIVES[args.objective])
+        scenario = scenario.with_objective(ObjectiveMode(args.objective))
     lp = compile_scenario(scenario)
     solution = solve(lp)
     rep = report(scenario, solution)
@@ -252,10 +247,6 @@ def _cmd_sweep(args) -> int:
     if args.start > args.stop:
         raise ScenarioError("--from must not exceed --to")
     scenario = _resolve_scenario(args.scenario, _VARIANTS[args.variant], None)
-    if args.param not in analysis.CAP_FIELDS:
-        raise ScenarioError(
-            f"unknown sweep parameter {args.param!r}; known: {', '.join(analysis.CAP_FIELDS)}"
-        )
     if args.steps == 1:
         values = [args.start]
     else:
@@ -364,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a scenario and report")
     p_solve.add_argument("scenario", help="catalog name or scenario file path")
     p_solve.add_argument("--variant", choices=sorted(_VARIANTS), default="as-printed")
-    p_solve.add_argument("--objective", choices=sorted(_OBJECTIVES))
+    p_solve.add_argument("--objective", choices=sorted(m.value for m in ObjectiveMode))
     p_solve.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_solve.add_argument("--oracle", action="store_true",
                          help="also run vertex enumeration and require agreement")

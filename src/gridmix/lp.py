@@ -56,7 +56,7 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -102,6 +102,25 @@ class ValidationError(LPError):
 
 class IterationLimitError(LPError):
     """The simplex loop exceeded its iteration budget."""
+
+
+_OUT_OF_RANGE = "the input's magnitudes are out of range"
+
+
+def _in_float_range(func):
+    """Run *func* with numpy overflow and invalid operations raising: each
+    becomes an LPError instead of a RuntimeWarning and an answer of inf or
+    nan."""
+
+    @wraps(func)
+    def guarded(*args):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return func(*args)
+        except FloatingPointError as exc:
+            raise LPError(f"{_OUT_OF_RANGE} ({exc})") from None
+
+    return guarded
 
 
 class _Unbounded(Exception):
@@ -664,13 +683,15 @@ def _two_phase(form: StandardForm, body: np.ndarray) -> list[_Outcome]:
     return outcomes
 
 
+@_in_float_range
 def solve(lp: LinearProgram) -> Solution:
     """Solve *lp* with the two-phase simplex.
 
     Returns a Solution whose status is Optimal, Infeasible (phase 1 ends
     with a positive artificial objective), or Unbounded (an improving
     column has no blocking row in phase 2). Activities, the binding set
-    and the objective are recomputed against the original rows.
+    and the objective are recomputed against the original rows. Arithmetic
+    that overflows the float range raises LPError.
     """
     form = standardize(lp)
     ((_, status, values, iterations),) = _two_phase(form, form.body.copy())
@@ -709,6 +730,7 @@ def solve_many(programs: Sequence[LinearProgram]) -> tuple[Solution, ...]:
     return tuple(solutions)
 
 
+@_in_float_range
 def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
     """Solve *lp* once for each row of *rhs*, a (k, m) array that takes the
     place of its constraints' rhs. Solution i equals, to the bit, ``solve``
@@ -777,6 +799,9 @@ def _build_solution(
             binding=frozenset(),
             iterations=iterations,
         )
+    objective = lp.objective_at(values)
+    if not math.isfinite(objective):   # np.dot's overflow raises no floating-point flag
+        raise LPError(f"{_OUT_OF_RANGE} (the objective is {objective})")
     if checked is None:
         activity, _, _, binding = check_rows(lp.rows, np.array([values]))
         checked = activity[0].tolist(), binding[0].tolist()
@@ -784,7 +809,7 @@ def _build_solution(
     return Solution(
         status=status,
         values=values,
-        objective_value=lp.objective_at(values),
+        objective_value=objective,
         activities=tuple(activity[: len(lp.constraints)]),
         binding=frozenset(c.label for c, b in zip(lp.constraints, binding) if b),
         iterations=iterations,

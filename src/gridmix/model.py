@@ -373,36 +373,21 @@ class ScenarioReport:
     binding: frozenset[str]
 
 
-def report(scenario: Scenario, solution: Solution) -> ScenarioReport:
-    """Tabulate a solved scenario by source: per-period output, land,
-    emissions, capital spend, and objective contribution.
-
-    Non-optimal solutions yield a status-only report.
-    """
-    if solution.status is not Status.OPTIMAL:
-        return ScenarioReport(
-            scenario=scenario.name,
-            variant=scenario.coefficient_variant.value,
-            status=solution.status,
-            objective_mode=scenario.objective_mode,
-            objective_value=math.nan,
-            rows=(),
-            total=None,
-            binding=frozenset(),
-        )
-    rows: list[SourceReportRow] = []
+def tabulate(scenario: Scenario, values: Sequence[float]) -> tuple[tuple[SourceReportRow, ...], SourceReportRow]:
+    """Each source's report row at annual outputs *values*, and their total:
+    the one place the report quantities are computed from a point."""
+    rows = []
     per_period_mode = scenario.demand_mode is DemandMode.PER_PERIOD
-    for s, value in zip(scenario.sources, solution.values):
+    for s, value in zip(scenario.sources, values):
         per_period = None
         if per_period_mode and s.period_fractions is not None:
             per_period = tuple(value * f for f in s.period_fractions)
-        land = s.land_use * max(0.0, value - s.rooftop_allowance)
         rows.append(
             SourceReportRow(
                 source=s.name,
                 per_period=per_period,
                 annual=value,
-                land_ft2=land,
+                land_ft2=s.land_use * max(0.0, value - s.rooftop_allowance),
                 emissions_g=s.emissions * value,
                 capital_usd=s.capital_cost * value,
                 objective=_objective_rate(s, scenario.objective_mode) * value,
@@ -421,13 +406,34 @@ def report(scenario: Scenario, solution: Solution) -> ScenarioReport:
         capital_usd=sum(r.capital_usd for r in rows),
         objective=sum(r.objective for r in rows),
     )
+    return tuple(rows), total
+
+
+def report(scenario: Scenario, solution: Solution) -> ScenarioReport:
+    """Tabulate a solved scenario by source: per-period output, land,
+    emissions, capital spend, and objective contribution.
+
+    Non-optimal solutions yield a status-only report.
+    """
+    if solution.status is not Status.OPTIMAL:
+        return ScenarioReport(
+            scenario=scenario.name,
+            variant=scenario.coefficient_variant.value,
+            status=solution.status,
+            objective_mode=scenario.objective_mode,
+            objective_value=math.nan,
+            rows=(),
+            total=None,
+            binding=frozenset(),
+        )
+    rows, total = tabulate(scenario, solution.values)
     return ScenarioReport(
         scenario=scenario.name,
         variant=scenario.coefficient_variant.value,
         status=solution.status,
         objective_mode=scenario.objective_mode,
         objective_value=solution.objective_value,
-        rows=tuple(rows),
+        rows=rows,
         total=total,
         binding=solution.binding,
     )

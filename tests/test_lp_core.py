@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from gridmix.lp import (
     Relation,
     Sense,
     Status,
+    LPError,
     Tableau,
     ValidationError,
     check_feasible,
     pivot_rule,
     solve,
+    solve_rhs,
     standardize,
 )
 from gridmix.model import CoefficientVariant, compile_scenario
@@ -407,3 +410,33 @@ def test_fuzz_against_oracle_small():
         if sol.status is Status.OPTIMAL:
             scale = max(1.0, abs(sol.objective_value), abs(oracle.objective))
             assert abs(sol.objective_value - oracle.objective) <= 1e-6 * scale
+
+
+# ---------------------------------------------------------------------------
+# arithmetic past the float range
+
+
+def nuclear_with(index, **changes):
+    scenario = get_scenario("m4_nuclear")
+    sources = list(scenario.sources)
+    sources[index] = dataclasses.replace(sources[index], **changes)
+    return compile_scenario(dataclasses.replace(scenario, sources=tuple(sources)))
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        nuclear_with(0, lcoe=1e308),                 # wind: the objective overflows
+        nuclear_with(2, min_annual_output=1e308),    # nuclear: the lower-bound shift overflows
+        lp_min((1e308, 1e308), [], lower_bounds=(1.0, 1.0)),   # only np.dot overflows
+    ],
+    ids=["wind-lcoe", "nuclear-floor", "dot-only"],
+)
+def test_out_of_range_magnitudes_raise_instead_of_returning_inf_or_nan(lp):
+    rhs = np.array([[c.rhs for c in lp.constraints]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LPError, match="^the input's magnitudes are out of range"):
+            solve(lp)
+        with pytest.raises(LPError, match="^the input's magnitudes are out of range"):
+            solve_rhs(lp, rhs)
