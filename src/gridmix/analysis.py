@@ -11,7 +11,12 @@ two a certificate; both test points against rows with the one kernel
 Singular subsystems are detected by batched partial-pivot elimination on
 row-equilibrated matrices with the SINGULAR_TOL pivot threshold;
 equilibration matters because the built-in models mix fraction-scale
-rows with 1e13 g emission rows.
+rows with 1e13 g emission rows. Many subsets meet at one vertex of a
+degenerate region, so the intersection points are deduplicated: two are
+equal when every coordinate is within ROW_TOL * max(1, the largest
+|coordinate| of the pair). Every pair is tested in one (k, k) array, and
+a greedy pass in lexicographic order keeps each point equal to none kept
+before it.
 
 The audit never corrects the published tables silently: every cell that
 disagrees with its own model becomes a ledger item carrying both numbers.
@@ -106,23 +111,31 @@ def _batch_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[:, :, n], ok
 
 
-def _near_any(point: np.ndarray, others) -> bool:
-    """Whether *point* equals one of *others*: every coordinate within
-    ROW_TOL * max(1, the largest |coordinate| of the pair)."""
-    for q in others:
-        span = max(1.0, float(np.max(np.abs(point))), float(np.max(np.abs(q))))
-        if float(np.max(np.abs(point - q))) <= ROW_TOL * span:
-            return True
-    return False
+def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) mask of point equality: a[i] equals b[j] when
+    every coordinate is within ROW_TOL * max(1, the largest |coordinate|
+    of the pair). Each entry takes the same IEEE operations as a test of
+    the one pair."""
+    span = np.maximum(np.maximum(1.0, np.max(np.abs(a), axis=1))[:, None], np.max(np.abs(b), axis=1))
+    return np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2) <= ROW_TOL * span
+
+
+def _near_any(point: np.ndarray, others: list) -> bool:
+    """Whether *point* equals one of *others*, tested against all of them
+    in one ``_near`` call."""
+    return bool(_near(point[None, :], np.asarray(others, dtype=float).reshape(-1, point.size)).any())
 
 
 def _dedup(points: np.ndarray) -> list[int]:
     """Indices of *points* in lexicographic order, skipping each point
-    that ``_near_any`` matches to one already kept."""
+    equal to one already kept. Every pair is compared in one (k, k)
+    ``_near`` array; only the greedy pass is Python."""
+    near = _near(points, points).tolist()
     kept: list[int] = []
-    for idx in np.lexsort(points.T[::-1]) if points.size else ():
-        if not _near_any(points[idx], points[kept]):
-            kept.append(int(idx))
+    for idx in np.lexsort(points.T[::-1]).tolist():
+        row = near[idx]
+        if not any(row[j] for j in kept):
+            kept.append(idx)
     return kept
 
 
@@ -147,11 +160,13 @@ def enumerate_vertices(lp: LinearProgram) -> list[Vertex]:
     points, binding = points[feasible], binding[feasible]
 
     objective = np.asarray(lp.objective)
+    labels = [c.label for c in lp.constraints]
+    coordinates, flags = points.tolist(), binding.tolist()
     vertices = [
         Vertex(
-            point=tuple(float(v) for v in points[i]),
+            point=tuple(coordinates[i]),
             objective=float(points[i] @ objective),
-            binding=frozenset(c.label for c, b in zip(lp.constraints, binding[i]) if b),
+            binding=frozenset(label for label, b in zip(labels, flags[i]) if b),
         )
         for i in _dedup(points)
     ]
@@ -573,7 +588,7 @@ def _audit_table(
         headline_delta=headline,
         classification=_classify(headline),
         point_feasible=check_feasible(lp, point).feasible,
-        point_is_vertex=_near_any(np.asarray(point), (v.point for v in oracle.vertices)),
+        point_is_vertex=_near_any(np.asarray(point), [v.point for v in oracle.vertices]),
         cells=tuple(audited),
         **described,
     )

@@ -85,7 +85,7 @@ __all__ = [
 ]
 
 ROW_TOL = 1e-6       # row check and point equality, relative to max(1, |rhs|) or the point scale
-FEAS_TOL = 1e-7      # phase-1 residual, relative to max(1, largest tableau rhs)
+FEAS_TOL = 1e-7      # phase-1 residual of each row, relative to max(1, |its rhs|)
 PIVOT_TOL = 1e-9     # smallest pivot entry, absolute on equilibrated rows; also the ratio tie band
 OPT_TOL = 1e-9       # entering reduced cost, relative to max(1, largest |reduced cost|)
 STALL_TOL = 1e-12    # smallest decrease below the best objective so far that resets the stall count, relative
@@ -638,15 +638,22 @@ def _two_phase(form: StandardForm, body: np.ndarray) -> list[_Outcome]:
     else:
         phase1_cost = [0.0] * (total - len(artificial)) + [1.0] * len(artificial)
         cost = _priced_cost_row(body, phase1_cost, form.basis)
+        # A basic artificial is its own row's residual, so it is judged
+        # against that row's scale, max(1, |rhs|) in the row's own units as
+        # in check_rows: a row with a huge rhs cannot hide another's. In
+        # equilibrated units that is max(1 / row scale, equilibrated rhs).
+        row_of = {col: r for r, col in enumerate(form.basis) if col in artificial}
+        scales = form.row_scales
+        given = body[:, total:].T.tolist()    # each program's equilibrated rhs, before phase 1 pivots
         phase1 = Tableau(body=body, cost=cost, basis=list(form.basis), ids=ids)
         for tableau, iterations, unbounded in _run_simplex(phase1):
             if unbounded:  # the phase-1 objective is bounded below by zero
                 raise LPError("phase 1 reported unbounded; input is numerically degenerate")
-            cols = tableau.cols
+            rows = [(i, row_of[col]) for i, col in enumerate(tableau.basis) if col in row_of]
             feasible = []
-            columns = zip(tableau.cost[cols:].tolist(), tableau.body[:, cols:].T.tolist())
-            for k, (negated, rhs) in enumerate(columns):
-                if -negated > FEAS_TOL * max(1.0, max(map(abs, rhs))):   # the cost row holds -objective
+            for k, rhs in enumerate(tableau.body[:, tableau.cols:].T.tolist()):
+                b = given[tableau.ids[k]]
+                if any(rhs[i] > FEAS_TOL * max(1.0 / scales[r], b[r]) for i, r in rows):
                     outcomes.append((tableau.ids[k], Status.INFEASIBLE, None, iterations))
                 else:
                     feasible.append(k)
@@ -688,10 +695,11 @@ def solve(lp: LinearProgram) -> Solution:
     """Solve *lp* with the two-phase simplex.
 
     Returns a Solution whose status is Optimal, Infeasible (phase 1 ends
-    with a positive artificial objective), or Unbounded (an improving
-    column has no blocking row in phase 2). Activities, the binding set
-    and the objective are recomputed against the original rows. Arithmetic
-    that overflows the float range raises LPError.
+    with some row's artificial above FEAS_TOL of that row's scale), or
+    Unbounded (an improving column has no blocking row in phase 2).
+    Activities, the binding set and the objective are recomputed against
+    the original rows. Arithmetic that overflows the float range raises
+    LPError.
     """
     form = standardize(lp)
     ((_, status, values, iterations),) = _two_phase(form, form.body.copy())

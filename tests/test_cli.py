@@ -251,6 +251,69 @@ def test_mutated_scenario_files_exit_with_a_documented_code(tmp_path, data):
     assert err.getvalue() == "" or err.getvalue().startswith("gridmix:")
 
 
+# Argv pieces for the property below. --steps only ever takes small or
+# malformed values: the sweep grid is really allocated, and no piece is an
+# abbreviation of --steps that could carry a huge one past this guard.
+NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0", "1e308", "-1e308", "1e999", "2.5e13", "abc", ""]),
+    st.floats().map(repr),
+    st.floats(0.0, 1e15).map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+)
+STEPS = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["nan", "inf", "1e3", "-0", "abc", ""]))
+NAMES = st.sampled_from(["m1_flat_demand", "m4_nuclear", "m0_cost_only", "a1_om_objective", "nope", "missing.json"])
+PARAMS = st.sampled_from(["land_ft2", "budget_usd", "emissions_g", "rooftop_mwh", "speed"])
+ARGV_PIECES = st.one_of(
+    st.tuples(st.just("--format"), st.sampled_from(["text", "json", "csv", "xml"])),
+    st.tuples(st.just("--variant"), st.sampled_from(["as-printed", "table-derived", "bogus"])),
+    st.tuples(st.just("--objective"), st.sampled_from(["lcoe", "om", "emissions", "cost"])),
+    st.tuples(st.just("--base"), NAMES),
+    st.tuples(st.just("--param"), PARAMS),
+    st.tuples(st.sampled_from(["--from", "--to", "--table"]), NUMBERS),
+    st.tuples(st.just("--steps"), STEPS),
+    st.tuples(st.sampled_from(["--oracle", "--strict", "--bogus", "--help"])),
+    st.tuples(NAMES),
+    st.tuples(NUMBERS),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its required arguments most of the time, plus up
+    to three random pieces, in random order."""
+    command = draw(st.sampled_from(["list", "solve", "sweep", "audit", "derive", "bogus"]))
+    pieces = []
+    if command in ("solve", "sweep"):
+        pieces.append((draw(NAMES),))
+    if command == "sweep":
+        pieces += [("--param", draw(PARAMS)), ("--from", draw(NUMBERS)), ("--to", draw(NUMBERS))]
+    pieces = draw(st.permutations(pieces + draw(st.lists(ARGV_PIECES, max_size=3))))
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+def test_argparse_errors_print_usage_and_exit_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--bogus"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage:")
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_any_argv_exits_with_a_documented_code(argv):
+    # argparse reports its own errors (unknown flags, bad choices, missing
+    # or malformed values) with a "usage:" block and exit code 1; every other
+    # failure is one "gridmix..." line.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {0, 1, 2, 3}, argv
+    assert err.getvalue() == "" or err.getvalue().startswith(("gridmix", "usage:")), (argv, err.getvalue())
+
+
 def test_base_requires_file(capsys):
     code, _, err = run(capsys, "solve", "m1_flat_demand", "--base", "m2_period_demand")
     assert code == 1
