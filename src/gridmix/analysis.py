@@ -286,7 +286,7 @@ def sweep(scenario: Scenario, parameter: str, values: list[float]) -> tuple[Swee
     Each point's Solution is the one ``solve`` returns for
     ``compile_scenario(scenario.with_cap(cap, value))``, to the bit, but
     the points share one tableau, with one rhs column each, until their
-    pivots differ.
+    pivots differ. Each point reads its Solution's status once.
     """
     if parameter not in CAP_FIELDS:
         raise KeyError(f"unknown sweep parameter {parameter!r}; known: {', '.join(CAP_FIELDS)}")
@@ -294,15 +294,14 @@ def sweep(scenario: Scenario, parameter: str, values: list[float]) -> tuple[Swee
         return ()
     solutions = solve_rhs(*compile_sweep(scenario, CAP_FIELDS[parameter], values))
     missing = (math.nan,) * len(scenario.sources)
-    return tuple(
-        SweepPoint(
-            value=float(value),
-            status=solution.status,
-            objective=solution.objective_value if solution.is_optimal else math.nan,
-            production=solution.values if solution.is_optimal else missing,
-        )
-        for value, solution in zip(values, solutions)
-    )
+    points = []
+    for value, solution in zip(values, solutions):
+        status = solution.status
+        if status is Status.OPTIMAL:
+            points.append(SweepPoint(float(value), status, solution.objective_value, solution.values))
+        else:
+            points.append(SweepPoint(float(value), status, math.nan, missing))
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------

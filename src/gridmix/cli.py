@@ -34,6 +34,7 @@ from .model import (
 )
 
 CATALOG_DIR_ENV = "GRIDMIX_CATALOG_DIR"
+MAX_STEPS = 1_000_000   # sweep grid points; larger grids are refused before anything is allocated
 
 _EXIT_BY_STATUS = {Status.OPTIMAL: 0, Status.INFEASIBLE: 2, Status.UNBOUNDED: 3}
 
@@ -244,6 +245,8 @@ def _cmd_sweep(args) -> int:
 
     if args.steps < 1:
         raise ScenarioError("--steps must be >= 1")
+    if args.steps > MAX_STEPS:
+        raise ScenarioError(f"--steps must be at most {MAX_STEPS:,}")
     if args.start > args.stop:
         raise ScenarioError("--from must not exceed --to")
     scenario = _resolve_scenario(args.scenario, _VARIANTS[args.variant], None)

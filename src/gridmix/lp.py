@@ -41,11 +41,20 @@ row, its Bland flag (from its own stall count) or its phase-1 verdict
 differs from the lead's; it continues in a block of its own from the same
 state. This is parametric rhs analysis (Bertsimas & Tsitsiklis,
 *Introduction to Linear Optimization*, §5.2): one basis stays optimal over
-an interval of rhs values, so a sweep's grid needs few blocks. The bits
-match ``solve`` because every operation on the tableau is elementwise per
-column (the outer-product update, the priced cost row, the ratios and
-tolerances) and each optimum's activities and objective come from its own
-``@`` and ``np.dot``, exactly as in ``solve``. ``solve`` is the one-column
+an interval of rhs values, so a sweep's grid needs few blocks. A block's
+per-column steps (stall counts, split tests, the phase-1 verdict, reading
+out its points) are whole-array operations; a lone column takes the same
+steps on Python floats. The bits match ``solve`` because every operation
+on the tableau is elementwise per column (the outer-product update, the
+priced cost row, the ratios and tolerances), and the objectives and
+activities of all optimal points come from one stacked product each,
+``np.matmul(P[:, None, :], c[:, None])`` and ``np.matmul(P[:, None, :],
+matrix.T)``: each (1, n) slice goes through the BLAS call of ``solve``'s
+``np.dot(c, x)`` and ``(1, n) @ matrix.T``. A plain 2-D ``P @ matrix.T``
+or ``P @ c`` rounds differently. Two caveats: P must be C-contiguous, or
+numpy skips BLAS and the objective can move by an ulp; and at n = 1
+``np.dot`` is the bare product c*x, -0.0 included, where the stacked form
+gives +0.0, so the objective is that product. ``solve`` is the one-column
 case of the same loop.
 """
 
@@ -57,6 +66,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, wraps
+from itertools import compress
 
 import numpy as np
 
@@ -431,15 +441,15 @@ class Tableau:
     def rows(self) -> int:
         return self.body.shape[0]
 
-    def take(self, picks: list[int]) -> Tableau:
+    def take(self, picks: np.ndarray) -> Tableau:
         """A copy holding only the rhs columns at positions *picks*."""
-        index = [*range(self.cols), *(self.cols + k for k in picks)]
+        index = np.concatenate((np.arange(self.cols), self.cols + picks))
         return Tableau(
             body=self.body[:, index],
             cost=self.cost[index],
             basis=list(self.basis),
             blocked=self.blocked,
-            ids=tuple(self.ids[k] for k in picks),
+            ids=tuple([self.ids[k] for k in picks.tolist()]),
         )
 
 
@@ -539,7 +549,13 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     """
     cols = tableau.cols
     stall_limit = 2 * (tableau.rows + cols)
-    todo = [(tableau, 0, [0] * len(tableau.ids), tableau.cost[cols:].tolist())]
+    # Each block's stall counts and best objectives: arrays for a block of
+    # several columns, whose tests below are elementwise; a lone column
+    # (every plain solve) tests scalars, which round as numpy's arrays do.
+    if len(tableau.ids) == 1:
+        todo = [(tableau, 0, [0], tableau.cost[cols:].tolist())]
+    else:
+        todo = [(tableau, 0, np.zeros(len(tableau.ids), dtype=np.intp), tableau.cost[cols:].copy())]
     done: list[tuple[Tableau, int, bool]] = []
     while todo:
         tableau, iterations, stall, best = todo.pop()
@@ -555,16 +571,12 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
                 break
             row, col = pivot
             if len(stall) > 1:
-                rows = _leaving_rows(tableau, col, bland).tolist()
-                moved = [r != row or (count >= stall_limit) != bland for r, count in zip(rows, stall)]
-                if any(moved):
-                    away = [k for k, m in enumerate(moved) if m]
-                    kept = [k for k, m in enumerate(moved) if not m]
-                    todo.append(
-                        (tableau.take(away), iterations, [stall[k] for k in away], [best[k] for k in away])
-                    )
+                moved = (_leaving_rows(tableau, col, bland) != row) | ((stall >= stall_limit) != bland)
+                if moved.any():
+                    away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
+                    todo.append((tableau.take(away), iterations, stall[away], best[away]))
                     tableau = tableau.take(kept)
-                    stall, best = [stall[k] for k in kept], [best[k] for k in kept]
+                    stall, best = stall[kept], best[kept]
             _apply_pivot(tableau, row, col)
             iterations += 1
             if iterations > MAX_ITER:
@@ -575,16 +587,17 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
             # rises by rounding-level steps would reset the count forever.
             # The cost row holds -objective, so the objective falls where
             # that entry rises.
-            current = tableau.cost[cols:].tolist()
-            if len(current) == 1:   # every plain solve: the same test without comprehensions' ~1 us
-                if current[0] > best[0] + STALL_TOL * max(1.0, abs(best[0])):
-                    stall, best = [0], current
+            if len(stall) == 1:
+                (now,) = tableau.cost[cols:].tolist()
+                if now > best[0] + STALL_TOL * max(1.0, abs(best[0])):
+                    stall, best = [0], [now]
                 else:
                     stall = [stall[0] + 1]
             else:
-                fell = [now > top + STALL_TOL * max(1.0, abs(top)) for now, top in zip(current, best)]
-                stall = [0 if f else count + 1 for f, count in zip(fell, stall)]
-                best = [now if f else top for f, now, top in zip(fell, current, best)]
+                current = tableau.cost[cols:]
+                fell = current > best + STALL_TOL * np.maximum(1.0, np.abs(best))
+                stall = np.where(fell, 0, stall + 1)
+                best = np.where(fell, current, best)
     return done
 
 
@@ -616,19 +629,27 @@ def _drive_out_artificials(tableau: Tableau, artificial: set[int]) -> list[int]:
     return redundant
 
 
-_Outcome = tuple[int, Status, tuple[float, ...] | None, int]   # (rhs column, status, values, iterations)
+# (rhs columns, status, their k points when optimal, iterations): the
+# points are a (k, n) array, or k tuples of Python floats
+_Outcome = tuple[tuple[int, ...], Status, "np.ndarray | Sequence[tuple[float, ...]] | None", int]
 
 
 def _two_phase(form: StandardForm, body: np.ndarray) -> list[_Outcome]:
     """Run both simplex phases on *body*: *form*'s rows with one rhs column
-    per program. Returns one outcome per rhs column, in no fixed order."""
+    per program. Returns one outcome per block of rhs columns that ended
+    alike, in no fixed order.
+
+    Blocks of several columns are judged and read out as whole arrays. A
+    lone column (every plain solve) takes the same steps on Python floats,
+    which cost less than numpy calls at that size and round the same.
+    """
     total = form.column_count
     ids = tuple(range(body.shape[1] - total))
     if not form.basis:
         # Only lower bounds constrain the problem; the minimum sits at the shift.
         if min(form.objective, default=0.0) < 0.0:
-            return [(k, Status.UNBOUNDED, None, 0) for k in ids]
-        return [(k, Status.OPTIMAL, form.shifts, 0) for k in ids]
+            return [(ids, Status.UNBOUNDED, None, 0)]
+        return [(ids, Status.OPTIMAL, [form.shifts] * len(ids), 0)]
 
     outcomes: list[_Outcome] = []
     artificial = set(form.artificial_cols)
@@ -644,23 +665,24 @@ def _two_phase(form: StandardForm, body: np.ndarray) -> list[_Outcome]:
         # equilibrated units that is max(1 / row scale, equilibrated rhs).
         row_of = {col: r for r, col in enumerate(form.basis) if col in artificial}
         scales = form.row_scales
-        given = body[:, total:].T.tolist()    # each program's equilibrated rhs, before phase 1 pivots
+        given = body[:, total:].copy()    # each program's equilibrated rhs, before phase 1 pivots
         phase1 = Tableau(body=body, cost=cost, basis=list(form.basis), ids=ids)
         for tableau, iterations, unbounded in _run_simplex(phase1):
             if unbounded:  # the phase-1 objective is bounded below by zero
                 raise LPError("phase 1 reported unbounded; input is numerically degenerate")
-            rows = [(i, row_of[col]) for i, col in enumerate(tableau.basis) if col in row_of]
-            feasible = []
-            for k, rhs in enumerate(tableau.body[:, tableau.cols:].T.tolist()):
-                b = given[tableau.ids[k]]
-                if any(rhs[i] > FEAS_TOL * max(1.0 / scales[r], b[r]) for i, r in rows):
-                    outcomes.append((tableau.ids[k], Status.INFEASIBLE, None, iterations))
-                else:
-                    feasible.append(k)
-            if not feasible:
-                continue
-            if len(feasible) < len(tableau.ids):
-                tableau = tableau.take(feasible)
+            at = [i for i, col in enumerate(tableau.basis) if col in row_of]
+            of = [row_of[tableau.basis[i]] for i in at]
+            if len(tableau.ids) == 1:
+                rhs, b = tableau.body[:, tableau.cols].tolist(), given[:, tableau.ids[0]].tolist()
+                failed = [any(rhs[i] > FEAS_TOL * max(1.0 / scales[r], b[r]) for i, r in zip(at, of))]
+            else:
+                band = FEAS_TOL * np.maximum(1.0 / np.array(scales)[of, None], given[of][:, tableau.ids])
+                failed = (tableau.body[at, tableau.cols:] > band).any(axis=0).tolist()
+            if any(failed):
+                outcomes.append((tuple(compress(tableau.ids, failed)), Status.INFEASIBLE, None, iterations))
+                if all(failed):
+                    continue
+                tableau = tableau.take(np.flatnonzero(np.logical_not(failed)))
             redundant = _drive_out_artificials(tableau, artificial)
             if redundant:
                 keep = [i for i in range(tableau.rows) if i not in redundant]
@@ -679,14 +701,19 @@ def _two_phase(form: StandardForm, body: np.ndarray) -> list[_Outcome]:
         )
         for tableau, iterations, unbounded in _run_simplex(phase2):
             if unbounded:
-                outcomes += [(k, Status.UNBOUNDED, None, before + iterations) for k in tableau.ids]
+                outcomes.append((tableau.ids, Status.UNBOUNDED, None, before + iterations))
                 continue
-            for k, rhs in zip(tableau.ids, tableau.body[:, tableau.cols:].T.tolist()):
+            # Scatter each column's basic values into its point, then un-shift.
+            if len(tableau.ids) == 1:
                 shifted = [0.0] * total
-                for j, value in zip(tableau.basis, rhs):
+                for j, value in zip(tableau.basis, tableau.body[:, tableau.cols].tolist()):
                     shifted[j] = value
-                values = tuple(v + s for v, s in zip(shifted, form.shifts))
-                outcomes.append((k, Status.OPTIMAL, values, before + iterations))
+                points = [tuple([v + s for v, s in zip(shifted, form.shifts)])]
+            else:
+                points = np.zeros((len(tableau.ids), total))
+                points[:, tableau.basis] = tableau.body[:, tableau.cols:].T
+                points = points[:, : form.var_count] + np.array(form.shifts)
+            outcomes.append((tableau.ids, Status.OPTIMAL, points, before + iterations))
     return outcomes
 
 
@@ -702,8 +729,8 @@ def solve(lp: LinearProgram) -> Solution:
     LPError.
     """
     form = standardize(lp)
-    ((_, status, values, iterations),) = _two_phase(form, form.body.copy())
-    return _build_solution(lp, status, values, iterations)
+    ((_, status, points, iterations),) = _two_phase(form, form.body.copy())
+    return _build_solution(lp, status, None if points is None else points[0], iterations)
 
 
 def _shape(lp: LinearProgram) -> tuple:
@@ -745,8 +772,10 @@ def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
     of *lp* with row i as its rhs.
 
     Rows whose standardized rhs have the same signs share one tableau with
-    one rhs column each. An error that ``solve`` would raise for any row is
-    raised here.
+    one rhs column each. Each finished block comes back as one (k, n) array
+    of points, and one stacked product each gives every optimal point's
+    objective and activities (see the module docstring). An error that
+    ``solve`` would raise for any row is raised here.
     """
     m = len(lp.constraints)
     given = np.asarray(rhs, dtype=float)
@@ -765,26 +794,49 @@ def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
     signs: dict[tuple, list[int]] = {}
     for k, flipped in enumerate(flips.T.tolist()):
         signs.setdefault(tuple(flipped), []).append(k)
-    outcomes: list[_Outcome] = []
+    outcomes: list[tuple] = []   # as _two_phase's, with each block's positions in rhs
     for picks in signs.values():
         form = _standardize(lp, given[:, picks[0]])
         body = np.concatenate((form.body[:, :-1], shifted[:, picks]), axis=1)
-        outcomes += [(picks[k], *outcome) for k, *outcome in _two_phase(form, body)]
+        outcomes += [(np.take(picks, ids), *outcome) for ids, *outcome in _two_phase(form, body)]
 
-    # Each optimum's activities come from its own product, as in solve;
-    # the rest of the row check is elementwise, so one call serves all.
-    optimal = [(k, values) for k, _, values, _ in outcomes if values is not None]
-    checked: dict[int, tuple[list[float], list[bool]]] = {}
-    if optimal:
-        activity = np.concatenate([np.array([values]) @ view.matrix.T for _, values in optimal])
-        at = [k for k, _ in optimal]
-        bounds = np.broadcast_to(view.rhs[m:], (len(at), lp.var_count))
-        rows = Rows(view.matrix, np.concatenate((given[:, at].T, bounds), axis=1), view.sense)
-        _, _, _, binding = _check_activity(rows, activity)
-        checked = dict(zip(at, zip(activity.tolist(), binding.tolist())))
     solutions: list[Solution | None] = [None] * given.shape[1]
-    for k, status, values, iterations in outcomes:
-        solutions[k] = _build_solution(lp, status, values, iterations, checked.get(k))
+    for ids, status, points, iterations in outcomes:
+        if points is None:
+            failed = _build_solution(lp, status, None, iterations)
+            for k in ids.tolist():
+                solutions[k] = failed
+    optimal = [outcome for outcome in outcomes if outcome[2] is not None]
+    if not optimal:
+        return tuple(solutions)
+
+    # One stacked product per quantity, each point's own (1, n) product as
+    # in solve, where a 2-D product would round differently (see above).
+    at = np.concatenate([ids for ids, _, _, _ in optimal])
+    points = np.concatenate([points for _, _, points, _ in optimal])   # C-contiguous, as the products need
+    cost = np.array(lp.objective)
+    if lp.var_count == 1:   # np.dot of one term is the bare product, -0.0 included
+        objective = points[:, 0] * cost[0]
+    else:
+        objective = np.matmul(points[:, None, :], cost[:, None])[:, 0, 0]
+    finite = np.isfinite(objective)
+    if not finite.all():   # a product's overflow raises no floating-point flag
+        raise LPError(f"{_OUT_OF_RANGE} (the objective is {float(objective[~finite][0])})")
+    activity = np.matmul(points[:, None, :], view.matrix.T)[:, 0]
+    bounds = np.broadcast_to(view.rhs[m:], (len(at), lp.var_count))
+    rows = Rows(view.matrix, np.concatenate((given[:, at].T, bounds), axis=1), view.sense)
+    binding = _check_activity(rows, activity)[3]
+    # One binding set per distinct mask, keyed by the mask's bytes; the
+    # bound rows ride along in the key, which keeps it nonempty.
+    keys = binding.view(np.dtype((np.void, binding.shape[1]))).ravel().tolist()
+    labels = [c.label for c in lp.constraints]
+    last = dict(zip(keys, range(len(keys))))    # each distinct key's last point
+    named = {key: frozenset(compress(labels, binding[k].tolist())) for key, k in last.items()}
+    iterations = [count for ids, _, _, count in optimal for _ in range(len(ids))]
+    for k, values, value, activities, key, count in zip(
+        at.tolist(), points.tolist(), objective.tolist(), activity[:, :m].tolist(), keys, iterations
+    ):
+        solutions[k] = Solution(Status.OPTIMAL, tuple(values), value, tuple(activities), named[key], count)
     return tuple(solutions)
 
 
@@ -793,10 +845,7 @@ def _build_solution(
     status: Status,
     values: tuple[float, ...] | None,
     iterations: int,
-    checked: tuple[list[float], list[bool]] | None = None,
 ) -> Solution:
-    """*checked* holds the activities and binding mask of every row of
-    ``lp.rows`` at *values*; they are computed here when it is None."""
     if values is None:
         empty = (0.0,) * lp.var_count
         return Solution(
@@ -810,16 +859,13 @@ def _build_solution(
     objective = lp.objective_at(values)
     if not math.isfinite(objective):   # np.dot's overflow raises no floating-point flag
         raise LPError(f"{_OUT_OF_RANGE} (the objective is {objective})")
-    if checked is None:
-        activity, _, _, binding = check_rows(lp.rows, np.array([values]))
-        checked = activity[0].tolist(), binding[0].tolist()
-    activity, binding = checked
+    activity, _, _, binding = check_rows(lp.rows, np.array([values]))
     return Solution(
         status=status,
         values=values,
         objective_value=objective,
-        activities=tuple(activity[: len(lp.constraints)]),
-        binding=frozenset(c.label for c, b in zip(lp.constraints, binding) if b),
+        activities=tuple(activity[0, : len(lp.constraints)].tolist()),
+        binding=frozenset(c.label for c, b in zip(lp.constraints, binding[0].tolist()) if b),
         iterations=iterations,
     )
 

@@ -251,16 +251,20 @@ def test_mutated_scenario_files_exit_with_a_documented_code(tmp_path, data):
     assert err.getvalue() == "" or err.getvalue().startswith("gridmix:")
 
 
-# Argv pieces for the property below. --steps only ever takes small or
-# malformed values: the sweep grid is really allocated, and no piece is an
-# abbreviation of --steps that could carry a huge one past this guard.
+# Argv pieces for the property below. --steps takes small, malformed or
+# past-the-maximum values: a grid within the maximum is really allocated,
+# and no piece is an abbreviation of --steps that could carry a large one
+# past this guard.
 NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "-0", "1e308", "-1e308", "1e999", "2.5e13", "abc", ""]),
     st.floats().map(repr),
     st.floats(0.0, 1e15).map(repr),
     st.integers(-(10**30), 10**30).map(str),
 )
-STEPS = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["nan", "inf", "1e3", "-0", "abc", ""]))
+STEPS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["nan", "inf", "1e3", "-0", "abc", "", "1000001", str(10**12), str(10**30)]),
+)
 NAMES = st.sampled_from(["m1_flat_demand", "m4_nuclear", "m0_cost_only", "a1_om_objective", "nope", "missing.json"])
 PARAMS = st.sampled_from(["land_ft2", "budget_usd", "emissions_g", "rooftop_mwh", "speed"])
 ARGV_PIECES = st.one_of(
@@ -396,6 +400,16 @@ def test_sweep_invalid_range(capsys):
     )
     assert code == 1
     assert "--from" in err
+
+
+@pytest.mark.parametrize("steps", [cli.MAX_STEPS + 1, 10**12])
+def test_sweep_refuses_steps_past_the_maximum(capsys, steps):
+    code, out, err = run(
+        capsys, "sweep", "m1_flat_demand", "--param", "emissions_g",
+        "--from", "1", "--to", "2", "--steps", str(steps),
+    )
+    assert code == 1 and out == ""
+    assert err == f"gridmix: error: --steps must be at most {cli.MAX_STEPS:,}\n"
 
 
 def test_sweep_unknown_param(capsys):

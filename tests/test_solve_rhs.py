@@ -15,7 +15,7 @@ import pytest
 
 from gridmix.analysis import sweep
 from gridmix.catalog import CATALOG_NAMES, PUBLISHED, get_scenario
-from gridmix.lp import Constraint, LinearProgram, Relation, Sense, Status, ValidationError, solve, solve_rhs
+from gridmix.lp import Constraint, LinearProgram, Relation, Sense, Status, ValidationError, solve, solve_many, solve_rhs
 from gridmix.model import CAP_FIELDS, CoefficientVariant, ObjectiveMode, ScenarioError, compile_scenario, compile_sweep
 
 from test_solve_many import bits, random_family
@@ -182,3 +182,63 @@ def test_solve_rhs_checks_its_rhs():
     with pytest.raises(ValidationError) as direct:
         Constraint((1.0, 1.0), Relation.GE, math.inf, "floor")
     assert str(raised.value) == str(direct.value)
+
+
+# The benchmark's four long-grid families: each block holds up to 1000
+# columns, so its splits, its phase-1 verdict and its read-out all run on
+# wide arrays.
+LONG_GRIDS = [
+    ("m4_nuclear", CoefficientVariant.AS_PRINTED, "land_cap"),
+    ("m3_shared_space", CoefficientVariant.TABLE_DERIVED, "emissions_cap"),
+    ("m5_geothermal", CoefficientVariant.AS_PRINTED, "budget_cap"),
+    ("m2_period_demand", CoefficientVariant.TABLE_DERIVED, "rooftop_cap"),
+]
+
+
+@pytest.mark.parametrize("name, variant, field", LONG_GRIDS)
+def test_solve_rhs_on_a_1000_point_grid_equals_solve(name, variant, field):
+    scenario = get_scenario(name, variant)
+    cap = getattr(scenario, field)
+    values = [cap * (0.2 + 2.0 * i / 999) for i in range(1000)]
+    solutions = solve_rhs(*compile_sweep(scenario, field, values))
+    assert len(solutions) == len(values)
+    for value, solution in zip(values, solutions):
+        assert bits(solution) == bits(solve(compile_scenario(scenario.with_cap(field, value))))
+
+
+def test_one_variable_optimum_at_zero_keeps_the_objective_sign_of_solve():
+    # max -2x s.t. x <= b: x = 0, and np.dot's bare product -2 * 0.0 is -0.0.
+    def program(b: float) -> LinearProgram:
+        return LinearProgram(Sense.MAXIMIZE, (-2.0,), (Constraint((1.0,), Relation.LE, b, "cap"),), 1)
+
+    grid_rhs = [[1.0 + k] for k in range(30)]
+    solutions = solve_rhs(program(1.0), np.array(grid_rhs))
+    for (b,), solution in zip(grid_rhs, solutions):
+        direct = solve(program(b))
+        assert float.hex(direct.objective_value) == "-0x0.0p+0"
+        assert bits(solution) == bits(direct)
+
+
+def assert_builtin_fields(solution) -> None:
+    assert type(solution.status) is Status and type(solution.iterations) is int
+    assert type(solution.objective_value) is float
+    assert type(solution.values) is tuple and all(type(v) is float for v in solution.values)
+    assert type(solution.activities) is tuple and all(type(a) is float for a in solution.activities)
+    assert type(solution.binding) is frozenset and all(type(label) is str for label in solution.binding)
+
+
+def test_solutions_hold_builtin_types_not_numpy_scalars():
+    rng = random.Random(20261018)
+    families = [random_family(rng, rng.randint(2, 25)) for _ in range(40)]
+    # Only lower bounds: the optimum is the shift itself, or unbounded.
+    for sense, objective in ((Sense.MINIMIZE, (1.0, 0.5)), (Sense.MAXIMIZE, (-1.0, 0.0)), (Sense.MINIMIZE, (1.0, -0.5))):
+        families.append([LinearProgram(sense, objective, (), 2, (lower, 2.0)) for lower in (0.0, 1.5, 3.0)])
+    statuses = set()
+    for family in families:
+        rhs = family_rhs(family).reshape(len(family), len(family[0].constraints))
+        for solution in (*solve_rhs(family[0], rhs), *solve_many(family)):
+            assert_builtin_fields(solution)
+            statuses.add((solution.status, bool(family[0].constraints)))
+    assert statuses == {(status, constrained) for status in Status for constrained in (True, False)} - {
+        (Status.INFEASIBLE, False)
+    }
