@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .model import (
+    PERIOD_NAMES,
     BudgetRates,
     CoefficientVariant,
     DayPeriod,
@@ -154,7 +155,6 @@ def _geothermal(variant: CoefficientVariant) -> EnergySource:
 
 
 def _periods(variant: CoefficientVariant) -> tuple[DayPeriod, ...]:
-    names = ("early_morning", "daytime", "evening")
     return tuple(
         DayPeriod(
             name=name,
@@ -162,7 +162,7 @@ def _periods(variant: CoefficientVariant) -> tuple[DayPeriod, ...]:
             demand_fraction=fraction,
             demand_mwh=PRINTED_PERIOD_RHS[i] if variant is AP else None,
         )
-        for i, (name, hours, fraction) in enumerate(zip(names, PERIOD_HOURS, DEMAND_FRACTIONS))
+        for i, (name, hours, fraction) in enumerate(zip(PERIOD_NAMES, PERIOD_HOURS, DEMAND_FRACTIONS))
     )
 
 
@@ -316,41 +316,24 @@ def _a1(variant: CoefficientVariant) -> Scenario:
             coefficient_variant=variant,
             description="shared-space model under the O&M-only objective (corner-point region)",
         )
-    base = _m3(variant)
-    return Scenario(
+    return replace(
+        _m3(variant),
         name="a1_om_objective",
-        sources=base.sources,
-        annual_need=base.annual_need,
-        demand_mode=base.demand_mode,
-        periods=base.periods,
-        emissions_cap=base.emissions_cap,
-        budget_cap=base.budget_cap,
-        land_cap=base.land_cap,
-        space_mode=base.space_mode,
         objective_mode=ObjectiveMode.OM_ONLY,
-        coefficient_variant=variant,
         description="shared-space model under the O&M-only objective",
     )
 
 
 def _b1(variant: CoefficientVariant) -> Scenario:
-    # Emissions become the objective, so the emissions row drops; the
-    # budget row is priced at full LCOE instead of capital cost.
-    return Scenario(
+    # The shared-space model with emissions as the objective, so the
+    # emissions row drops; the budget row is priced at full LCOE instead of
+    # capital cost.
+    return replace(
+        _m3(variant),
         name="b1_min_emissions",
-        sources=(
-            _wind(variant, early_printed=True),
-            _solar(variant, rooftop=M3_ROOFTOP_OFFSET if variant is AP else ROOFTOP_BOUND),
-        ),
-        annual_need=ANNUAL_NEED,
-        demand_mode=DemandMode.PER_PERIOD,
-        periods=_periods(variant),
-        budget_cap=BUDGET_CAP,
-        land_cap=LAND_CAP,
-        space_mode=SpaceMode.SHARED_LAND,
+        emissions_cap=None,
         objective_mode=ObjectiveMode.EMISSIONS,
         budget_rates=BudgetRates.LCOE,
-        coefficient_variant=variant,
         description="minimize emissions with costs capped at full LCOE pricing",
     )
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .catalog import PUBLISHED
+from .catalog import DEMAND_FRACTIONS, PUBLISHED
+from .model import PERIOD_NAMES
 
 __all__ = [
     "DerivationError",
@@ -190,8 +191,6 @@ _BASELINE_MIX_SWAPPED = [
     (0.0004, 230_000.0),     # biomass at the printed 0.04% label
 ]
 
-_DEMAND_FRACTIONS = {"early_morning": 0.2759, "daytime": 0.5149, "evening": 0.2344}
-
 # Deltas below this threshold are measurement noise; above it they join
 # the delta table.
 _DELTA_FLOOR = 0.0005
@@ -320,7 +319,7 @@ def derive_all() -> DerivedConstants:
         "published construction budget; configured input",
     )
 
-    for period, fraction in _DEMAND_FRACTIONS.items():
+    for period, fraction in zip(PERIOD_NAMES, DEMAND_FRACTIONS):
         value = period_rhs(PUBLISHED["annual_need_mwh"], fraction)
         add(
             f"{period}_rhs_mwh",

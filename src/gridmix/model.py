@@ -101,16 +101,8 @@ class EnergySource:
     min_annual_output: float = 0.0      # MWh per year
 
     def __post_init__(self) -> None:
-        rates = {
-            "lcoe": self.lcoe,
-            "capital_cost": self.capital_cost,
-            "om_cost": self.om_cost,
-            "emissions": self.emissions,
-            "land_use": self.land_use,
-            "rooftop_allowance": self.rooftop_allowance,
-            "min_annual_output": self.min_annual_output,
-        }
-        for label, value in rates.items():
+        for label in _SOURCE_FIELDS.values():
+            value = getattr(self, label)
             if not math.isfinite(value) or value < 0.0:
                 raise ScenarioError(f"source {self.name!r}: {label} must be finite and >= 0")
         if self.period_fractions is not None:
@@ -159,6 +151,25 @@ CAP_FIELDS = {
     "budget_usd": "budget_cap",
     "land_ft2": "land_cap",
     "rooftop_mwh": "rooftop_cap",
+}
+
+# Each numeric source key in a scenario file -> its EnergySource attribute.
+_SOURCE_FIELDS = {
+    "lcoe": "lcoe",
+    "capital_cost": "capital_cost",
+    "om_cost": "om_cost",
+    "emissions_g_per_mwh": "emissions",
+    "land_ft2_per_mwh": "land_use",
+    "rooftop_allowance_mwh": "rooftop_allowance",
+    "min_annual_output_mwh": "min_annual_output",
+}
+
+# Each enum key in a scenario file, also its Scenario attribute -> its Enum.
+_ENUM_FIELDS = {
+    "objective_mode": ObjectiveMode,
+    "coefficient_variant": CoefficientVariant,
+    "demand_mode": DemandMode,
+    "space_mode": SpaceMode,
 }
 
 
@@ -442,34 +453,9 @@ def report(scenario: Scenario, solution: Solution) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 # scenario documents
 
-_TOP_KEYS = {
-    "name",
-    "objective_mode",
-    "coefficient_variant",
-    "annual_need_mwh",
-    "demand_mode",
-    "periods",
-    "sources",
-    "caps",
-    "space_mode",
-}
+_TOP_KEYS = {"name", "annual_need_mwh", "periods", "sources", "caps", *_ENUM_FIELDS}
 _PERIOD_KEYS = {"name", "hours", "demand_fraction"}
-_SOURCE_KEYS = {
-    "name",
-    "lcoe",
-    "capital_cost",
-    "om_cost",
-    "emissions_g_per_mwh",
-    "land_ft2_per_mwh",
-    "rooftop_allowance_mwh",
-    "period_fractions",
-    "min_annual_output_mwh",
-}
-
-_OBJECTIVE_VALUES = {m.value: m for m in ObjectiveMode}
-_DEMAND_VALUES = {m.value: m for m in DemandMode}
-_SPACE_VALUES = {m.value: m for m in SpaceMode}
-_VARIANT_VALUES = {m.value: m for m in CoefficientVariant}
+_SOURCE_KEYS = {"name", "period_fractions", *_SOURCE_FIELDS}
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
@@ -493,12 +479,15 @@ def _number(value, where: str) -> float:
         raise ScenarioFormatError(f"{where}: number out of range") from None
 
 
-def _enum(value, table: dict, where: str):
-    if not isinstance(value, str) or value not in table:
-        raise ScenarioFormatError(
-            f"{where}: expected one of {sorted(table)}, got {value!r}"
-        )
-    return table[value]
+def _number_at(mapping: dict, key: str, where: str) -> float:
+    return _number(_require(mapping, key, where), f"{where}.{key}")
+
+
+def _enum(value, kind: type[Enum], where: str):
+    values = [m.value for m in kind]
+    if not isinstance(value, str) or value not in values:
+        raise ScenarioFormatError(f"{where}: expected one of {sorted(values)}, got {value!r}")
+    return kind(value)
 
 
 def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
@@ -514,13 +503,10 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
     name = _require(doc, "name", where)
     if not isinstance(name, str) or not name:
         raise ScenarioFormatError(f"{where}: name must be a non-empty string")
-    objective = _enum(_require(doc, "objective_mode", where), _OBJECTIVE_VALUES, f"{where}.objective_mode")
-    variant = _enum(
-        _require(doc, "coefficient_variant", where), _VARIANT_VALUES, f"{where}.coefficient_variant"
-    )
-    demand_mode = _enum(_require(doc, "demand_mode", where), _DEMAND_VALUES, f"{where}.demand_mode")
-    space_mode = _enum(_require(doc, "space_mode", where), _SPACE_VALUES, f"{where}.space_mode")
-    annual_need = _number(_require(doc, "annual_need_mwh", where), f"{where}.annual_need_mwh")
+    enums = {
+        key: _enum(_require(doc, key, where), kind, f"{where}.{key}") for key, kind in _ENUM_FIELDS.items()
+    }
+    annual_need = _number_at(doc, "annual_need_mwh", where)
 
     periods_doc = _require(doc, "periods", where)
     if not isinstance(periods_doc, list):
@@ -534,15 +520,15 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
         pname = _require(p, "name", loc)
         if pname not in PERIOD_NAMES:
             raise ScenarioFormatError(f"{loc}.name: expected one of {PERIOD_NAMES}, got {pname!r}")
-        hours = _number(_require(p, "hours", loc), f"{loc}.hours")
+        hours = _number_at(p, "hours", loc)
         if not (math.isfinite(hours) and hours.is_integer()):
             raise ScenarioFormatError(f"{loc}.hours: expected a whole number, got {hours!r}")
-        periods.append(
-            DayPeriod(
-                name=pname,
-                hours=int(hours),
-                demand_fraction=_number(_require(p, "demand_fraction", loc), f"{loc}.demand_fraction"),
-            )
+        periods.append(DayPeriod(pname, int(hours), _number_at(p, "demand_fraction", loc)))
+    # Demand row i reads every source's i-th period fraction.
+    if periods and tuple(p.name for p in periods) != PERIOD_NAMES:
+        raise ScenarioFormatError(
+            f"{where}.periods: expected {', '.join(PERIOD_NAMES)} in that order, "
+            f"got {', '.join(p.name for p in periods)}"
         )
 
     sources_doc = _require(doc, "sources", where)
@@ -560,31 +546,10 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
         sname = _require(s, "name", loc)
         if not isinstance(sname, str) or not sname:
             raise ScenarioFormatError(f"{loc}.name: expected a non-empty string")
+        fractions = tuple(_number(f, f"{loc}.period_fractions[{k}]") for k, f in enumerate(fractions_doc))
+        rates = {attr: _number_at(s, key, loc) for key, attr in _SOURCE_FIELDS.items()}
         try:
-            sources.append(
-                EnergySource(
-                    name=sname,
-                    lcoe=_number(_require(s, "lcoe", loc), f"{loc}.lcoe"),
-                    capital_cost=_number(_require(s, "capital_cost", loc), f"{loc}.capital_cost"),
-                    om_cost=_number(_require(s, "om_cost", loc), f"{loc}.om_cost"),
-                    emissions=_number(
-                        _require(s, "emissions_g_per_mwh", loc), f"{loc}.emissions_g_per_mwh"
-                    ),
-                    land_use=_number(
-                        _require(s, "land_ft2_per_mwh", loc), f"{loc}.land_ft2_per_mwh"
-                    ),
-                    rooftop_allowance=_number(
-                        _require(s, "rooftop_allowance_mwh", loc), f"{loc}.rooftop_allowance_mwh"
-                    ),
-                    period_fractions=tuple(
-                        _number(f, f"{loc}.period_fractions[{k}]")
-                        for k, f in enumerate(fractions_doc)
-                    ),
-                    min_annual_output=_number(
-                        _require(s, "min_annual_output_mwh", loc), f"{loc}.min_annual_output_mwh"
-                    ),
-                )
-            )
+            sources.append(EnergySource(name=sname, period_fractions=fractions, **rates))
         except ScenarioError as exc:
             raise ScenarioFormatError(f"{loc}: {exc}") from exc
 
@@ -607,12 +572,9 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
             name=name,
             sources=tuple(sources),
             annual_need=annual_need,
-            demand_mode=demand_mode,
             periods=tuple(periods),
             **caps,
-            space_mode=space_mode,
-            objective_mode=objective,
-            coefficient_variant=variant,
+            **enums,
         )
     except ScenarioError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
@@ -627,10 +589,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     """
     return {
         "name": scenario.name,
-        "objective_mode": scenario.objective_mode.value,
-        "coefficient_variant": scenario.coefficient_variant.value,
+        **{key: getattr(scenario, key).value for key in _ENUM_FIELDS},
         "annual_need_mwh": scenario.annual_need,
-        "demand_mode": scenario.demand_mode.value,
         "periods": [
             {"name": p.name, "hours": p.hours, "demand_fraction": p.demand_fraction}
             for p in scenario.periods
@@ -638,19 +598,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "sources": [
             {
                 "name": s.name,
-                "lcoe": s.lcoe,
-                "capital_cost": s.capital_cost,
-                "om_cost": s.om_cost,
-                "emissions_g_per_mwh": s.emissions,
-                "land_ft2_per_mwh": s.land_use,
-                "rooftop_allowance_mwh": s.rooftop_allowance,
+                **{key: getattr(s, attr) for key, attr in _SOURCE_FIELDS.items()},
                 "period_fractions": list(s.period_fractions or (0.0, 0.0, 0.0)),
-                "min_annual_output_mwh": s.min_annual_output,
             }
             for s in scenario.sources
         ],
         "caps": {key: getattr(scenario, cap) for key, cap in CAP_FIELDS.items()},
-        "space_mode": scenario.space_mode.value,
     }
 
 

@@ -23,7 +23,10 @@ import pytest
 from gridmix import cli
 from gridmix.catalog import CATALOG_NAMES
 
-GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+ROOT = Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
+# README's scenario-file example, named relative to the repository root.
+EXAMPLE = "tests/data/scenario_example.json"
 
 
 def golden_argvs() -> list[list[str]]:
@@ -62,6 +65,14 @@ def golden_argvs() -> list[list[str]]:
         *(["solve", "m2_period_demand", "--format", fmt] for fmt in ("json", "csv")),
         ["sweep", "m1_flat_demand", "--param", "emissions_g", "--from", "1", "--to", "2e11", "--steps", "7"],
     ]
+    # Added before the scenario-file parser was rebuilt from one field
+    # table: README's example file, alone and as an override of a catalog
+    # scenario.
+    argvs += [
+        ["solve", EXAMPLE, *base, "--format", fmt]
+        for base in ([], ["--base", "m4_nuclear"])
+        for fmt in ("text", "json", "csv")
+    ]
     return argvs
 
 
@@ -84,6 +95,7 @@ def test_golden_covers_the_argv_list(recorded):
 @pytest.mark.parametrize("argv", golden_argvs(), ids=" ".join)
 def test_cli_output_matches_golden(argv, recorded, monkeypatch):
     monkeypatch.delenv(cli.CATALOG_DIR_ENV, raising=False)
+    monkeypatch.chdir(ROOT)
     got = capture(argv)
     assert got["exit"] == recorded[tuple(argv)]["exit"]
     assert got["stdout"] == recorded[tuple(argv)]["stdout"]
@@ -91,6 +103,7 @@ def test_cli_output_matches_golden(argv, recorded, monkeypatch):
 
 if __name__ == "__main__":
     os.environ.pop(cli.CATALOG_DIR_ENV, None)
+    os.chdir(ROOT)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([capture(a) for a in golden_argvs()], indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -1,12 +1,17 @@
 """Scenario model tests: compilation, reporting, and the file format."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmix.catalog import builtin_scenarios, get_scenario
 from gridmix.lp import Relation, Solution, Status, solve
 from gridmix.model import (
+    PERIOD_NAMES,
     CoefficientVariant,
     DayPeriod,
     DemandMode,
@@ -369,13 +374,150 @@ def test_catalog_solves_with_known_exception():
 
 
 def test_scenario_to_dict_round_trips_through_validation():
+    # The file writes absent period fractions as zeros and has no key for
+    # pinned period demand, budget pricing or the description; every other
+    # field comes back equal.
+    fields = (
+        "annual_need", "emissions_cap", "budget_cap", "land_cap", "rooftop_cap",
+        "demand_mode", "space_mode", "objective_mode", "coefficient_variant",
+    )
     for scenario in builtin_scenarios():
         rebuilt = scenario_from_dict(scenario_to_dict(scenario))
         key = (scenario.name, scenario.coefficient_variant)
-        assert rebuilt.annual_need == scenario.annual_need, key
-        assert [s.name for s in rebuilt.sources] == [s.name for s in scenario.sources], key
-        for cap in ("emissions_cap", "budget_cap", "land_cap", "rooftop_cap"):
-            assert getattr(rebuilt, cap) == getattr(scenario, cap), (key, cap)
+        assert rebuilt.name == scenario.name, key
+        for field in fields:
+            assert getattr(rebuilt, field) == getattr(scenario, field), (key, field)
+        assert rebuilt.sources == tuple(
+            replace(s, period_fractions=s.period_fractions or (0.0, 0.0, 0.0)) for s in scenario.sources
+        ), key
+        assert [(p.name, p.hours, p.demand_fraction) for p in rebuilt.periods] == [
+            (p.name, p.hours, p.demand_fraction) for p in scenario.periods
+        ], key
+
+
+RATES = st.floats(0.0, 1e12, allow_subnormal=False)
+SHARES = st.floats(0.0, 1.0, allow_subnormal=False)
+CAPS = st.none() | st.floats(1e-3, 1e15, allow_subnormal=False)
+
+
+@st.composite
+def file_scenarios(draw):
+    """Scenarios whose every field has a key in the scenario file."""
+    names = draw(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=4, unique=True))
+    sources = tuple(
+        EnergySource(
+            name=name,
+            lcoe=draw(RATES),
+            capital_cost=draw(RATES),
+            om_cost=draw(RATES),
+            emissions=draw(RATES),
+            land_use=draw(RATES),
+            rooftop_allowance=draw(RATES),
+            period_fractions=draw(st.tuples(SHARES, SHARES, SHARES)),
+            min_annual_output=draw(RATES),
+        )
+        for name in names
+    )
+    demand_mode = draw(st.sampled_from(DemandMode))
+    periods = ()
+    if demand_mode is DemandMode.PER_PERIOD or draw(st.booleans()):
+        early = draw(st.integers(1, 22))
+        daytime = draw(st.integers(1, 23 - early))
+        hours = (early, daytime, 24 - early - daytime)
+        periods = tuple(DayPeriod(n, h, draw(SHARES)) for n, h in zip(PERIOD_NAMES, hours))
+    return Scenario(
+        name=draw(st.text(min_size=1, max_size=12)),
+        sources=sources,
+        annual_need=draw(st.floats(1e-3, 1e12, allow_subnormal=False)),
+        demand_mode=demand_mode,
+        periods=periods,
+        emissions_cap=draw(CAPS),
+        budget_cap=draw(CAPS),
+        land_cap=draw(CAPS),
+        rooftop_cap=draw(CAPS),
+        space_mode=draw(st.sampled_from(SpaceMode)),
+        objective_mode=draw(st.sampled_from(ObjectiveMode)),
+        coefficient_variant=draw(st.sampled_from(CoefficientVariant)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=file_scenarios())
+def test_every_file_scenario_round_trips_through_json(scenario):
+    text = json.dumps(scenario_to_dict(scenario))
+    assert scenario_from_dict(json.loads(text)) == scenario
+
+
+SOURCE_KEYS = tuple(valid_doc()["sources"][0])
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [(key, bad) for key in SOURCE_KEYS for bad in (MISSING, None, "x") if (key, bad) != ("name", "x")],
+    ids=repr,
+)
+def test_every_source_key_is_named_when_missing_or_malformed(key, bad):
+    doc = valid_doc()
+    if bad is MISSING:
+        del doc["sources"][1][key]
+    else:
+        doc["sources"][1][key] = bad
+    with pytest.raises(ScenarioFormatError, match=key) as caught:
+        scenario_from_dict(doc)
+    assert str(caught.value).startswith("scenario.sources[1]")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: s.update(lcoe="x"), "scenario.sources[0].lcoe: expected a number, got 'x'"),
+        (lambda s: s.pop("om_cost"), "scenario.sources[0]: missing key 'om_cost'"),
+        (lambda s: s.update(period_fractions=[0.1, "y", 0.2]),
+         "scenario.sources[0].period_fractions[1]: expected a number, got 'y'"),
+        (lambda s: s.update(lcoe=-1.0), "scenario.sources[0]: source 'wind': lcoe must be finite and >= 0"),
+    ],
+    ids=["bad value", "missing key", "bad fraction", "out of range"],
+)
+def test_source_errors_give_their_location_once(edit, message):
+    doc = valid_doc()
+    edit(doc["sources"][0])
+    with pytest.raises(ScenarioFormatError) as caught:
+        scenario_from_dict(doc)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("daytime", "early_morning", "evening"),
+        ("early_morning", "evening", "daytime"),
+        ("early_morning", "early_morning", "evening"),
+        ("early_morning", "daytime"),
+        ("daytime",),
+        ("early_morning", "daytime", "evening", "evening"),
+    ],
+)
+@pytest.mark.parametrize("demand_mode", ["per_period", "flat_annual"])
+def test_periods_out_of_order_are_rejected(order, demand_mode):
+    # Row i of the demand block takes each source's i-th period fraction,
+    # so a reordered list would pair a period's requirement with another
+    # period's shares.
+    doc = valid_doc()
+    doc["demand_mode"] = demand_mode
+    by_name = {p["name"]: p for p in doc["periods"]}
+    doc["periods"] = [dict(by_name[name]) for name in order]
+    with pytest.raises(ScenarioFormatError, match=r"^scenario\.periods: "):
+        scenario_from_dict(doc)
+
+
+def test_readme_example_is_the_example_file():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Scenario file format", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    example = Path(__file__).parent / "data" / "scenario_example.json"
+    assert block == example.read_text()
+    assert load_scenario_file(example).name == "my_city"
 
 
 @pytest.mark.parametrize("variant", [AP, TD])
