@@ -35,7 +35,8 @@ import numpy as np
 from . import derivation  # noqa: F401
 from .catalog import get_scenario
 from .lp import (
-    ROW_TOL, Constraint, LinearProgram, LPError, Relation, Sense, Status, check_feasible, check_rows, solve, solve_rhs,
+    ROW_TOL, Constraint, LinearProgram, LPError, Relation, Sense, Status, _solve_block, check_feasible, check_rows,
+    solve,
 )
 from .model import CAP_FIELDS, CoefficientVariant, ObjectiveMode, Scenario, compile_scenario, compile_sweep, tabulate
 
@@ -282,26 +283,27 @@ def sweep(scenario: Scenario, parameter: str, values: list[float]) -> tuple[Swee
 
     The scenario is compiled once: ``compile_sweep`` checks every value as
     ``with_cap`` would and writes each point's rhs with the expressions of
-    ``compile_scenario``, and one ``solve_rhs`` call solves every point.
-    Each point's Solution is the one ``solve`` returns for
-    ``compile_scenario(scenario.with_cap(cap, value))``, to the bit, but
-    the points share one tableau, with one rhs column each, until their
-    pivots differ. Each point reads its Solution's status once.
+    ``compile_scenario``, and one ``lp._solve_block`` call runs the simplex
+    for every point; the points share one tableau, with one rhs column
+    each, until their pivots differ. Each point's status, objective and
+    production are those of the Solution ``solve`` returns for
+    ``compile_scenario(scenario.with_cap(cap, value))``, to the bit, read
+    straight from the solved block's arrays: no Solution, activities or
+    binding set is built per point.
     """
     if parameter not in CAP_FIELDS:
         raise KeyError(f"unknown sweep parameter {parameter!r}; known: {', '.join(CAP_FIELDS)}")
     if not values:
         return ()
-    solutions = solve_rhs(*compile_sweep(scenario, CAP_FIELDS[parameter], values))
-    missing = (math.nan,) * len(scenario.sources)
-    points = []
-    for value, solution in zip(values, solutions):
-        status = solution.status
-        if status is Status.OPTIMAL:
-            points.append(SweepPoint(float(value), status, solution.objective_value, solution.values))
-        else:
-            points.append(SweepPoint(float(value), status, math.nan, missing))
-    return tuple(points)
+    program, rhs = compile_sweep(scenario, CAP_FIELDS[parameter], values)
+    block = _solve_block(program, rhs)
+    objective = np.full(len(values), math.nan)
+    production = np.full((len(values), program.var_count), math.nan)
+    objective[block.at] = block.objective
+    production[block.at] = block.points
+    return tuple(map(
+        SweepPoint, map(float, values), block.status, objective.tolist(), map(tuple, production.tolist())
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -26,36 +26,42 @@ floats round exactly as numpy's. Numpy stays where the order of a sum
 fixes the result: the pivot's outer product, the priced-out cost rows,
 and ``@``/``np.dot`` for activities and objectives.
 
-``solve_rhs`` is the entry point for a block of rhs: it solves one
-program at each row of a (k, m) rhs array, and ``solve_many`` groups a
-batch of programs that differ only in their constraints' rhs into one
+``_solve_block`` is the simplex for a block of rhs: it solves one
+program at each row of a (k, m) rhs array and returns each row's status
+and pivot count, and one (k, n) array of the optimal points with their
+objectives. Two read-outs sit on it: ``solve_rhs`` builds each row's
+Solution, activities and binding set included, and ``analysis.sweep``
+reads its points straight from the arrays. ``solve_many`` groups a batch
+of programs that differ only in their constraints' rhs into one
 ``solve_rhs`` call each, so the rhs shift, equilibration and sign flip
-live in one place. Rows of rhs whose standardized rhs have the same signs
-have the same tableau but for the rhs, so they share one: its body carries
-one rhs column per row, and every pivot updates the whole block. Each pivot
-is chosen by ``pivot_rule`` for the lead (first) column; the others replay
-its ratio test, tie band included, in ``_leaving_rows``. The entering
-column depends only on the cost row and the Bland flag, which all columns
-of a block share, so a column leaves its block only where its leaving
-row, its Bland flag (from its own stall count) or its phase-1 verdict
-differs from the lead's; it continues in a block of its own from the same
-state. This is parametric rhs analysis (Bertsimas & Tsitsiklis,
-*Introduction to Linear Optimization*, §5.2): one basis stays optimal over
-an interval of rhs values, so a sweep's grid needs few blocks. A block's
-per-column steps (stall counts, split tests, the phase-1 verdict, reading
-out its points) are whole-array operations; a lone column takes the same
-steps on Python floats. The bits match ``solve`` because every operation
-on the tableau is elementwise per column (the outer-product update, the
-priced cost row, the ratios and tolerances), and the objectives and
-activities of all optimal points come from one stacked product each,
-``np.matmul(P[:, None, :], c[:, None])`` and ``np.matmul(P[:, None, :],
-matrix.T)``: each (1, n) slice goes through the BLAS call of ``solve``'s
-``np.dot(c, x)`` and ``(1, n) @ matrix.T``. A plain 2-D ``P @ matrix.T``
-or ``P @ c`` rounds differently. Two caveats: P must be C-contiguous, or
-numpy skips BLAS and the objective can move by an ulp; and at n = 1
-``np.dot`` is the bare product c*x, -0.0 included, where the stacked form
-gives +0.0, so the objective is that product. ``solve`` is the one-column
-case of the same loop.
+live in one place. Rows of rhs whose standardized rhs have the same
+signs have the same tableau but for the rhs, so they share one: its body
+carries one rhs column per row, and every pivot updates the whole block.
+The rows are grouped by one packed sign code each (``np.packbits``, any
+m). Each pivot is chosen by ``pivot_rule`` for the lead (first) column;
+the others replay its ratio test, tie band included, in
+``_leaving_rows``. The entering column depends only on the cost row and
+the Bland flag, which all columns of a block share, so a column leaves
+its block only where its leaving row, its Bland flag (from its own stall
+count) or its phase-1 verdict differs from the lead's; it continues in a
+block of its own from the same state. This is parametric rhs analysis
+(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, §5.2):
+one basis stays optimal over an interval of rhs values, so a sweep's
+grid needs few blocks. A block's per-column steps (stall counts, split
+tests, the phase-1 verdict, reading out its points) are whole-array
+operations; a lone column takes the same steps on Python floats. The
+bits match ``solve`` because every operation on the tableau is
+elementwise per column (the outer-product update, the priced cost row,
+the ratios and tolerances), and the objectives and activities of all
+optimal points come from one stacked product each,
+``np.matmul(P[:, None, :], c[:, None])`` and
+``np.matmul(P[:, None, :], matrix.T)``: each (1, n) slice goes through
+the BLAS call of ``solve``'s ``np.dot(c, x)`` and ``(1, n) @ matrix.T``.
+A plain 2-D ``P @ matrix.T`` or ``P @ c`` rounds differently. Two
+caveats: P must be C-contiguous, or numpy skips BLAS and the objective
+can move by an ulp; and at n = 1 ``np.dot`` is the bare product c*x,
+-0.0 included, where the stacked form gives +0.0, so the objective is
+that product. ``solve`` is the one-column case of the same loop.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -765,17 +772,25 @@ def solve_many(programs: Sequence[LinearProgram]) -> tuple[Solution, ...]:
     return tuple(solutions)
 
 
-@_in_float_range
-def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
-    """Solve *lp* once for each row of *rhs*, a (k, m) array that takes the
-    place of its constraints' rhs. Solution i equals, to the bit, ``solve``
-    of *lp* with row i as its rhs.
+class _Block(NamedTuple):
+    """``_solve_block``'s answer for a (k, m) rhs."""
 
-    Rows whose standardized rhs have the same signs share one tableau with
-    one rhs column each. Each finished block comes back as one (k, n) array
-    of points, and one stacked product each gives every optimal point's
-    objective and activities (see the module docstring). An error that
-    ``solve`` would raise for any row is raised here.
+    status: list[Status]        # each row's status
+    iterations: list[int]       # each row's pivots, both phases
+    at: np.ndarray              # the optimal rows, in the order of the two arrays below
+    points: np.ndarray          # (len(at), n) C-contiguous: each optimal row's point
+    objective: np.ndarray       # (len(at),) each point's objective, to the bit of solve's
+
+
+@_in_float_range
+def _solve_block(lp: LinearProgram, rhs: np.ndarray) -> _Block:
+    """The simplex of ``solve_rhs`` without its read-out: every row's
+    status and pivot count, and the points and objectives of the optimal
+    rows. Raises what ``solve_rhs`` raises, objective overflow included.
+
+    Rows whose standardized rhs have the same signs share one tableau; a
+    row's signs are packed into one code of ceil(m / 8) bytes, and one
+    stable sort of the codes groups the rows in order of first appearance.
     """
     m = len(lp.constraints)
     given = np.asarray(rhs, dtype=float)
@@ -784,6 +799,7 @@ def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
     finite = np.isfinite(given).all(axis=0).tolist()
     if not all(finite):
         raise ValidationError(f"constraint {lp.constraints[finite.index(False)].label!r}: rhs is not finite")
+    k = len(given)
     given = given.T
     view = lp.rows
     # standardize's rhs of every row at once: shifted, equilibrated, flipped to >= 0
@@ -791,29 +807,32 @@ def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
     shifted = (given - (view.matrix[:m] @ view.rhs[m:])[:, None]) / scales[:, None]
     flips = shifted < 0.0
     shifted = np.where(flips, -shifted, shifted)
-    signs: dict[tuple, list[int]] = {}
-    for k, flipped in enumerate(flips.T.tolist()):
-        signs.setdefault(tuple(flipped), []).append(k)
-    outcomes: list[tuple] = []   # as _two_phase's, with each block's positions in rhs
-    for picks in signs.values():
+    codes = np.packbits(flips, axis=0)          # (ceil(m / 8), k): column j is row j's sign code
+    order = np.lexsort(codes) if m else np.arange(k)   # stable: each group's rows ascend
+    ordered = codes[:, order]
+    cuts = (np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1).tolist()
+    starts = [0, *cuts] if k else []
+    groups = sorted((order[a:b] for a, b in zip(starts, [*cuts, k])), key=lambda picks: picks[0])
+
+    status = np.empty(k, dtype=object)
+    iterations = np.zeros(k, dtype=int)
+    found = [np.zeros(0, dtype=int)]               # the optimal rows of each block ...
+    points = [np.zeros((0, lp.var_count))]         # ... and their points
+    for picks in groups:
         form = _standardize(lp, given[:, picks[0]])
         body = np.concatenate((form.body[:, :-1], shifted[:, picks]), axis=1)
-        outcomes += [(np.take(picks, ids), *outcome) for ids, *outcome in _two_phase(form, body)]
+        for ids, outcome, block_points, count in _two_phase(form, body):
+            at = np.take(picks, ids)
+            status[at] = outcome
+            iterations[at] = count
+            if block_points is not None:
+                found.append(at)
+                points.append(block_points)
 
-    solutions: list[Solution | None] = [None] * given.shape[1]
-    for ids, status, points, iterations in outcomes:
-        if points is None:
-            failed = _build_solution(lp, status, None, iterations)
-            for k in ids.tolist():
-                solutions[k] = failed
-    optimal = [outcome for outcome in outcomes if outcome[2] is not None]
-    if not optimal:
-        return tuple(solutions)
-
-    # One stacked product per quantity, each point's own (1, n) product as
-    # in solve, where a 2-D product would round differently (see above).
-    at = np.concatenate([ids for ids, _, _, _ in optimal])
-    points = np.concatenate([points for _, _, points, _ in optimal])   # C-contiguous, as the products need
+    # One stacked product, each point's own (1, n) product as in solve,
+    # where a 2-D product would round differently (see above).
+    at = np.concatenate(found)
+    points = np.concatenate(points)   # C-contiguous, as the product needs
     cost = np.array(lp.objective)
     if lp.var_count == 1:   # np.dot of one term is the bare product, -0.0 included
         objective = points[:, 0] * cost[0]
@@ -822,9 +841,30 @@ def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
     finite = np.isfinite(objective)
     if not finite.all():   # a product's overflow raises no floating-point flag
         raise LPError(f"{_OUT_OF_RANGE} (the objective is {float(objective[~finite][0])})")
+    return _Block(status.tolist(), iterations.tolist(), at, points, objective)
+
+
+@_in_float_range
+def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
+    """Solve *lp* once for each row of *rhs*, a (k, m) array that takes the
+    place of its constraints' rhs. Solution i equals, to the bit, ``solve``
+    of *lp* with row i as its rhs.
+
+    ``_solve_block`` runs the simplex; this adds the optimal points'
+    activities, from one stacked product (see the module docstring), and
+    their binding sets. An error that ``solve`` would raise for any row is
+    raised here.
+    """
+    status, iterations, at, points, objective = _solve_block(lp, rhs)
+    solutions = [
+        None if outcome is Status.OPTIMAL else _build_solution(lp, outcome, None, count)
+        for outcome, count in zip(status, iterations)
+    ]
+    m = len(lp.constraints)
+    view = lp.rows
     activity = np.matmul(points[:, None, :], view.matrix.T)[:, 0]
     bounds = np.broadcast_to(view.rhs[m:], (len(at), lp.var_count))
-    rows = Rows(view.matrix, np.concatenate((given[:, at].T, bounds), axis=1), view.sense)
+    rows = Rows(view.matrix, np.concatenate((np.asarray(rhs, dtype=float)[at], bounds), axis=1), view.sense)
     binding = _check_activity(rows, activity)[3]
     # One binding set per distinct mask, keyed by the mask's bytes; the
     # bound rows ride along in the key, which keeps it nonempty.
@@ -832,11 +872,10 @@ def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
     labels = [c.label for c in lp.constraints]
     last = dict(zip(keys, range(len(keys))))    # each distinct key's last point
     named = {key: frozenset(compress(labels, binding[k].tolist())) for key, k in last.items()}
-    iterations = [count for ids, _, _, count in optimal for _ in range(len(ids))]
-    for k, values, value, activities, key, count in zip(
-        at.tolist(), points.tolist(), objective.tolist(), activity[:, :m].tolist(), keys, iterations
+    for k, values, value, activities, key in zip(
+        at.tolist(), points.tolist(), objective.tolist(), activity[:, :m].tolist(), keys
     ):
-        solutions[k] = Solution(Status.OPTIMAL, tuple(values), value, tuple(activities), named[key], count)
+        solutions[k] = Solution(Status.OPTIMAL, tuple(values), value, tuple(activities), named[key], iterations[k])
     return tuple(solutions)
 
 

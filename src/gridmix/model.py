@@ -101,10 +101,7 @@ class EnergySource:
     min_annual_output: float = 0.0      # MWh per year
 
     def __post_init__(self) -> None:
-        for label in _SOURCE_FIELDS.values():
-            value = getattr(self, label)
-            if not math.isfinite(value) or value < 0.0:
-                raise ScenarioError(f"source {self.name!r}: {label} must be finite and >= 0")
+        _check_rates({label: getattr(self, label) for label in _SOURCE_FIELDS.values()}, f"source {self.name!r}")
         if self.period_fractions is not None:
             if len(self.period_fractions) != 3:
                 raise ScenarioError(f"source {self.name!r}: period_fractions needs 3 entries")
@@ -163,6 +160,14 @@ _SOURCE_FIELDS = {
     "rooftop_allowance_mwh": "rooftop_allowance",
     "min_annual_output_mwh": "min_annual_output",
 }
+
+
+def _check_rates(rates: dict[str, float], where: str, error: type[ScenarioError] = ScenarioError) -> None:
+    """Raise *error* naming the first of *rates* that is not finite and >= 0."""
+    for name, value in rates.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise error(f"{where}: {name} must be finite and >= 0")
+
 
 # Each enum key in a scenario file, also its Scenario attribute -> its Enum.
 _ENUM_FIELDS = {
@@ -234,13 +239,32 @@ def compile_scenario(scenario: Scenario) -> LinearProgram:
     return _compile(scenario)[0]
 
 
-# A capped row: its index, the Scenario cap attribute it reads, and its rhs
-# as a function of that cap's value.
-_CapRow = tuple[int, str, Callable[[float], float]]
+# A capped row: its index, its label, the Scenario cap attribute it reads,
+# and its rhs as a function of that cap: of one value, or elementwise of an
+# array of values.
+_CapRow = tuple[int, str, str, Callable]
 
 
-def _same(cap: float) -> float:
+def _same(cap):
     return cap
+
+
+def _rhs_of(scenario_name: str, row: _CapRow, caps):
+    """Capped *row*'s rhs at *caps*, one cap value or an array of them.
+    Raises ScenarioError at the first cap whose rhs is past the float range."""
+    _, label, cap_name, rhs_at = row
+    if isinstance(caps, np.ndarray):
+        with np.errstate(over="ignore"):
+            rhs = rhs_at(caps)
+        past = caps[~np.isfinite(rhs)].tolist()
+    else:
+        rhs = float(rhs_at(caps))
+        past = [] if math.isfinite(rhs) else [caps]
+    if past:
+        raise ScenarioError(
+            f"scenario {scenario_name!r}: {cap_name} {past[0]!r} puts the rhs of row {label!r} past the float range"
+        )
+    return rhs
 
 
 def _compile(scenario: Scenario) -> tuple[LinearProgram, list[_CapRow]]:
@@ -254,9 +278,9 @@ def _compile(scenario: Scenario) -> tuple[LinearProgram, list[_CapRow]]:
     constraints: list[Constraint] = []
     capped: list[_CapRow] = []
 
-    def cap_row(cap_name: str, rhs_of: Callable[[float], float], coefficients, label: str, unit: str) -> None:
-        capped.append((len(constraints), cap_name, rhs_of))
-        rhs = rhs_of(getattr(scenario, cap_name))
+    def cap_row(cap_name: str, rhs_at: Callable, coefficients, label: str, unit: str) -> None:
+        capped.append((len(constraints), label, cap_name, rhs_at))
+        rhs = _rhs_of(scenario.name, capped[-1], getattr(scenario, cap_name))
         constraints.append(Constraint(tuple(coefficients), Relation.LE, rhs, label, ROW_UNITS[unit]))
 
     if scenario.demand_mode is DemandMode.FLAT_ANNUAL:
@@ -309,13 +333,13 @@ def _compile(scenario: Scenario) -> tuple[LinearProgram, list[_CapRow]]:
                     raise ScenarioError(
                         f"scenario {scenario.name!r}: rooftop source {s.name!r} needs a rooftop cap"
                     )
-                cap_name, rhs_of = "rooftop_cap", _same
+                cap_name, rhs_at = "rooftop_cap", _same
             elif s.land_use > 0.0 and scenario.land_cap is not None:
-                cap_name, rhs_of = "land_cap", lambda cap, rate=s.land_use: math.floor(cap / rate)
+                cap_name, rhs_at = "land_cap", lambda cap, rate=s.land_use: np.floor(cap / rate)
             else:
                 continue
             coeffs = (1.0 if k == j else 0.0 for k in range(n))
-            cap_row(cap_name, rhs_of, coeffs, f"space_{s.name}", "space_bound")
+            cap_row(cap_name, rhs_at, coeffs, f"space_{s.name}", "space_bound")
     else:
         if scenario.land_cap is None:
             raise ScenarioError(
@@ -341,19 +365,26 @@ def compile_sweep(scenario: Scenario, cap_name: str, values: Sequence[float]) ->
     Returns the program of ``scenario.with_cap(cap_name, values[0])`` and a
     (len(values), m) array whose row i holds, to the bit, the constraints'
     rhs that ``compile_scenario(scenario.with_cap(cap_name, values[i]))``
-    writes; ``lp.solve_rhs`` solves the program at every row. Each value
-    is checked, and an error raised, as ``with_cap`` would.
+    writes; ``lp.solve_rhs`` solves the program at every row. The values
+    are checked and the rhs written as whole arrays. The first value that
+    ``with_cap`` would refuse raises its ScenarioError, and the first that
+    puts a rhs past the float range raises ``compile_scenario``'s, before
+    anything is solved.
     """
     if len(values) == 0:
         raise ScenarioError(f"scenario {scenario.name!r}: no {cap_name} values to sweep")
     program, capped = _compile(scenario.with_cap(cap_name, values[0]))
-    for value in values:
-        _check_cap(scenario.name, cap_name, value)
+    caps = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore"):   # nan compares false
+        bad = np.flatnonzero(~(np.isfinite(caps) & (caps > 0.0)))
+    if len(bad):
+        _check_cap(scenario.name, cap_name, float(caps[bad[0]]))   # raises
     m = len(program.constraints)
-    rhs = np.tile(program.rows.rhs[:m], (len(values), 1))
-    for row, name, rhs_of in capped:
+    rhs = np.tile(program.rows.rhs[:m], (len(caps), 1))
+    for row in capped:
+        index, _, name, _ = row
         if name == cap_name:
-            rhs[:, row] = np.array([rhs_of(value) for value in values], dtype=float)
+            rhs[:, index] = _rhs_of(scenario.name, row, caps)
     return program, rhs
 
 
@@ -523,7 +554,11 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
         hours = _number_at(p, "hours", loc)
         if not (math.isfinite(hours) and hours.is_integer()):
             raise ScenarioFormatError(f"{loc}.hours: expected a whole number, got {hours!r}")
-        periods.append(DayPeriod(pname, int(hours), _number_at(p, "demand_fraction", loc)))
+        fraction = _number_at(p, "demand_fraction", loc)
+        try:
+            periods.append(DayPeriod(pname, int(hours), fraction))
+        except ScenarioError as exc:
+            raise ScenarioFormatError(f"{loc}: {exc}") from exc
     # Demand row i reads every source's i-th period fraction.
     if periods and tuple(p.name for p in periods) != PERIOD_NAMES:
         raise ScenarioFormatError(
@@ -547,7 +582,9 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
         if not isinstance(sname, str) or not sname:
             raise ScenarioFormatError(f"{loc}.name: expected a non-empty string")
         fractions = tuple(_number(f, f"{loc}.period_fractions[{k}]") for k, f in enumerate(fractions_doc))
-        rates = {attr: _number_at(s, key, loc) for key, attr in _SOURCE_FIELDS.items()}
+        rates = {key: _number_at(s, key, loc) for key in _SOURCE_FIELDS}
+        _check_rates(rates, f"{loc}: source {sname!r}", ScenarioFormatError)
+        rates = {attr: rates[key] for key, attr in _SOURCE_FIELDS.items()}
         try:
             sources.append(EnergySource(name=sname, period_fractions=fractions, **rates))
         except ScenarioError as exc:

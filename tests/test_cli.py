@@ -542,3 +542,25 @@ def test_package_reexports_resolve_lazily():
     assert all(hasattr(gridmix, name) for name in gridmix.__all__)
     with pytest.raises(AttributeError):
         gridmix.no_such_name
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve"], ["sweep", "--param", "land_ft2", "--from", "1e300", "--to", "1e308", "--steps", "2"]],
+    ids=["solve", "sweep"],
+)
+def test_a_land_bound_past_the_float_range_exits_one_without_a_traceback(tmp_path, capsys, command):
+    # floor(1e308 / 1e-3) is past the float range: the separate land bound
+    # of every source.
+    doc = scenario_to_dict(get_scenario("m1_flat_demand"))
+    for source in doc["sources"]:
+        source["land_ft2_per_mwh"] = 1e-3
+    doc["caps"]["land_ft2"] = 1e308
+    path = tmp_path / "huge_land.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (1, "")
+    assert err == (
+        "gridmix: error: scenario 'm1_flat_demand': land_cap 1e+308 puts the rhs of row 'space_wind' "
+        "past the float range\n"
+    )

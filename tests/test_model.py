@@ -540,3 +540,44 @@ def test_base_file_that_sets_demand_drops_pinned_period_demand(tmp_path):
     assert all(p.demand_mwh is None for p in scenario.periods)
     demand = [c.rhs for c in compile_scenario(scenario).constraints if c.label.startswith("demand_")]
     assert demand == [base.annual_need * p.demand_fraction for p in base.periods]
+
+
+RATE_KEYS = tuple(key for key in SOURCE_KEYS if key not in ("name", "period_fractions"))
+
+
+@pytest.mark.parametrize("key", RATE_KEYS)
+@pytest.mark.parametrize("bad", [-1.0, -1e-300])
+def test_a_source_range_error_names_the_file_key(key, bad):
+    doc = valid_doc()
+    doc["sources"][0][key] = bad
+    with pytest.raises(ScenarioFormatError) as caught:
+        scenario_from_dict(doc, where="f.json")
+    assert str(caught.value) == f"f.json.sources[0]: source 'wind': {key} must be finite and >= 0"
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("hours", 0, "hours must be positive"),
+        ("hours", -7, "hours must be positive"),
+        ("demand_fraction", 1.5, "demand fraction must be in [0, 1]"),
+        ("demand_fraction", -0.1, "demand fraction must be in [0, 1]"),
+    ],
+)
+def test_a_period_range_error_gives_its_location(key, bad, message):
+    doc = valid_doc()
+    doc["periods"][0][key] = bad
+    with pytest.raises(ScenarioFormatError) as caught:
+        scenario_from_dict(doc, where="f.json")
+    assert str(caught.value) == f"f.json.periods[0]: period 'early_morning': {message}"
+
+
+def test_a_land_bound_past_the_float_range_raises_scenario_error():
+    scenario = get_scenario("m1_flat_demand")
+    assert scenario.space_mode is SpaceMode.SEPARATE_BOUNDS
+    tiny = replace(scenario, sources=tuple(replace(s, land_use=1e-3) for s in scenario.sources), land_cap=1e308)
+    with pytest.raises(ScenarioError) as caught:
+        compile_scenario(tiny)
+    assert str(caught.value) == (
+        "scenario 'm1_flat_demand': land_cap 1e+308 puts the rhs of row 'space_wind' past the float range"
+    )

@@ -7,15 +7,19 @@ point as a per-point solve would.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+from gridmix import lp as lp_module
 from gridmix.analysis import sweep
 from gridmix.catalog import CATALOG_NAMES, PUBLISHED, get_scenario
-from gridmix.lp import Constraint, LinearProgram, Relation, Sense, Status, ValidationError, solve, solve_many, solve_rhs
+from gridmix.lp import (
+    Constraint, LinearProgram, LPError, Relation, Rows, Sense, Status, ValidationError, solve, solve_many, solve_rhs,
+)
 from gridmix.model import CAP_FIELDS, CoefficientVariant, ObjectiveMode, ScenarioError, compile_scenario, compile_sweep
 
 from test_solve_many import bits, random_family
@@ -242,3 +246,93 @@ def test_solutions_hold_builtin_types_not_numpy_scalars():
     assert statuses == {(status, constrained) for status in Status for constrained in (True, False)} - {
         (Status.INFEASIBLE, False)
     }
+
+
+# ---------------------------------------------------------------------------
+# the solved block: sign codes and the sweep's read-out
+
+
+def test_solve_rhs_on_more_than_64_rows_with_mixed_sign_patterns_equals_solve():
+    # Each of the first 40 points puts its own anchor inside every row, so
+    # it is feasible, and a row's rhs takes the sign of its coefficients'
+    # dot product with the anchor, which differs from point to point. The
+    # points after them copy one of them with a single row's rhs negated,
+    # rows 64-69 included: a sign code that kept only 64 rows would put
+    # such a copy in the tableau of the point it copies.
+    rng = random.Random(20261021)
+    n, m = 3, 70
+    rows = [(tuple(rng.uniform(-1.0, 1.0) for _ in range(n)), rng.choice((Relation.LE, Relation.GE))) for _ in range(m)]
+    given = []
+    for _ in range(40):
+        anchor = [rng.uniform(0.5, 3.0) for _ in range(n)]
+        slack = [rng.uniform(0.0, 0.3) for _ in range(m)]
+        given.append([
+            sum(a * x for a, x in zip(coefficients, anchor)) + (s if relation is Relation.LE else -s)
+            for (coefficients, relation), s in zip(rows, slack)
+        ])
+    for row in (0, 7, 8, 63, 64, 66, 69):
+        for k in (3, 17):
+            copy = list(given[k])
+            copy[row] = -copy[row]
+            given.append(copy)
+
+    def program(rhs: list[float]) -> LinearProgram:
+        constraints = tuple(
+            Constraint(coefficients, relation, b, f"r{i}") for i, ((coefficients, relation), b) in enumerate(zip(rows, rhs))
+        )
+        return LinearProgram(Sense.MINIMIZE, (1.0, 2.0, 0.5), constraints, n)
+
+    rhs = np.array(given)
+    patterns = {tuple(signs) for signs in (rhs < 0.0).tolist()}
+    assert len(patterns) > 40 and len({p[64:] for p in patterns}) > 1
+    solutions = solve_rhs(program(given[0]), rhs)
+    for point, solution in zip(given, solutions):
+        assert bits(solution) == bits(solve(program(point)))
+    statuses = [s.status for s in solutions]
+    assert statuses.count(Status.OPTIMAL) >= 40 and Status.INFEASIBLE in statuses
+
+
+def test_sweep_points_hold_builtin_types_not_numpy_scalars():
+    statuses = set()
+    for scenario, field in catalog_caps():
+        parameter = next(key for key, name in CAP_FIELDS.items() if name == field)
+        for point in sweep(scenario, parameter, grid(getattr(scenario, field) or DEFAULT_CAPS[field])):
+            assert type(point.value) is float and type(point.status) is Status
+            assert type(point.objective) is float
+            assert type(point.production) is tuple and all(type(v) is float for v in point.production)
+            assert len(point.production) == len(scenario.sources)
+            if point.status is not Status.OPTIMAL:
+                assert math.isnan(point.objective) and all(map(math.isnan, point.production))
+            statuses.add(point.status)
+    assert statuses == {Status.OPTIMAL, Status.INFEASIBLE}
+
+
+def test_compiled_rows_raise_nothing_from_the_binding_test_a_sweep_skips():
+    # solve_rhs adds binding sets that a sweep never builds. Only an = row
+    # can raise there: its sense 0 times an activity past the float range
+    # is 0 * inf. Every compiled program, swept caps included, has <= and
+    # >= rows only, so a sweep drops no error by skipping them.
+    for scenario, field in catalog_caps():
+        for mode in ObjectiveMode:
+            values = [getattr(scenario, field) or DEFAULT_CAPS[field]]
+            program, _ = compile_sweep(scenario.with_objective(mode), field, values)
+            assert {c.relation for c in program.constraints} <= {Relation.LE, Relation.GE}
+    rhs = np.array([[1.0, 1e300]])
+    activity = np.array([[math.inf, math.inf]])
+    with np.errstate(all="raise"):
+        satisfied = lp_module._check_activity(Rows(np.eye(2), rhs, np.array([-1.0, 1.0])), activity)[2]
+        assert satisfied.tolist() == [[True, False]]
+        with pytest.raises(FloatingPointError):
+            lp_module._check_activity(Rows(np.eye(2), rhs, np.array([0.0, 1.0])), activity)
+
+
+def test_sweep_raises_lp_error_when_an_objective_overflows():
+    scenario = get_scenario("m4_nuclear")
+    wind = dataclasses.replace(scenario.sources[0], lcoe=1e308)
+    huge = dataclasses.replace(scenario, sources=(wind, *scenario.sources[1:]))
+    values = grid(scenario.land_cap)
+    with pytest.raises(LPError, match="^the input's magnitudes are out of range") as swept:
+        sweep(huge, "land_ft2", values)
+    with pytest.raises(LPError) as solved:
+        solve_rhs(*compile_sweep(huge, "land_cap", values))
+    assert str(swept.value) == str(solved.value)
