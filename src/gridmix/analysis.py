@@ -24,6 +24,7 @@ disagrees with its own model becomes a ledger item carrying both numbers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,28 +89,38 @@ class OracleResult:
 
 
 def _batch_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a (K, n, n) batch of square systems by Gauss-Jordan with
-    partial pivoting; returns solutions and a nonsingular mask."""
+    """Solve a (K, n, n) float64 batch of square systems by Gauss-Jordan
+    with partial pivoting; returns solutions and a nonsingular mask."""
     k, n, _ = a.shape
-    m = np.concatenate([a.astype(float), b.astype(float)[..., None]], axis=2)
-    scale = np.max(np.abs(m[:, :, :n]), axis=2)
-    ok = np.all(scale > 0.0, axis=1)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    m /= scale[:, :, None]
+    m = np.concatenate([a, b[..., None]], axis=2)
+    scale = np.abs(a).max(axis=2)
+    nonzero = scale > 0.0
+    ok = nonzero.all(axis=1)
+    m /= np.where(nonzero, scale, 1.0)[:, :, None]
     rows = np.arange(k)
     for col in range(n):
-        pivot_row = np.argmax(np.abs(m[:, col:, col]), axis=1) + col
-        swap = m[rows, pivot_row].copy()
-        m[rows, pivot_row] = m[rows, col]
-        m[rows, col] = swap
+        if col < n - 1:     # a search over the last row alone picks that row
+            pivot_row = np.abs(m[:, col:, col]).argmax(axis=1) + col
+            swap = m[rows, pivot_row]
+            m[rows, pivot_row] = m[:, col]
+            m[:, col] = swap
         pivots = m[:, col, col]
-        ok &= np.abs(pivots) > SINGULAR_TOL
-        safe = np.where(np.abs(pivots) > SINGULAR_TOL, pivots, 1.0)
-        m[:, col, :] /= safe[:, None]
+        usable = np.abs(pivots) > SINGULAR_TOL
+        ok &= usable
+        m[:, col, :] /= np.where(usable, pivots, 1.0)[:, None]
         factors = m[:, :, col].copy()
         factors[:, col] = 0.0
         m -= factors[:, :, None] * m[:, col : col + 1, :]
     return m[:, :, n], ok
+
+
+@functools.cache
+def _subsets(row_count: int, n: int) -> np.ndarray:
+    """Every n-subset of range(row_count) as one read-only (C(row_count, n), n)
+    index array in ``itertools.combinations`` order, built once per (row_count, n)."""
+    index = np.array(list(itertools.combinations(range(row_count), n)), dtype=np.intp).reshape(-1, n)
+    index.flags.writeable = False
+    return index
 
 
 def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,8 +128,8 @@ def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     every coordinate is within ROW_TOL * max(1, the largest |coordinate|
     of the pair). Each entry takes the same IEEE operations as a test of
     the one pair."""
-    span = np.maximum(np.maximum(1.0, np.max(np.abs(a), axis=1))[:, None], np.max(np.abs(b), axis=1))
-    return np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2) <= ROW_TOL * span
+    span = np.maximum(np.maximum(1.0, np.abs(a).max(axis=1))[:, None], np.abs(b).max(axis=1))
+    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2) <= ROW_TOL * span
 
 
 def _near_any(point: np.ndarray, others: list) -> bool:
@@ -150,10 +161,9 @@ def enumerate_vertices(lp: LinearProgram) -> list[Vertex]:
     if n > 4:
         raise UnsupportedSizeError(f"vertex enumeration supports at most 4 variables, got {n}")
     rows = lp.rows
-    combos = list(itertools.combinations(range(len(rows.rhs)), n))
-    if not combos:
+    idx = _subsets(len(rows.rhs), n)
+    if not len(idx):
         return []
-    idx = np.asarray(combos)
     points, ok = _batch_solve(rows.matrix[idx], rows.rhs[idx])
     points = points[ok]
     _, _, satisfied, binding = check_rows(rows, points)
@@ -167,7 +177,7 @@ def enumerate_vertices(lp: LinearProgram) -> list[Vertex]:
         Vertex(
             point=tuple(coordinates[i]),
             objective=float(points[i] @ objective),
-            binding=frozenset(label for label, b in zip(labels, flags[i]) if b),
+            binding=frozenset(itertools.compress(labels, flags[i])),
         )
         for i in _dedup(points)
     ]
@@ -246,6 +256,8 @@ def corner_report(lp: LinearProgram, objectives: list[tuple[str, tuple[float, ..
     and flag the argmin of each; ``shared_argmin`` says whether all
     objectives select the same vertex."""
     vertices = enumerate_vertices(lp)
+    if not vertices:
+        raise LPError("corner_report: the feasible region has no vertex")
     rows = tuple(
         CornerRow(
             point=v.point,
@@ -536,10 +548,10 @@ def _classify(delta: float) -> str:
     return "discrepancy"
 
 
-def _recompute_cell(cell: _RefCell, scenario: Scenario, point: tuple[float, ...]) -> float:
+def _recompute_cell(cell: _RefCell, lp: LinearProgram, point: tuple[float, ...], table) -> float:
     if cell.kind == "objective_total":
-        return compile_scenario(scenario).objective_at(point)
-    rows, total = tabulate(scenario, point)
+        return lp.objective_at(point)
+    rows, total = table
     row = rows[cell.source]
     if cell.kind == "production":
         return row.annual
@@ -557,18 +569,17 @@ def _recompute_cell(cell: _RefCell, scenario: Scenario, point: tuple[float, ...]
 
 
 def _audit_table(
-    scenario: Scenario,
+    lp: LinearProgram,
     point: tuple[float, ...],
     printed_objective: float,
     cells: list[tuple[str, float, float]],
     **described,
 ) -> TableAudit:
-    """Audit one printed table against *scenario*: the solver's and the
-    oracle's optimum against *printed_objective*, the printed *point*'s
-    feasibility and vertex membership, and each (label, printed,
-    recomputed) cell. *described* carries the table's id, title,
-    expectation, tolerance, ledger and notes."""
-    lp = compile_scenario(scenario)
+    """Audit one printed table against *lp*, its scenario compiled: the
+    solver's and the oracle's optimum against *printed_objective*, the
+    printed *point*'s feasibility and vertex membership, and each (label,
+    printed, recomputed) cell. *described* carries the scenario's name and
+    the table's id, title, expectation, tolerance, ledger and notes."""
     solution = solve(lp)
     oracle = oracle_solve(lp)
     if solution.is_optimal:
@@ -580,7 +591,6 @@ def _audit_table(
         delta = abs(recomputed - printed) / max(1.0, abs(printed))
         audited.append(CellAudit(label, printed, recomputed, delta, delta > _MATCH))
     return TableAudit(
-        scenario=scenario.name,
         printed_objective=printed_objective,
         solver_status=solution.status,
         solver_objective=solution.objective_value if solution.is_optimal else None,
@@ -597,11 +607,14 @@ def _audit_table(
 
 def _audit_result_table(ref: _RefTable) -> TableAudit:
     scenario = get_scenario(ref.scenario, CoefficientVariant.AS_PRINTED)
+    lp = compile_scenario(scenario)
+    table = tabulate(scenario, ref.point)
     return _audit_table(
-        scenario,
+        lp,
         ref.point,
         ref.objective_total,
-        [(cell.label, cell.printed, _recompute_cell(cell, scenario, ref.point)) for cell in ref.cells],
+        [(cell.label, cell.printed, _recompute_cell(cell, lp, ref.point, table)) for cell in ref.cells],
+        scenario=scenario.name,
         table_id=ref.table_id,
         title=ref.title,
         expected=ref.expected,
@@ -619,13 +632,14 @@ def _audit_corner_table(spec: dict) -> TableAudit:
     scenario = scenario.with_objective(spec["objective"])
     lp = compile_scenario(scenario)
     return _audit_table(
-        scenario,
+        lp,
         CORNER_B,
         spec["b_value"],
         [
             (f"corner {label} value", spec["others"][label], lp.objective_at(corner))
             for label, corner in (("A", CORNER_A), ("D", CORNER_D))
         ],
+        scenario=scenario.name,
         table_id=spec["table_id"],
         title=f"corner-point values under the {spec['objective'].value} objective",
         expected="match",

@@ -17,7 +17,7 @@ from gridmix.analysis import (
     sweep,
 )
 from gridmix.catalog import builtin_scenarios, get_scenario
-from gridmix.lp import Constraint, LinearProgram, Relation, Sense, Status, solve
+from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Status, solve
 from gridmix.model import CoefficientVariant, compile_scenario
 
 AP = CoefficientVariant.AS_PRINTED
@@ -137,6 +137,18 @@ def test_corner_report_zero_objective_ties():
     rep = corner_report(lp, [("zero", (0.0, 0.0))])
     assert all(row.values["zero"] == 0.0 for row in rep.rows)
     assert rep.shared_argmin
+
+
+def test_corner_report_without_a_vertex_raises_lp_error():
+    # min x1 + x2 s.t. x1 + x2 <= -1 over x >= 0: the region is empty.
+    lp = LinearProgram(
+        sense=Sense.MINIMIZE,
+        objective=(1.0, 1.0),
+        constraints=(Constraint((1.0, 1.0), Relation.LE, -1.0, "c"),),
+        var_count=2,
+    )
+    with pytest.raises(LPError, match="no vertex"):
+        corner_report(lp, [("cost", (1.0, 1.0))])
 
 
 def test_corner_report_table_derived_keeps_shared_argmin():
