@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,7 +290,7 @@ class SweepPoint:
     production: tuple[float, ...]
 
 
-def sweep(scenario: Scenario, parameter: str, values: list[float]) -> tuple[SweepPoint, ...]:
+def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> tuple[SweepPoint, ...]:
     """Solve *scenario* at each cap value; infeasible points are kept in
     the trajectory with their status rather than dropped.
 
@@ -305,7 +306,7 @@ def sweep(scenario: Scenario, parameter: str, values: list[float]) -> tuple[Swee
     """
     if parameter not in CAP_FIELDS:
         raise KeyError(f"unknown sweep parameter {parameter!r}; known: {', '.join(CAP_FIELDS)}")
-    if not values:
+    if len(values) == 0:
         return ()
     program, rhs = compile_sweep(scenario, CAP_FIELDS[parameter], values)
     block = _solve_block(program, rhs)
@@ -358,6 +359,7 @@ class _RefCell:
     kind: str              # production | period_production | space_source | emissions_total | capital_total | space_total | objective_total
     source: int = 0        # source index, for per-source kinds
     period: int = 0        # period index, for period_production
+    at: tuple[float, ...] | None = None   # an objective_total cell's own point, in place of the table's
 
 
 @dataclass(frozen=True)
@@ -372,7 +374,14 @@ class _RefTable:
     expected: str                    # pinned classification
     tolerance: float                 # acceptance tolerance on the headline delta
     notes: tuple[str, ...] = ()
+    objective: ObjectiveMode | None = None   # replaces the scenario's objective
 
+
+# Corner points of the alternate-objective analysis (tables 12 and 13):
+# each table prints the optimum at B and carries A and D for the full report.
+CORNER_B = (24_862_479.0, 3_900_512.0)
+CORNER_A = (21_812_415.0, 77_102_051.0)
+CORNER_D = (47_475_469.0, 0.0)
 
 _REFERENCE_TABLES: tuple[_RefTable, ...] = (
     _RefTable(
@@ -456,29 +465,29 @@ _REFERENCE_TABLES: tuple[_RefTable, ...] = (
         tolerance=_NEAR,
         notes=("per-source objective cells sum to 1,187,283,608, not the printed total",),
     ),
+    *(
+        _RefTable(
+            table_id=table_id,
+            scenario="a1_om_objective",
+            title=f"corner-point values under the {objective.value} objective",
+            point=CORNER_B,
+            objective_total=b_value,
+            cells=(
+                _RefCell("corner A value", a_value, "objective_total", at=CORNER_A),
+                _RefCell("corner D value", d_value, "objective_total", at=CORNER_D),
+            ),
+            ledger=("results-implied-shares", "emissions-cap-drift"),
+            expected="match",
+            tolerance=_MATCH,
+            notes=("corner C is excluded by the source analysis itself and is not reproduced",),
+            objective=objective,
+        )
+        for table_id, objective, b_value, a_value, d_value in (
+            ("12", ObjectiveMode.OM_ONLY, 333_464_655.0, 1_730_019_510.0, 491_371_104.0),
+            ("13", ObjectiveMode.LCOE, 1_168_449_731.0, 5_344_231_517.0, 1_794_572_728.0),
+        )
+    ),
 )
-
-# Corner-point tables of the alternate-objective analysis. Values are the
-# printed objective evaluations at corner B; A and D are carried for the
-# full report.
-_CORNER_TABLES = (
-    {
-        "table_id": "12",
-        "objective": ObjectiveMode.OM_ONLY,
-        "b_value": 333_464_655.0,
-        "others": {"A": 1_730_019_510.0, "D": 491_371_104.0},
-    },
-    {
-        "table_id": "13",
-        "objective": ObjectiveMode.LCOE,
-        "b_value": 1_168_449_731.0,
-        "others": {"A": 5_344_231_517.0, "D": 1_794_572_728.0},
-    },
-)
-
-CORNER_B = (24_862_479.0, 3_900_512.0)
-CORNER_A = (21_812_415.0, 77_102_051.0)
-CORNER_D = (47_475_469.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -550,7 +559,7 @@ def _classify(delta: float) -> str:
 
 def _recompute_cell(cell: _RefCell, lp: LinearProgram, point: tuple[float, ...], table) -> float:
     if cell.kind == "objective_total":
-        return lp.objective_at(point)
+        return lp.objective_at(point if cell.at is None else cell.at)
     rows, total = table
     row = rows[cell.source]
     if cell.kind == "production":
@@ -568,84 +577,46 @@ def _recompute_cell(cell: _RefCell, lp: LinearProgram, point: tuple[float, ...],
     raise ValueError(f"unknown cell kind {cell.kind!r}")
 
 
-def _audit_table(
-    lp: LinearProgram,
-    point: tuple[float, ...],
-    printed_objective: float,
-    cells: list[tuple[str, float, float]],
-    **described,
-) -> TableAudit:
-    """Audit one printed table against *lp*, its scenario compiled: the
-    solver's and the oracle's optimum against *printed_objective*, the
-    printed *point*'s feasibility and vertex membership, and each (label,
-    printed, recomputed) cell. *described* carries the scenario's name and
-    the table's id, title, expectation, tolerance, ledger and notes."""
+def _audit_table(ref: _RefTable) -> TableAudit:
+    """Audit one printed table against its as-printed scenario, compiled
+    once: the solver's and the oracle's optimum against the printed total,
+    the printed point's feasibility and vertex membership, and each cell.
+    The point is tabulated only when a cell reads the table."""
+    scenario = get_scenario(ref.scenario, CoefficientVariant.AS_PRINTED)
+    if ref.objective is not None:
+        scenario = scenario.with_objective(ref.objective)
+    lp = compile_scenario(scenario)
+    tabulated = any(cell.kind != "objective_total" for cell in ref.cells)
+    table = tabulate(scenario, ref.point) if tabulated else None
     solution = solve(lp)
     oracle = oracle_solve(lp)
     if solution.is_optimal:
-        headline = abs(solution.objective_value - printed_objective) / abs(printed_objective)
+        headline = abs(solution.objective_value - ref.objective_total) / abs(ref.objective_total)
     else:
         headline = math.inf
     audited = []
-    for label, printed, recomputed in cells:
-        delta = abs(recomputed - printed) / max(1.0, abs(printed))
-        audited.append(CellAudit(label, printed, recomputed, delta, delta > _MATCH))
+    for cell in ref.cells:
+        recomputed = _recompute_cell(cell, lp, ref.point, table)
+        delta = abs(recomputed - cell.printed) / max(1.0, abs(cell.printed))
+        audited.append(CellAudit(cell.label, cell.printed, recomputed, delta, delta > _MATCH))
     return TableAudit(
-        printed_objective=printed_objective,
+        table_id=ref.table_id,
+        scenario=scenario.name,
+        title=ref.title,
+        printed_objective=ref.objective_total,
         solver_status=solution.status,
         solver_objective=solution.objective_value if solution.is_optimal else None,
         oracle_status=oracle.status,
         oracle_objective=oracle.objective,
         headline_delta=headline,
         classification=_classify(headline),
-        point_feasible=check_feasible(lp, point).feasible,
-        point_is_vertex=_near_any(np.asarray(point), [v.point for v in oracle.vertices]),
-        cells=tuple(audited),
-        **described,
-    )
-
-
-def _audit_result_table(ref: _RefTable) -> TableAudit:
-    scenario = get_scenario(ref.scenario, CoefficientVariant.AS_PRINTED)
-    lp = compile_scenario(scenario)
-    table = tabulate(scenario, ref.point)
-    return _audit_table(
-        lp,
-        ref.point,
-        ref.objective_total,
-        [(cell.label, cell.printed, _recompute_cell(cell, lp, ref.point, table)) for cell in ref.cells],
-        scenario=scenario.name,
-        table_id=ref.table_id,
-        title=ref.title,
         expected=ref.expected,
         tolerance=ref.tolerance,
+        point_feasible=check_feasible(lp, ref.point).feasible,
+        point_is_vertex=_near_any(np.asarray(ref.point), [v.point for v in oracle.vertices]),
+        cells=tuple(audited),
         ledger=ref.ledger,
         notes=ref.notes,
-    )
-
-
-def _audit_corner_table(spec: dict) -> TableAudit:
-    # Corner tables evaluate alternate objectives over the reconstructed
-    # corner-point region; the headline compares our optimum (attained at
-    # corner B) with the printed value at B.
-    scenario = get_scenario("a1_om_objective", CoefficientVariant.AS_PRINTED)
-    scenario = scenario.with_objective(spec["objective"])
-    lp = compile_scenario(scenario)
-    return _audit_table(
-        lp,
-        CORNER_B,
-        spec["b_value"],
-        [
-            (f"corner {label} value", spec["others"][label], lp.objective_at(corner))
-            for label, corner in (("A", CORNER_A), ("D", CORNER_D))
-        ],
-        scenario=scenario.name,
-        table_id=spec["table_id"],
-        title=f"corner-point values under the {spec['objective'].value} objective",
-        expected="match",
-        tolerance=_MATCH,
-        ledger=("results-implied-shares", "emissions-cap-drift"),
-        notes=("corner C is excluded by the source analysis itself and is not reproduced",),
     )
 
 
@@ -657,8 +628,7 @@ def audit_reference_results() -> ReferenceAudit:
     a classification of the headline objective delta (match <= 0.1%,
     near <= 1%, discrepancy beyond).
     """
-    tables = [_audit_result_table(ref) for ref in _REFERENCE_TABLES]
-    tables.extend(_audit_corner_table(spec) for spec in _CORNER_TABLES)
+    tables = [_audit_table(ref) for ref in _REFERENCE_TABLES]
     for table in tables:
         unknown = set(table.ledger) - _DISCREPANCY_IDS
         if unknown:

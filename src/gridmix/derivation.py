@@ -67,12 +67,6 @@ class DerivedConstants:
                 return c
         raise KeyError(name)
 
-    def __contains__(self, name: str) -> bool:
-        return any(c.name == name for c in self.constants)
-
-    def value(self, name: str) -> float:
-        return self[name].value
-
     def delta(self, name: str) -> DeltaRow:
         for d in self.deltas:
             if d.name == name:

@@ -29,14 +29,15 @@ and ``@``/``np.dot`` for activities and objectives.
 ``_solve_block`` is the simplex for a block of rhs: it solves one
 program at each row of a (k, m) rhs array and returns each row's status
 and pivot count, and one (k, n) array of the optimal points with their
-objectives. Two read-outs sit on it: ``solve_rhs`` builds each row's
-Solution, activities and binding set included, and ``analysis.sweep``
-reads its points straight from the arrays. ``solve_many`` groups a batch
-of programs that differ only in their constraints' rhs into one
-``solve_rhs`` call each, so the rhs shift, equilibration and sign flip
-live in one place. Rows of rhs whose standardized rhs have the same
-signs have the same tableau but for the rhs, so they share one: its body
-carries one rhs column per row, and every pivot updates the whole block.
+objectives. Two read-outs sit on it: ``solve_rhs`` reads each row's
+Solution out through ``solve``'s ``_build_solution``, and
+``analysis.sweep`` reads its points straight from the arrays.
+``solve_many`` groups a batch of programs that differ only in their
+constraints' rhs into one ``solve_rhs`` call each, so the rhs shift,
+equilibration and sign flip live in one place. Rows of rhs whose
+standardized rhs have the same signs have the same tableau but for the
+rhs, so they share one: its body carries one rhs column per row, and
+every pivot updates the whole block.
 The rows are grouped by one packed sign code each (``np.packbits``, any
 m). Each pivot is chosen by ``pivot_rule`` for the lead (first) column;
 the others replay its ratio test, tie band included, in
@@ -52,12 +53,10 @@ tests, the phase-1 verdict, reading out its points) are whole-array
 operations; a lone column takes the same steps on Python floats. The
 bits match ``solve`` because every operation on the tableau is
 elementwise per column (the outer-product update, the priced cost row,
-the ratios and tolerances), and the objectives and activities of all
-optimal points come from one stacked product each,
-``np.matmul(P[:, None, :], c[:, None])`` and
-``np.matmul(P[:, None, :], matrix.T)``: each (1, n) slice goes through
-the BLAS call of ``solve``'s ``np.dot(c, x)`` and ``(1, n) @ matrix.T``.
-A plain 2-D ``P @ matrix.T`` or ``P @ c`` rounds differently. Two
+the ratios and tolerances), and the objectives of all optimal points
+come from one stacked product, ``np.matmul(P[:, None, :], c[:, None])``:
+each (1, n) slice goes through the BLAS call of ``solve``'s
+``np.dot(c, x)``, where a plain 2-D ``P @ c`` rounds differently. Two
 caveats: P must be C-contiguous, or numpy skips BLAS and the objective
 can move by an ulp; and at n = 1 ``np.dot`` is the bare product c*x,
 -0.0 included, where the stacked form gives +0.0, so the objective is
@@ -737,7 +736,7 @@ def solve(lp: LinearProgram) -> Solution:
     """
     form = standardize(lp)
     ((_, status, points, iterations),) = _two_phase(form, form.body.copy())
-    return _build_solution(lp, status, None if points is None else points[0], iterations)
+    return _build_solution(lp, lp.rows, status, None if points is None else points[0], iterations)
 
 
 def _shape(lp: LinearProgram) -> tuple:
@@ -850,41 +849,31 @@ def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
     place of its constraints' rhs. Solution i equals, to the bit, ``solve``
     of *lp* with row i as its rhs.
 
-    ``_solve_block`` runs the simplex; this adds the optimal points'
-    activities, from one stacked product (see the module docstring), and
-    their binding sets. An error that ``solve`` would raise for any row is
-    raised here.
+    ``_solve_block`` runs the simplex, and ``_build_solution`` reads out
+    each row's Solution against that row's rhs, as ``solve`` does. An
+    error that ``solve`` would raise for any row is raised here.
     """
-    status, iterations, at, points, objective = _solve_block(lp, rhs)
-    solutions = [
-        None if outcome is Status.OPTIMAL else _build_solution(lp, outcome, None, count)
-        for outcome, count in zip(status, iterations)
-    ]
-    m = len(lp.constraints)
+    status, iterations, at, points, _ = _solve_block(lp, rhs)
+    found = dict(zip(at.tolist(), map(tuple, points.tolist())))
     view = lp.rows
-    activity = np.matmul(points[:, None, :], view.matrix.T)[:, 0]
-    bounds = np.broadcast_to(view.rhs[m:], (len(at), lp.var_count))
-    rows = Rows(view.matrix, np.concatenate((np.asarray(rhs, dtype=float)[at], bounds), axis=1), view.sense)
-    binding = _check_activity(rows, activity)[3]
-    # One binding set per distinct mask, keyed by the mask's bytes; the
-    # bound rows ride along in the key, which keeps it nonempty.
-    keys = binding.view(np.dtype((np.void, binding.shape[1]))).ravel().tolist()
-    labels = [c.label for c in lp.constraints]
-    last = dict(zip(keys, range(len(keys))))    # each distinct key's last point
-    named = {key: frozenset(compress(labels, binding[k].tolist())) for key, k in last.items()}
-    for k, values, value, activities, key in zip(
-        at.tolist(), points.tolist(), objective.tolist(), activity[:, :m].tolist(), keys
-    ):
-        solutions[k] = Solution(Status.OPTIMAL, tuple(values), value, tuple(activities), named[key], iterations[k])
+    bounds = view.rhs[len(lp.constraints):]
+    solutions = []
+    for k, row in enumerate(np.asarray(rhs, dtype=float)):
+        rows = Rows(view.matrix, np.concatenate((row, bounds)), view.sense)
+        solutions.append(_build_solution(lp, rows, status[k], found.get(k), iterations[k]))
     return tuple(solutions)
 
 
 def _build_solution(
     lp: LinearProgram,
+    rows: Rows,
     status: Status,
     values: tuple[float, ...] | None,
     iterations: int,
 ) -> Solution:
+    """The Solution of *lp* at *values*, or an empty one when *values* is
+    None. Activities and the binding set are tested against *rows*: *lp*'s
+    matrix and sense with the solved rhs, then the lower bounds."""
     if values is None:
         empty = (0.0,) * lp.var_count
         return Solution(
@@ -898,7 +887,7 @@ def _build_solution(
     objective = lp.objective_at(values)
     if not math.isfinite(objective):   # np.dot's overflow raises no floating-point flag
         raise LPError(f"{_OUT_OF_RANGE} (the objective is {objective})")
-    activity, _, _, binding = check_rows(lp.rows, np.array([values]))
+    activity, _, _, binding = check_rows(rows, np.array([values]))
     return Solution(
         status=status,
         values=values,

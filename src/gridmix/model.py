@@ -196,8 +196,8 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.annual_need <= 0.0:
-            raise ScenarioError(f"scenario {self.name!r}: annual need must be positive")
+        if not (math.isfinite(self.annual_need) and self.annual_need > 0.0):
+            raise ScenarioError(f"scenario {self.name!r}: annual need must be finite and > 0")
         for cap_name in CAP_FIELDS.values():
             cap = getattr(self, cap_name)
             if cap is not None:
@@ -514,6 +514,12 @@ def _number_at(mapping: dict, key: str, where: str) -> float:
     return _number(_require(mapping, key, where), f"{where}.{key}")
 
 
+def _positive(value: float, where: str) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ScenarioFormatError(f"{where}: must be finite and > 0")
+    return value
+
+
 def _enum(value, kind: type[Enum], where: str):
     values = [m.value for m in kind]
     if not isinstance(value, str) or value not in values:
@@ -537,7 +543,7 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
     enums = {
         key: _enum(_require(doc, key, where), kind, f"{where}.{key}") for key, kind in _ENUM_FIELDS.items()
     }
-    annual_need = _number_at(doc, "annual_need_mwh", where)
+    annual_need = _positive(_number_at(doc, "annual_need_mwh", where), f"{where}.annual_need_mwh")
 
     periods_doc = _require(doc, "periods", where)
     if not isinstance(periods_doc, list):
@@ -600,9 +606,7 @@ def scenario_from_dict(doc: dict, *, where: str = "scenario") -> Scenario:
         if value is None:  # null: no cap
             caps[CAP_FIELDS[key]] = None
             continue
-        value = caps[CAP_FIELDS[key]] = _number(value, f"{where}.caps.{key}")
-        if value <= 0.0:
-            raise ScenarioFormatError(f"{where}.caps.{key}: must be > 0")
+        caps[CAP_FIELDS[key]] = _positive(_number(value, f"{where}.caps.{key}"), f"{where}.caps.{key}")
 
     try:
         return Scenario(

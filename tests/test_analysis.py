@@ -8,6 +8,9 @@ import pytest
 
 from gridmix.analysis import (
     CAP_FIELDS,
+    CORNER_A,
+    CORNER_B,
+    CORNER_D,
     DISCREPANCIES,
     UnsupportedSizeError,
     audit_reference_results,
@@ -15,6 +18,7 @@ from gridmix.analysis import (
     enumerate_vertices,
     oracle_solve,
     sweep,
+    _near_any,
 )
 from gridmix.catalog import builtin_scenarios, get_scenario
 from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Status, solve
@@ -195,6 +199,15 @@ def test_sweep_reports_infeasible_points():
     assert points[1].status is Status.OPTIMAL
 
 
+def test_sweep_takes_a_numpy_grid():
+    scenario = get_scenario("m4_nuclear")
+    values = np.linspace(1e10, 5e10, 5)
+    points = sweep(scenario, "land_ft2", values)
+    assert len(points) == 5
+    assert points == sweep(scenario, "land_ft2", values.tolist())
+    assert sweep(scenario, "land_ft2", np.array([])) == ()
+
+
 def test_sweep_unknown_parameter():
     with pytest.raises(KeyError):
         sweep(get_scenario("m4_nuclear"), "gravity", [1.0])
@@ -326,6 +339,13 @@ def test_audit_corner_tables_match(audit):
     assert t12.point_is_vertex and t13.point_is_vertex
     for cell in (*t12.cells, *t13.cells):
         assert not cell.flagged, cell
+
+
+def test_corners_a_b_and_d_are_vertices_of_the_printed_corner_region():
+    lp = compile_scenario(get_scenario("a1_om_objective", AP))
+    points = [v.point for v in enumerate_vertices(lp)]
+    for corner in (CORNER_A, CORNER_B, CORNER_D):
+        assert _near_any(np.asarray(corner), points), corner
 
 
 def test_audit_oracle_agrees_everywhere(audit):

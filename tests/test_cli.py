@@ -179,6 +179,12 @@ def with_period_hours(hours) -> dict:
     return doc
 
 
+def with_land_cap(value) -> dict:
+    doc = nuclear_doc()
+    doc["caps"]["land_ft2"] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, where",
     [
@@ -190,6 +196,9 @@ def with_period_hours(hours) -> dict:
         (with_period_hours(float("inf")), "periods[0].hours"),
         (with_period_hours(6.5), "periods[0].hours"),
         ({"annual_need_mwh": 10**400}, "annual_need_mwh"),
+        ({"annual_need_mwh": float("nan")}, "annual_need_mwh"),
+        ({"annual_need_mwh": float("inf")}, "annual_need_mwh"),
+        (with_land_cap(float("nan")), "caps.land_ft2"),
     ],
 )
 def test_malformed_file_fields_exit_one_without_a_traceback(tmp_path, capsys, doc, where):

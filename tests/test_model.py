@@ -1,6 +1,7 @@
 """Scenario model tests: compilation, reporting, and the file format."""
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,6 +60,12 @@ def test_empty_scenario_rejected():
     scenario = Scenario(name="empty", sources=(), annual_need=1.0)
     with pytest.raises(ScenarioError):
         compile_scenario(scenario)
+
+
+@pytest.mark.parametrize("need", [math.nan, math.inf, 0.0, -1.0])
+def test_annual_need_must_be_finite_and_positive(need):
+    with pytest.raises(ScenarioError, match="annual need must be finite and > 0"):
+        Scenario(name="bad-need", sources=(), annual_need=need)
 
 
 def test_m4_nuclear_floor_and_daytime_share():

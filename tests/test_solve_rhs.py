@@ -336,3 +336,39 @@ def test_sweep_raises_lp_error_when_an_objective_overflows():
     with pytest.raises(LPError) as solved:
         solve_rhs(*compile_sweep(huge, "land_cap", values))
     assert str(swept.value) == str(solved.value)
+
+
+def test_solve_rhs_reads_every_row_out_through_build_solution(monkeypatch):
+    # One read-out for both entry points: each row, infeasible or optimal,
+    # is one _build_solution call against that row's rhs and the bounds.
+    calls = []
+    original = lp_module._build_solution
+
+    def counted(program, rows, *rest):
+        calls.append(rows.rhs.tolist())
+        return original(program, rows, *rest)
+
+    monkeypatch.setattr(lp_module, "_build_solution", counted)
+    program, rhs = compile_sweep(get_scenario("m4_nuclear", CoefficientVariant.TABLE_DERIVED), "land_cap", [1e6, 5e10])
+    statuses = [s.status for s in solve_rhs(program, rhs)]
+    assert statuses == [Status.INFEASIBLE, Status.OPTIMAL]
+    assert calls == [[*row, *program.lower_bounds] for row in rhs.tolist()]
+
+
+def test_solve_and_solve_rhs_refuse_an_overflowing_activity_alike():
+    # The optimum (1e10, 0) and its objective are finite, but the second
+    # row's activity 1e300 * 1e10 is past the float range.
+    program = LinearProgram(
+        Sense.MINIMIZE,
+        (1.0, 1.0),
+        (Constraint((1.0, 0.0), Relation.GE, 1e10, "floor"), Constraint((1e300, 0.0), Relation.GE, 1.0, "huge")),
+        2,
+    )
+    with pytest.raises(LPError) as solved:
+        solve(program)
+    with pytest.raises(LPError) as stacked:
+        solve_rhs(program, np.array([[1e10, 1.0]]))
+    for caught in (solved, stacked):
+        assert not isinstance(caught.value, FloatingPointError)
+        assert str(caught.value).startswith("the input's magnitudes are out of range")
+    assert str(solved.value) == str(stacked.value)
