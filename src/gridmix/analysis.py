@@ -29,6 +29,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,8 +283,11 @@ def corner_report(lp: LinearProgram, objectives: list[tuple[str, tuple[float, ..
 # ---------------------------------------------------------------------------
 # sweeps
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
+    """One grid point of a sweep. A named tuple rather than a frozen
+    dataclass: a sweep builds one per point, and a dataclass constructor
+    sets each field with its own ``object.__setattr__`` call."""
+
     value: float
     status: Status
     objective: float
@@ -292,7 +296,8 @@ class SweepPoint:
 
 def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> tuple[SweepPoint, ...]:
     """Solve *scenario* at each cap value; infeasible points are kept in
-    the trajectory with their status rather than dropped.
+    the trajectory with their status rather than dropped. A point that is
+    not optimal has a NaN objective and NaN production.
 
     The scenario is compiled once: ``compile_sweep`` checks every value as
     ``with_cap`` would and writes each point's rhs with the expressions of
@@ -302,7 +307,8 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> tuple[
     production are those of the Solution ``solve`` returns for
     ``compile_scenario(scenario.with_cap(cap, value))``, to the bit, read
     straight from the solved block's arrays: no Solution, activities or
-    binding set is built per point.
+    binding set is built per point. A cap that compiles no row (see
+    ``compile_sweep``) leaves every point the same program.
     """
     if parameter not in CAP_FIELDS:
         raise KeyError(f"unknown sweep parameter {parameter!r}; known: {', '.join(CAP_FIELDS)}")
@@ -314,9 +320,10 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> tuple[
     production = np.full((len(values), program.var_count), math.nan)
     objective[block.at] = block.objective
     production[block.at] = block.points
-    return tuple(map(
-        SweepPoint, map(float, values), block.status, objective.tolist(), map(tuple, production.tolist())
-    ))
+    # tuple.__new__ is SweepPoint._make without its length check; every
+    # item of the zip holds the four fields in order.
+    fields = zip(map(float, values), block.status, objective.tolist(), map(tuple, production.tolist()))
+    return tuple(map(tuple.__new__, itertools.repeat(SweepPoint), fields))
 
 
 # ---------------------------------------------------------------------------

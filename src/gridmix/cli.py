@@ -250,11 +250,7 @@ def _cmd_sweep(args) -> int:
     if args.start > args.stop:
         raise ScenarioError("--from must not exceed --to")
     scenario = _resolve_scenario(args.scenario, _VARIANTS[args.variant], None)
-    if args.steps == 1:
-        values = [args.start]
-    else:
-        values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
-    points = analysis.sweep(scenario, args.param, values)
+    points = analysis.sweep(scenario, args.param, np.linspace(args.start, args.stop, args.steps))
     names = [s.name for s in scenario.sources]
     rows = [
         [p.value, p.status.value,

@@ -369,7 +369,10 @@ def compile_sweep(scenario: Scenario, cap_name: str, values: Sequence[float]) ->
     are checked and the rhs written as whole arrays. The first value that
     ``with_cap`` would refuse raises its ScenarioError, and the first that
     puts a rhs past the float range raises ``compile_scenario``'s, before
-    anything is solved.
+    anything is solved. A cap with no row to bound leaves every rhs row
+    the same: the rooftop cap compiles a row only under separate space
+    bounds and for a source with a rooftop allowance, so on a shared-land
+    scenario or one without rooftop solar it is accepted and ignored.
     """
     if len(values) == 0:
         raise ScenarioError(f"scenario {scenario.name!r}: no {cap_name} values to sweep")

@@ -12,6 +12,7 @@ from gridmix.analysis import (
     CORNER_B,
     CORNER_D,
     DISCREPANCIES,
+    SweepPoint,
     UnsupportedSizeError,
     audit_reference_results,
     corner_report,
@@ -20,9 +21,9 @@ from gridmix.analysis import (
     sweep,
     _near_any,
 )
-from gridmix.catalog import builtin_scenarios, get_scenario
+from gridmix.catalog import CATALOG_NAMES, PUBLISHED, builtin_scenarios, get_scenario
 from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Status, solve
-from gridmix.model import CoefficientVariant, compile_scenario
+from gridmix.model import CoefficientVariant, compile_scenario, compile_sweep
 
 AP = CoefficientVariant.AS_PRINTED
 TD = CoefficientVariant.TABLE_DERIVED
@@ -206,6 +207,68 @@ def test_sweep_takes_a_numpy_grid():
     assert len(points) == 5
     assert points == sweep(scenario, "land_ft2", values.tolist())
     assert sweep(scenario, "land_ft2", np.array([])) == ()
+
+
+def test_sweep_point_fields_are_named_in_order():
+    assert SweepPoint._fields == ("value", "status", "objective", "production")
+
+
+def test_sweep_point_is_immutable():
+    point = sweep(get_scenario("m4_nuclear"), "land_ft2", [1e10])[0]
+    for name in (*SweepPoint._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(point, name, 0.0)
+    assert point.value == 1e10
+
+
+def test_sweep_points_of_a_long_grid_keep_the_record_contract():
+    # The table-derived rooftop offset makes the small land caps infeasible.
+    scenario = get_scenario("m4_nuclear", TD)
+    points = sweep(scenario, "land_ft2", np.linspace(1e6, 5e10, 1000))
+    assert len(points) == 1000
+    assert {p.status for p in points} == {Status.OPTIMAL, Status.INFEASIBLE}
+    for p in points:
+        assert type(p) is SweepPoint
+        assert type(p.value) is float and type(p.status) is Status and type(p.objective) is float
+        assert type(p.production) is tuple and len(p.production) == len(scenario.sources)
+        assert all(type(v) is float for v in p.production)
+        if p.status is not Status.OPTIMAL:
+            assert math.isnan(p.objective) and all(map(math.isnan, p.production))
+        rebuilt = SweepPoint(p.value, p.status, p.objective, p.production)
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+        assert repr(p) == (
+            f"SweepPoint(value={p.value!r}, status={p.status!r}, "
+            f"objective={p.objective!r}, production={p.production!r})"
+        )
+
+
+# The rooftop cap compiles a row only under separate space bounds for a
+# source with a rooftop allowance; these pairs have no such row to write.
+_RHS_BLIND = {
+    (name, variant, "rooftop_mwh")
+    for name in ("m0_cost_only", "m3_shared_space", "m4_nuclear", "m4_tight_space",
+                 "m5_geothermal", "a1_om_objective", "b1_min_emissions")
+    for variant in CoefficientVariant
+}
+_DEFAULT_CAPS = {
+    "emissions_cap": PUBLISHED["emissions_cap_g"],
+    "budget_cap": PUBLISHED["budget_cap_usd"],
+    "land_cap": PUBLISHED["land_budget_ft2"],
+    "rooftop_cap": PUBLISHED["rooftop_bound_mwh"],
+}
+
+
+def test_compile_sweep_rhs_follows_the_cap_except_where_no_row_compiles():
+    blind = set()
+    for name in CATALOG_NAMES:
+        for variant in CoefficientVariant:
+            scenario = get_scenario(name, variant)
+            for parameter, field in CAP_FIELDS.items():
+                cap = getattr(scenario, field) or _DEFAULT_CAPS[field]
+                _, rhs = compile_sweep(scenario, field, [cap, 2.0 * cap])
+                if np.array_equal(rhs[0], rhs[1]):
+                    blind.add((name, variant, parameter))
+    assert blind == _RHS_BLIND
 
 
 def test_sweep_unknown_parameter():

@@ -402,6 +402,17 @@ def test_sweep_single_step(capsys):
     assert float(rows[1][0]) == 3.578e12
 
 
+@pytest.mark.parametrize("stop", ["inf", "nan"])
+def test_sweep_single_step_refuses_a_non_finite_end_as_longer_grids_do(capsys, stop):
+    # One step sweeps np.linspace(start, stop, 1), which is nan for a
+    # non-finite stop, so --steps 1 fails exactly as --steps 2 does.
+    argv = ["sweep", "m1_flat_demand", "--param", "land_ft2", "--from", "1", "--to", stop]
+    code, out, err = run(capsys, *argv, "--steps", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("gridmix: error:")
+    assert (code, out, err) == run(capsys, *argv, "--steps", "2")
+
+
 def test_sweep_invalid_range(capsys):
     code, _, err = run(
         capsys, "sweep", "m1_flat_demand", "--param", "emissions_g",
