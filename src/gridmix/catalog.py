@@ -1,24 +1,32 @@
 """Built-in planning scenarios, in two coefficient variants each.
 
+The models form the paper's chain, each an edit of the one before: m0
+puts six sources on a flat annual need with no caps, and is the one place
+each source's rates are written; m1 keeps m0's wind and solar and adds
+period shares, the rooftop allowance and four caps; m2 adds per-period
+demand; m3 adds shared land; m4_nuclear adds m0's nuclear, and
+m4_tight_space cuts its land cap; m5 puts m0's geothermal in nuclear's
+place; a1 and b1 change m3's objective.
+
 ``as_printed`` mirrors each published model block exactly as it appears,
 including its internal inconsistencies (the early-morning wind share is
 0.3760 in the wind+solar models but 0.3769 once nuclear or geothermal
 join; the emissions cap jumps to 16,325e9 and then 163,325e9 g; the
 rooftop offset grows from 344,900 to 2,190,438 to 10,279,088 MWh; the
-geothermal model prices wind at 73.7 $/MWh against its own cost table).
+geothermal model prices wind and solar against its own cost table).
 ``table_derived`` rebuilds every coefficient uniformly from the published
-data tables: production shares 0.3769/0.3775/0.2456 (wind),
-0.0101/0.9797/0.0101 (solar), 0.2916/0.5000/0.2083 (geothermal), LCOEs
-37.80/58.62/96.2/39.61, the 3.578e12 g emissions cap, and the 344,900 MWh
-rooftop bound everywhere.
+data tables: the table shares of each source, m0's LCOEs, the 3.578e12 g
+emissions cap, and the 344,900 MWh rooftop bound everywhere.
 
 Keeping both variants makes each discrepancy a testable fact instead of a
 silent fix; the audit in ``gridmix.analysis`` reports where they diverge.
+Each model is built once per process and shared: every field is frozen.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 from .model import (
     PERIOD_NAMES,
@@ -73,11 +81,6 @@ GEOTHERMAL_CAPITAL = 21.8            # printed budget-row rate; absent from the 
 
 DEMAND_FRACTIONS = (0.2759, 0.5149, 0.2344)   # highest observed share per period
 PERIOD_HOURS = (7, 12, 5)
-PRINTED_PERIOD_RHS = (
-    PUBLISHED["early_morning_rhs_mwh"],
-    PUBLISHED["daytime_rhs_mwh"],
-    PUBLISHED["evening_rhs_mwh"],
-)
 
 WIND_TABLE_FRACTIONS = (0.3769, 0.3775, 0.2456)
 WIND_PRINTED_FRACTIONS = (0.3760, 0.3775, 0.2456)   # wind+solar model blocks
@@ -97,89 +100,33 @@ AP = CoefficientVariant.AS_PRINTED
 TD = CoefficientVariant.TABLE_DERIVED
 
 
-def _wind(variant: CoefficientVariant, *, early_printed: bool = False, lcoe: float = 37.80,
-          fractions: tuple[float, float, float] | None = None) -> EnergySource:
-    if fractions is None:
-        if variant is AP:
-            fractions = WIND_PRINTED_FRACTIONS if early_printed else WIND_TABLE_FRACTIONS
-        else:
-            fractions = WIND_TABLE_FRACTIONS
-    return EnergySource(
-        name="wind",
-        lcoe=lcoe,
-        capital_cost=27.45,
-        om_cost=10.35,
-        emissions=4970.0,
-        land_use=1065.6,
-        period_fractions=fractions,
-    )
-
-
-def _solar(variant: CoefficientVariant, *, rooftop: float, lcoe: float = 58.62,
-           fractions: tuple[float, float, float] | None = None) -> EnergySource:
-    if fractions is None:
-        fractions = SOLAR_PRINTED_FRACTIONS if variant is AP else SOLAR_TABLE_FRACTIONS
-    return EnergySource(
-        name="solar",
-        lcoe=lcoe,
-        capital_cost=39.12,
-        om_cost=19.51,
-        emissions=45_000.0,
-        land_use=204.5,
-        rooftop_allowance=rooftop,
-        period_fractions=fractions,
-    )
-
-
-def _nuclear() -> EnergySource:
-    return EnergySource(
-        name="nuclear",
-        lcoe=96.2,
-        capital_cost=70.8,
-        emissions=49_000.0,
-        land_use=3.23,
-        period_fractions=NUCLEAR_FRACTIONS,
-        min_annual_output=NUCLEAR_FLOOR,
-    )
-
-
-def _geothermal(variant: CoefficientVariant) -> EnergySource:
-    return EnergySource(
-        name="geothermal",
-        lcoe=39.61,
-        capital_cost=GEOTHERMAL_CAPITAL,
-        emissions=38_000.0,
-        land_use=9.6875,
-        period_fractions=GEO_PRINTED_FRACTIONS if variant is AP else GEO_TABLE_FRACTIONS,
-    )
-
-
-def _periods(variant: CoefficientVariant) -> tuple[DayPeriod, ...]:
-    return tuple(
-        DayPeriod(
-            name=name,
-            hours=hours,
-            demand_fraction=fraction,
-            demand_mwh=PRINTED_PERIOD_RHS[i] if variant is AP else None,
-        )
-        for i, (name, hours, fraction) in enumerate(zip(PERIOD_NAMES, PERIOD_HOURS, DEMAND_FRACTIONS))
-    )
-
-
 def _m0(variant: CoefficientVariant) -> Scenario:
     # Demand-only baseline over all six sources; no caps. Identical in
     # both variants (nothing to disagree about).
-    sources = (
-        replace(_wind(variant), period_fractions=None),
-        replace(_solar(variant, rooftop=0.0), period_fractions=None),
-        EnergySource(name="nuclear", lcoe=96.2, emissions=49_000.0, land_use=3.23),
-        EnergySource(name="geothermal", lcoe=39.61, emissions=38_000.0, land_use=9.6875),
-        EnergySource(name="gas_combined_cycle", lcoe=37.50, emissions=490_000.0),
-        EnergySource(name="hydroelectric", lcoe=63.9),
-    )
     return Scenario(
         name="m0_cost_only",
-        sources=sources,
+        sources=(
+            EnergySource(
+                name="wind",
+                lcoe=37.80,
+                capital_cost=27.45,
+                om_cost=10.35,
+                emissions=4970.0,
+                land_use=1065.6,
+            ),
+            EnergySource(
+                name="solar",
+                lcoe=58.62,
+                capital_cost=39.12,
+                om_cost=19.51,
+                emissions=45_000.0,
+                land_use=204.5,
+            ),
+            EnergySource(name="nuclear", lcoe=96.2, emissions=49_000.0, land_use=3.23),
+            EnergySource(name="geothermal", lcoe=39.61, emissions=38_000.0, land_use=9.6875),
+            EnergySource(name="gas_combined_cycle", lcoe=37.50, emissions=490_000.0),
+            EnergySource(name="hydroelectric", lcoe=63.9),
+        ),
         annual_need=ANNUAL_NEED,
         demand_mode=DemandMode.FLAT_ANNUAL,
         space_mode=SpaceMode.SEPARATE_BOUNDS,
@@ -188,139 +135,126 @@ def _m0(variant: CoefficientVariant) -> Scenario:
     )
 
 
+def _from_m0(name: str, variant: CoefficientVariant, **changes) -> EnergySource:
+    """m0's source *name*, edited by *changes*."""
+    source = next(s for s in get_scenario("m0_cost_only", variant).sources if s.name == name)
+    return replace(source, **changes)
+
+
 def _m1(variant: CoefficientVariant) -> Scenario:
-    return Scenario(
+    printed = variant is AP
+    return replace(
+        get_scenario("m0_cost_only", variant),
         name="m1_flat_demand",
         sources=(
-            _wind(variant, early_printed=True),
-            _solar(variant, rooftop=ROOFTOP_BOUND),
+            _from_m0("wind", variant, period_fractions=WIND_PRINTED_FRACTIONS if printed else WIND_TABLE_FRACTIONS),
+            _from_m0("solar", variant, rooftop_allowance=ROOFTOP_BOUND,
+                     period_fractions=SOLAR_PRINTED_FRACTIONS if printed else SOLAR_TABLE_FRACTIONS),
         ),
-        annual_need=ANNUAL_NEED,
-        demand_mode=DemandMode.FLAT_ANNUAL,
         emissions_cap=EMISSIONS_CAP,
         budget_cap=BUDGET_CAP,
         land_cap=LAND_CAP,
         rooftop_cap=ROOFTOP_BOUND,
-        space_mode=SpaceMode.SEPARATE_BOUNDS,
-        coefficient_variant=variant,
         description="wind+solar with flat annual demand and separate space bounds",
     )
 
 
 def _m2(variant: CoefficientVariant) -> Scenario:
-    return Scenario(
+    # The as-printed block pins each period's requirement to its published rhs.
+    printed = variant is AP
+    return replace(
+        get_scenario("m1_flat_demand", variant),
         name="m2_period_demand",
-        sources=(
-            _wind(variant, early_printed=True),
-            _solar(variant, rooftop=ROOFTOP_BOUND),
-        ),
-        annual_need=ANNUAL_NEED,
         demand_mode=DemandMode.PER_PERIOD,
-        periods=_periods(variant),
-        emissions_cap=EMISSIONS_CAP,
-        budget_cap=BUDGET_CAP,
-        land_cap=LAND_CAP,
-        rooftop_cap=ROOFTOP_BOUND,
-        space_mode=SpaceMode.SEPARATE_BOUNDS,
-        coefficient_variant=variant,
+        periods=tuple(
+            DayPeriod(name=name, hours=hours, demand_fraction=fraction,
+                      demand_mwh=PUBLISHED[f"{name}_rhs_mwh"] if printed else None)
+            for name, hours, fraction in zip(PERIOD_NAMES, PERIOD_HOURS, DEMAND_FRACTIONS)
+        ),
         description="wind+solar with time-of-day demand and rooftop-only solar",
     )
 
 
 def _m3(variant: CoefficientVariant) -> Scenario:
-    return Scenario(
+    m2 = get_scenario("m2_period_demand", variant)
+    wind, solar = m2.sources
+    printed = variant is AP
+    return replace(
+        m2,
         name="m3_shared_space",
-        sources=(
-            _wind(variant, early_printed=True),
-            _solar(variant, rooftop=M3_ROOFTOP_OFFSET if variant is AP else ROOFTOP_BOUND),
-        ),
-        annual_need=ANNUAL_NEED,
-        demand_mode=DemandMode.PER_PERIOD,
-        periods=_periods(variant),
-        emissions_cap=M3_EMISSIONS_CAP if variant is AP else EMISSIONS_CAP,
-        budget_cap=BUDGET_CAP,
-        land_cap=LAND_CAP,
+        sources=(wind, replace(solar, rooftop_allowance=M3_ROOFTOP_OFFSET) if printed else solar),
+        emissions_cap=M3_EMISSIONS_CAP if printed else m2.emissions_cap,
+        rooftop_cap=None,
         space_mode=SpaceMode.SHARED_LAND,
-        coefficient_variant=variant,
         description="wind+solar sharing one land budget, rooftop output exempt",
     )
 
 
-def _m4(variant: CoefficientVariant, *, tight: bool = False) -> Scenario:
-    return Scenario(
-        name="m4_tight_space" if tight else "m4_nuclear",
+def _m4_nuclear(variant: CoefficientVariant) -> Scenario:
+    m3 = get_scenario("m3_shared_space", variant)
+    wind, solar = m3.sources
+    printed = variant is AP
+    return replace(
+        m3,
+        name="m4_nuclear",
         sources=(
-            _wind(variant),
-            _solar(variant, rooftop=M4_ROOFTOP_OFFSET if variant is AP else ROOFTOP_BOUND),
-            _nuclear(),
+            replace(wind, period_fractions=WIND_TABLE_FRACTIONS),
+            replace(solar, rooftop_allowance=M4_ROOFTOP_OFFSET) if printed else solar,
+            _from_m0("nuclear", variant, capital_cost=70.8, period_fractions=NUCLEAR_FRACTIONS,
+                     min_annual_output=NUCLEAR_FLOOR),
         ),
-        annual_need=ANNUAL_NEED,
-        demand_mode=DemandMode.PER_PERIOD,
-        periods=_periods(variant),
-        emissions_cap=M4_EMISSIONS_CAP if variant is AP else EMISSIONS_CAP,
-        budget_cap=BUDGET_CAP,
-        land_cap=TIGHT_LAND_CAP if tight else LAND_CAP,
-        space_mode=SpaceMode.SHARED_LAND,
-        coefficient_variant=variant,
-        description=(
-            "wind+solar+nuclear with the land budget cut to 205,898,600 ft^2"
-            if tight
-            else "wind+solar+nuclear with one reactor's output as the nuclear floor"
-        ),
+        emissions_cap=M4_EMISSIONS_CAP if printed else m3.emissions_cap,
+        description="wind+solar+nuclear with one reactor's output as the nuclear floor",
+    )
+
+
+def _m4_tight_space(variant: CoefficientVariant) -> Scenario:
+    return replace(
+        get_scenario("m4_nuclear", variant),
+        name="m4_tight_space",
+        land_cap=TIGHT_LAND_CAP,
+        description="wind+solar+nuclear with the land budget cut to 205,898,600 ft^2",
     )
 
 
 def _m5(variant: CoefficientVariant) -> Scenario:
-    return Scenario(
+    m4 = get_scenario("m4_nuclear", variant)
+    wind, solar, _ = m4.sources
+    printed = variant is AP
+    if printed:
+        wind, solar = replace(wind, lcoe=73.7), replace(solar, lcoe=55.8)
+    geothermal = _from_m0("geothermal", variant, capital_cost=GEOTHERMAL_CAPITAL,
+                          period_fractions=GEO_PRINTED_FRACTIONS if printed else GEO_TABLE_FRACTIONS)
+    return replace(
+        m4,
         name="m5_geothermal",
-        sources=(
-            _wind(variant, lcoe=73.7 if variant is AP else 37.80),
-            _solar(
-                variant,
-                rooftop=M4_ROOFTOP_OFFSET if variant is AP else ROOFTOP_BOUND,
-                lcoe=55.8 if variant is AP else 58.62,
-            ),
-            _geothermal(variant),
-        ),
-        annual_need=ANNUAL_NEED,
-        demand_mode=DemandMode.PER_PERIOD,
-        periods=_periods(variant),
+        sources=(wind, solar, geothermal),
         emissions_cap=EMISSIONS_CAP,
-        budget_cap=BUDGET_CAP,
-        land_cap=LAND_CAP,
-        space_mode=SpaceMode.SHARED_LAND,
-        coefficient_variant=variant,
         description="wind+solar+geothermal; the published block prices wind at 73.7 $/MWh",
     )
 
 
 def _a1(variant: CoefficientVariant) -> Scenario:
-    if variant is AP:
-        # Region reconstructed from the published corner points: they are
-        # vertices only under the results-implied shares, the 3.578e12 g
-        # emissions cap, a shared land row with no rooftop offset, and no
-        # budget row (corner A breaks every printed budget pricing).
-        return Scenario(
-            name="a1_om_objective",
-            sources=(
-                _wind(variant, fractions=WIND_RESULTS_FRACTIONS),
-                _solar(variant, rooftop=0.0, fractions=SOLAR_PRINTED_FRACTIONS),
-            ),
-            annual_need=ANNUAL_NEED,
-            demand_mode=DemandMode.PER_PERIOD,
-            periods=_periods(variant),
-            emissions_cap=EMISSIONS_CAP,
-            land_cap=LAND_CAP,
-            space_mode=SpaceMode.SHARED_LAND,
-            objective_mode=ObjectiveMode.OM_ONLY,
-            coefficient_variant=variant,
-            description="shared-space model under the O&M-only objective (corner-point region)",
-        )
-    return replace(
-        _m3(variant),
+    m3 = get_scenario("m3_shared_space", variant)
+    a1 = replace(
+        m3,
         name="a1_om_objective",
         objective_mode=ObjectiveMode.OM_ONLY,
         description="shared-space model under the O&M-only objective",
+    )
+    if variant is TD:
+        return a1
+    # Region reconstructed from the published corner points: they are
+    # vertices only under the results-implied shares, the 3.578e12 g
+    # emissions cap, a shared land row with no rooftop offset, and no
+    # budget row (corner A breaks every printed budget pricing).
+    wind, solar = m3.sources
+    return replace(
+        a1,
+        sources=(replace(wind, period_fractions=WIND_RESULTS_FRACTIONS), replace(solar, rooftop_allowance=0.0)),
+        emissions_cap=EMISSIONS_CAP,
+        budget_cap=None,
+        description=f"{a1.description} (corner-point region)",
     )
 
 
@@ -329,7 +263,7 @@ def _b1(variant: CoefficientVariant) -> Scenario:
     # emissions row drops; the budget row is priced at full LCOE instead of
     # capital cost.
     return replace(
-        _m3(variant),
+        get_scenario("m3_shared_space", variant),
         name="b1_min_emissions",
         emissions_cap=None,
         objective_mode=ObjectiveMode.EMISSIONS,
@@ -343,8 +277,8 @@ _BUILDERS = {
     "m1_flat_demand": _m1,
     "m2_period_demand": _m2,
     "m3_shared_space": _m3,
-    "m4_nuclear": lambda v: _m4(v),
-    "m4_tight_space": lambda v: _m4(v, tight=True),
+    "m4_nuclear": _m4_nuclear,
+    "m4_tight_space": _m4_tight_space,
     "m5_geothermal": _m5,
     "a1_om_objective": _a1,
     "b1_min_emissions": _b1,
@@ -355,18 +289,19 @@ CATALOG_NAMES = tuple(_BUILDERS)
 
 def builtin_scenarios() -> tuple[Scenario, ...]:
     """The full catalog: every model in both coefficient variants."""
-    return tuple(
-        _BUILDERS[name](variant) for name in CATALOG_NAMES for variant in (AP, TD)
-    )
+    return tuple(get_scenario(name, variant) for name in CATALOG_NAMES for variant in (AP, TD))
 
 
 def scenario_names() -> tuple[str, ...]:
     return CATALOG_NAMES
 
 
+@cache
 def get_scenario(name: str, variant: CoefficientVariant = AP) -> Scenario:
+    """Catalog model *name* in *variant*, built on the first call and shared after."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(CATALOG_NAMES)}") from None
-    return builder(variant)
+    # A variant's value string is an equal cache key, so it must build the same model.
+    return builder(CoefficientVariant(variant))

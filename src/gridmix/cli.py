@@ -247,6 +247,8 @@ def _cmd_sweep(args) -> int:
         raise ScenarioError("--steps must be >= 1")
     if args.steps > MAX_STEPS:
         raise ScenarioError(f"--steps must be at most {MAX_STEPS:,}")
+    if not np.isfinite((args.start, args.stop)).all():
+        raise ScenarioError("--from and --to must be finite")
     if args.start > args.stop:
         raise ScenarioError("--from must not exceed --to")
     scenario = _resolve_scenario(args.scenario, _VARIANTS[args.variant], None)

@@ -413,6 +413,18 @@ def test_sweep_single_step_refuses_a_non_finite_end_as_longer_grids_do(capsys, s
     assert (code, out, err) == run(capsys, *argv, "--steps", "2")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_sweep_refuses_a_non_finite_end_naming_both_flags(capsys, flag, value):
+    # "--from=-inf": argparse reads a bare "-inf" as a flag.
+    ends = {"--from": "1", "--to": "2", flag: value}
+    code, out, err = run(
+        capsys, "sweep", "m1_flat_demand", "--param", "land_ft2",
+        *(f"{name}={end}" for name, end in ends.items()), "--steps", "2",
+    )
+    assert (code, out, err) == (1, "", "gridmix: error: --from and --to must be finite\n")
+
+
 def test_sweep_invalid_range(capsys):
     code, _, err = run(
         capsys, "sweep", "m1_flat_demand", "--param", "emissions_g",
