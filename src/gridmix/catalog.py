@@ -296,12 +296,22 @@ def scenario_names() -> tuple[str, ...]:
     return CATALOG_NAMES
 
 
+def get_scenario(name: str, variant: CoefficientVariant | str = AP) -> Scenario:
+    """Catalog model *name* in *variant*, the enum or its value string,
+    built on the first call and shared after: one cache entry per model
+    however the variant is spelled or defaulted. ``get_scenario.cache_clear()``
+    empties the cache."""
+    return _built(name, CoefficientVariant(variant))
+
+
 @cache
-def get_scenario(name: str, variant: CoefficientVariant = AP) -> Scenario:
-    """Catalog model *name* in *variant*, built on the first call and shared after."""
+def _built(name: str, variant: CoefficientVariant) -> Scenario:
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(CATALOG_NAMES)}") from None
-    # A variant's value string is an equal cache key, so it must build the same model.
-    return builder(CoefficientVariant(variant))
+    return builder(variant)
+
+
+get_scenario.cache_clear = _built.cache_clear
+get_scenario.cache_info = _built.cache_info

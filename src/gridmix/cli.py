@@ -393,7 +393,14 @@ def main(argv: list[str] | None = None) -> int:
         # Magnitudes past the float range would otherwise print an answer
         # built on inf or nan.
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`gridmix list | head`). Point
+        # stdout at devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FloatingPointError as exc:
         print(f"gridmix: error: the input's magnitudes are out of range ({exc})", file=sys.stderr)
         return 1

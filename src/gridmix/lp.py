@@ -26,18 +26,26 @@ floats round exactly as numpy's. Numpy stays where the order of a sum
 fixes the result: the pivot's outer product, the priced-out cost rows,
 and ``@``/``np.dot`` for activities and objectives.
 
-``_solve_block`` is the simplex for a block of rhs: it solves one
-program at each row of a (k, m) rhs array and returns each row's status
-and pivot count, and one (k, n) array of the optimal points with their
-objectives. Two read-outs sit on it: ``solve_rhs`` reads each row's
-Solution out through ``solve``'s ``_build_solution``, and
-``analysis.sweep`` reads its points straight from the arrays.
-``solve_many`` groups a batch of programs that differ only in their
-constraints' rhs into one ``solve_rhs`` call each, so the rhs shift,
-equilibration and sign flip live in one place. Rows of rhs whose
-standardized rhs have the same signs have the same tableau but for the
-rhs, so they share one: its body carries one rhs column per row, and
-every pivot updates the whole block.
+A ``Tableau`` is one array: the body rows with the reduced-cost row
+stacked under them (Bertsimas & Tsitsiklis, *Introduction to Linear
+Optimization*, §3.6), so ``_apply_pivot``'s one outer product updates
+both. Two loops pivot on it. ``solve`` runs the lone loop,
+``_two_phase_lone`` over ``_run_lone``: one rhs column, a scalar stall
+count and best objective, and the phase-1 verdict and the point read
+out on Python floats.
+
+``_solve_block`` runs the block loop, ``_two_phase`` over
+``_run_simplex``: it solves one program at each row of a (k, m) rhs
+array and returns each row's status and pivot count, and one (k, n)
+array of the optimal points with their objectives. Two read-outs sit on
+it: ``solve_rhs`` reads each row's Solution out through ``solve``'s
+``_build_solution``, and ``analysis.sweep`` reads its points straight
+from the arrays. ``solve_many`` groups a batch of programs that differ
+only in their constraints' rhs into one ``solve_rhs`` call each, so the
+rhs shift, equilibration and sign flip live in one place. Rows of rhs
+whose standardized rhs have the same signs have the same tableau but for
+the rhs, so they share one: it carries one rhs column per row, and every
+pivot updates the whole block.
 The rows are grouped by one packed sign code each (``np.packbits``, any
 m). Each pivot is chosen by ``pivot_rule`` for the lead (first) column;
 the others replay its ratio test, tie band included, in
@@ -46,11 +54,10 @@ the Bland flag, which all columns of a block share, so a column leaves
 its block only where its leaving row, its Bland flag (from its own stall
 count) or its phase-1 verdict differs from the lead's; it continues in a
 block of its own from the same state. This is parametric rhs analysis
-(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, §5.2):
-one basis stays optimal over an interval of rhs values, so a sweep's
-grid needs few blocks. A block's per-column steps (stall counts, split
-tests, the phase-1 verdict, reading out its points) are whole-array
-operations; a lone column takes the same steps on Python floats. The
+(Bertsimas & Tsitsiklis, §5.2): one basis stays optimal over an interval
+of rhs values, so a sweep's grid needs few blocks. A block's per-column
+steps (stall counts, split tests, the phase-1 verdict, reading out its
+points) are whole-array operations, a block of one column included. The
 bits match ``solve`` because every operation on the tableau is
 elementwise per column (the outer-product update, the priced cost row,
 the ratios and tolerances), and the objectives of all optimal points
@@ -60,7 +67,7 @@ each (1, n) slice goes through the BLAS call of ``solve``'s
 caveats: P must be C-contiguous, or numpy skips BLAS and the objective
 can move by an ulp; and at n = 1 ``np.dot`` is the bare product c*x,
 -0.0 included, where the stacked form gives +0.0, so the objective is
-that product. ``solve`` is the one-column case of the same loop.
+that product.
 """
 
 from __future__ import annotations
@@ -424,24 +431,40 @@ def _standardize(lp: LinearProgram, given: np.ndarray) -> StandardForm:
 
 @dataclass
 class Tableau:
-    """Canonical-form simplex tableau: body rows plus a priced cost row.
+    """Canonical-form simplex tableau: body rows over a priced cost row,
+    stacked in one array, ``table``, so that one elimination step updates
+    both (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
+    §3.6).
 
-    ``body`` is (m, N+k): N matrix columns, then one rhs column for each
-    of the k programs named in ``ids``. ``cost`` is the reduced-cost row of
-    length N+k whose rhs entries hold each program's negated objective
-    value. ``basis[i]`` is the column basic in row i. The first rhs column
-    leads: ``pivot_rule`` reads it.
+    ``table`` is (m+1, N+k): N matrix columns, then one rhs column for each
+    of the k programs named in ``ids``. ``body`` is a view of its first m
+    rows and ``cost`` of its last: the reduced-cost row, whose rhs entries
+    hold each program's negated objective value. ``basis[i]`` is the
+    column basic in row i. The first rhs column leads: ``pivot_rule`` reads
+    it. Given only ``body`` and ``cost``, the tableau stacks copies of them;
+    ``Tableau.over`` wraps a stacked table as it is.
     """
 
     body: np.ndarray
     cost: np.ndarray
     basis: list[int]
-    blocked: frozenset[int] = field(default_factory=frozenset)  # columns barred from entering
+    blocked: Sequence[int] = ()                                 # columns barred from entering
     ids: tuple[int, ...] = (0,)                                 # the program of each rhs column
+    table: np.ndarray | None = field(default=None, repr=False)  # body over cost, one array
     cols: int = field(init=False)                               # N, the matrix columns
 
     def __post_init__(self) -> None:
-        self.cols = self.body.shape[1] - len(self.ids)
+        if self.table is None:
+            self.table = np.vstack((self.body, self.cost))
+            self.body, self.cost = self.table[:-1], self.table[-1]
+        self.cols = self.table.shape[1] - len(self.ids)
+
+    @classmethod
+    def over(
+        cls, table: np.ndarray, basis: list[int], blocked: Sequence[int] = (), ids: tuple[int, ...] = (0,)
+    ) -> Tableau:
+        """The tableau whose body and cost row are views of *table*."""
+        return cls(table[:-1], table[-1], basis, blocked, ids, table)
 
     @property
     def rows(self) -> int:
@@ -450,13 +473,8 @@ class Tableau:
     def take(self, picks: np.ndarray) -> Tableau:
         """A copy holding only the rhs columns at positions *picks*."""
         index = np.concatenate((np.arange(self.cols), self.cols + picks))
-        return Tableau(
-            body=self.body[:, index],
-            cost=self.cost[index],
-            basis=list(self.basis),
-            blocked=self.blocked,
-            ids=tuple([self.ids[k] for k in picks.tolist()]),
-        )
+        ids = tuple([self.ids[k] for k in picks.tolist()])
+        return Tableau.over(self.table[:, index], list(self.basis), self.blocked, ids)
 
 
 def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | None:
@@ -533,14 +551,127 @@ def _leaving_rows(tableau: Tableau, col: int, bland: bool) -> np.ndarray:
 
 
 def _apply_pivot(tableau: Tableau, row: int, col: int) -> None:
-    body = tableau.body
-    pivot_row = body[row]
+    """Pivot on (row, col): one outer-product update of the whole table,
+    cost row included, which becomes c - c[col] * pivot row entrywise."""
+    table = tableau.table
+    pivot_row = table[row]
     pivot_row /= pivot_row[col]
-    factors = body[:, col].copy()
+    factors = table[:, col].copy()
     factors[row] = 0.0
-    body -= factors[:, None] * pivot_row       # np.outer(factors, pivot_row), without its wrapper
-    tableau.cost -= tableau.cost[col] * pivot_row
+    table -= factors[:, None] * pivot_row       # np.outer(factors, pivot_row), without its wrapper
     tableau.basis[row] = col
+
+
+def _price(table: np.ndarray, cost: Sequence[float], basis: list[int]) -> None:
+    """Write *table*'s cost row: *cost* over the matrix columns with every
+    basic column priced out; its entries past *cost* hold -objective of
+    each rhs column."""
+    row = table[-1]
+    row[: len(cost)] = cost
+    row[len(cost):] = 0.0
+    # Basic columns are exact unit vectors, so no subtraction below changes
+    # a factor before its turn: all can be read up front.
+    for i, factor in enumerate(row.take(basis).tolist()):
+        if factor != 0.0:
+            row -= factor * table[i]
+
+
+def _drive_out_artificials(tableau: Tableau, first: int) -> list[int]:
+    """Pivot zero-valued artificials (the columns from *first* on) out of
+    the basis; return redundant rows."""
+    redundant: list[int] = []
+    for i, basic in enumerate(tableau.basis):
+        if basic < first:
+            continue
+        entries = tableau.body[i, :first].tolist()
+        target = next((j for j, v in enumerate(entries) if abs(v) > PIVOT_TOL), -1)
+        if target >= 0:
+            _apply_pivot(tableau, i, target)
+        else:
+            redundant.append(i)
+    return redundant
+
+
+def _run_lone(tableau: Tableau) -> tuple[int, bool]:
+    """Iterate *tableau*, with its one rhs column, to optimality: returns
+    (iterations, unbounded).
+
+    Bland's rule takes over once the objective has not fallen below its
+    best so far for 2*(m+n) pivots. Measured against the previous pivot
+    instead, a cycle whose objective falls and rises by rounding-level
+    steps would reset the count forever. The cost row holds -objective, so
+    the objective falls where that entry rises.
+    """
+    cols = tableau.cols
+    cost = tableau.cost
+    stall_limit = 2 * (tableau.rows + cols)
+    iterations = stall = 0
+    best = cost.item(cols)
+    while True:
+        try:
+            pivot = pivot_rule(tableau, bland=stall >= stall_limit)
+        except _Unbounded:
+            return iterations, True
+        if pivot is None:
+            return iterations, False
+        _apply_pivot(tableau, *pivot)
+        iterations += 1
+        if iterations > MAX_ITER:
+            raise IterationLimitError(f"no convergence within {MAX_ITER} iterations")
+        now = cost.item(cols)
+        if now > best + STALL_TOL * max(1.0, abs(best)):
+            stall, best = 0, now
+        else:
+            stall += 1
+
+
+def _two_phase_lone(form: StandardForm) -> tuple[Status, tuple[float, ...] | None, int]:
+    """Both simplex phases on *form* with its own rhs, the one column of a
+    plain solve: (status, the optimal point or None, iterations). Its
+    tests and read-out are Python floats, which round as numpy's do."""
+    total = form.column_count
+    if not form.basis:
+        # Only lower bounds constrain the problem; the minimum sits at the shift.
+        if min(form.objective, default=0.0) < 0.0:
+            return Status.UNBOUNDED, None, 0
+        return Status.OPTIMAL, form.shifts, 0
+
+    table = np.zeros((len(form.basis) + 1, total + 1))   # the body over a cost row
+    table[:-1] = form.body
+    basis = list(form.basis)
+    first = total - len(form.artificial_cols)   # the artificials are the last columns
+    before = 0
+    if first < total:
+        _price(table, [0.0] * first + [1.0] * (total - first), basis)
+        phase1 = Tableau.over(table, basis)
+        before, unbounded = _run_lone(phase1)
+        if unbounded:  # the phase-1 objective is bounded below by zero
+            raise LPError("phase 1 reported unbounded; input is numerically degenerate")
+        # A basic artificial is its own row's residual, so it is judged
+        # against that row's scale, max(1, |rhs|) in the row's own units as
+        # in check_rows: a row with a huge rhs cannot hide another's. In
+        # equilibrated units that is max(1 / row scale, equilibrated rhs).
+        rhs, given, scales = table[:, total].tolist(), form.body[:, total].tolist(), form.row_scales
+        for i, col in enumerate(basis):
+            if col >= first:
+                r = form.basis.index(col)
+                if rhs[i] > FEAS_TOL * max(1.0 / scales[r], given[r]):
+                    return Status.INFEASIBLE, None, before
+        redundant = _drive_out_artificials(phase1, first)
+        if redundant:
+            keep = [i for i in range(len(basis)) if i not in redundant]
+            table, basis = table[[*keep, len(basis)]], [basis[i] for i in keep]
+
+    # Phase 2: original costs over the feasible basis; artificials barred.
+    _price(table, form.objective, basis)
+    iterations, unbounded = _run_lone(Tableau.over(table, basis, form.artificial_cols))
+    if unbounded:
+        return Status.UNBOUNDED, None, before + iterations
+    # Scatter the basic values into the point, then un-shift.
+    shifted = [0.0] * total
+    for j, value in zip(basis, table[:, total].tolist()):
+        shifted[j] = value
+    return Status.OPTIMAL, tuple([v + s for v, s in zip(shifted, form.shifts)]), before + iterations
 
 
 def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
@@ -549,19 +680,14 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     The columns of a block share its entering column, which depends only
     on the cost row and the Bland flag. Before a pivot, the columns whose
     leaving row or Bland flag differs from the lead's are split off into
-    a block of their own, which continues from the same state. Returns
-    (block, iterations, unbounded) for *tableau* and for every block split
-    from it.
+    a block of their own, which continues from the same state. Each
+    column's stall count and best objective are those of ``_run_lone``,
+    kept as arrays and tested elementwise. Returns (block, iterations,
+    unbounded) for *tableau* and for every block split from it.
     """
     cols = tableau.cols
     stall_limit = 2 * (tableau.rows + cols)
-    # Each block's stall counts and best objectives: arrays for a block of
-    # several columns, whose tests below are elementwise; a lone column
-    # (every plain solve) tests scalars, which round as numpy's arrays do.
-    if len(tableau.ids) == 1:
-        todo = [(tableau, 0, [0], tableau.cost[cols:].tolist())]
-    else:
-        todo = [(tableau, 0, np.zeros(len(tableau.ids), dtype=np.intp), tableau.cost[cols:].copy())]
+    todo = [(tableau, 0, np.zeros(len(tableau.ids), dtype=np.intp), tableau.cost[cols:].copy())]
     done: list[tuple[Tableau, int, bool]] = []
     while todo:
         tableau, iterations, stall, best = todo.pop()
@@ -576,149 +702,83 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
                 done.append((tableau, iterations, False))
                 break
             row, col = pivot
-            if len(stall) > 1:
-                moved = (_leaving_rows(tableau, col, bland) != row) | ((stall >= stall_limit) != bland)
-                if moved.any():
-                    away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
-                    todo.append((tableau.take(away), iterations, stall[away], best[away]))
-                    tableau = tableau.take(kept)
-                    stall, best = stall[kept], best[kept]
+            moved = (_leaving_rows(tableau, col, bland) != row) | ((stall >= stall_limit) != bland)
+            if moved.any():
+                away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
+                todo.append((tableau.take(away), iterations, stall[away], best[away]))
+                tableau = tableau.take(kept)
+                stall, best = stall[kept], best[kept]
             _apply_pivot(tableau, row, col)
             iterations += 1
             if iterations > MAX_ITER:
                 raise IterationLimitError(f"no convergence within {MAX_ITER} iterations")
-            # The count of pivots since the objective last fell below its
-            # best so far, Bland's rule from stall_limit on. Measured against
-            # the previous pivot instead, a cycle whose objective falls and
-            # rises by rounding-level steps would reset the count forever.
-            # The cost row holds -objective, so the objective falls where
-            # that entry rises.
-            if len(stall) == 1:
-                (now,) = tableau.cost[cols:].tolist()
-                if now > best[0] + STALL_TOL * max(1.0, abs(best[0])):
-                    stall, best = [0], [now]
-                else:
-                    stall = [stall[0] + 1]
-            else:
-                current = tableau.cost[cols:]
-                fell = current > best + STALL_TOL * np.maximum(1.0, np.abs(best))
-                stall = np.where(fell, 0, stall + 1)
-                best = np.where(fell, current, best)
+            current = tableau.cost[cols:]
+            fell = current > best + STALL_TOL * np.maximum(1.0, np.abs(best))
+            stall = np.where(fell, 0, stall + 1)
+            best = np.where(fell, current, best)
     return done
 
 
-def _priced_cost_row(body: np.ndarray, cost: Sequence[float], basis: list[int]) -> np.ndarray:
-    """The cost row over *body*'s columns with every basic column priced
-    out; its entries past *cost* hold -objective of each rhs column."""
-    row = np.zeros(body.shape[1])
-    row[: len(cost)] = cost
-    # Basic columns are exact unit vectors, so no subtraction below changes
-    # a factor before its turn: all can be read up front.
-    for i, factor in enumerate(row.take(basis).tolist()):
-        if factor != 0.0:
-            row -= factor * body[i]
-    return row
+# (rhs columns, status, their (k, n) points when optimal, iterations)
+_Outcome = tuple[tuple[int, ...], Status, "np.ndarray | None", int]
 
 
-def _drive_out_artificials(tableau: Tableau, artificial: set[int]) -> list[int]:
-    """Pivot zero-valued artificials out of the basis; return redundant rows."""
-    redundant: list[int] = []
-    for i, basic in enumerate(tableau.basis):
-        if basic not in artificial:
-            continue
-        entries = tableau.body[i, : tableau.cols].tolist()
-        target = next((j for j, v in enumerate(entries) if j not in artificial and abs(v) > PIVOT_TOL), -1)
-        if target >= 0:
-            _apply_pivot(tableau, i, target)
-        else:
-            redundant.append(i)
-    return redundant
+def _two_phase(form: StandardForm, table: np.ndarray) -> list[_Outcome]:
+    """Run both simplex phases on *table*: *form*'s rows with one rhs
+    column per program, over a cost row that is overwritten here. Returns
+    one outcome per block of rhs columns that ended alike, in no fixed
+    order.
 
-
-# (rhs columns, status, their k points when optimal, iterations): the
-# points are a (k, n) array, or k tuples of Python floats
-_Outcome = tuple[tuple[int, ...], Status, "np.ndarray | Sequence[tuple[float, ...]] | None", int]
-
-
-def _two_phase(form: StandardForm, body: np.ndarray) -> list[_Outcome]:
-    """Run both simplex phases on *body*: *form*'s rows with one rhs column
-    per program. Returns one outcome per block of rhs columns that ended
-    alike, in no fixed order.
-
-    Blocks of several columns are judged and read out as whole arrays. A
-    lone column (every plain solve) takes the same steps on Python floats,
-    which cost less than numpy calls at that size and round the same.
+    The steps are ``_two_phase_lone``'s, taken on every column of a block
+    at once: the phase-1 verdict and the read-out of the points are whole
+    arrays, elementwise, so each column's bits are those of a lone solve.
     """
     total = form.column_count
-    ids = tuple(range(body.shape[1] - total))
+    ids = tuple(range(table.shape[1] - total))
     if not form.basis:
         # Only lower bounds constrain the problem; the minimum sits at the shift.
         if min(form.objective, default=0.0) < 0.0:
             return [(ids, Status.UNBOUNDED, None, 0)]
-        return [(ids, Status.OPTIMAL, [form.shifts] * len(ids), 0)]
+        return [(ids, Status.OPTIMAL, np.tile(form.shifts, (len(ids), 1)), 0)]
 
     outcomes: list[_Outcome] = []
-    artificial = set(form.artificial_cols)
-    starts = []   # phase-2 blocks: body, basis, ids, phase-1 iterations
-    if not artificial:
-        starts.append((body, list(form.basis), ids, 0))
+    first = total - len(form.artificial_cols)   # the artificials are the last columns
+    starts = []   # phase-2 blocks: table, basis, ids, phase-1 iterations
+    if first == total:
+        starts.append((table, list(form.basis), ids, 0))
     else:
-        phase1_cost = [0.0] * (total - len(artificial)) + [1.0] * len(artificial)
-        cost = _priced_cost_row(body, phase1_cost, form.basis)
-        # A basic artificial is its own row's residual, so it is judged
-        # against that row's scale, max(1, |rhs|) in the row's own units as
-        # in check_rows: a row with a huge rhs cannot hide another's. In
-        # equilibrated units that is max(1 / row scale, equilibrated rhs).
-        row_of = {col: r for r, col in enumerate(form.basis) if col in artificial}
-        scales = form.row_scales
-        given = body[:, total:].copy()    # each program's equilibrated rhs, before phase 1 pivots
-        phase1 = Tableau(body=body, cost=cost, basis=list(form.basis), ids=ids)
-        for tableau, iterations, unbounded in _run_simplex(phase1):
+        _price(table, [0.0] * first + [1.0] * (total - first), form.basis)
+        scales = np.array(form.row_scales)
+        given = table[:-1, total:].copy()    # each program's equilibrated rhs, before phase 1 pivots
+        for tableau, iterations, unbounded in _run_simplex(Tableau.over(table, list(form.basis), ids=ids)):
             if unbounded:  # the phase-1 objective is bounded below by zero
                 raise LPError("phase 1 reported unbounded; input is numerically degenerate")
-            at = [i for i, col in enumerate(tableau.basis) if col in row_of]
-            of = [row_of[tableau.basis[i]] for i in at]
-            if len(tableau.ids) == 1:
-                rhs, b = tableau.body[:, tableau.cols].tolist(), given[:, tableau.ids[0]].tolist()
-                failed = [any(rhs[i] > FEAS_TOL * max(1.0 / scales[r], b[r]) for i, r in zip(at, of))]
-            else:
-                band = FEAS_TOL * np.maximum(1.0 / np.array(scales)[of, None], given[of][:, tableau.ids])
-                failed = (tableau.body[at, tableau.cols:] > band).any(axis=0).tolist()
+            # Each basic artificial against its own row's scale, as in _two_phase_lone.
+            at = [i for i, col in enumerate(tableau.basis) if col >= first]
+            of = [form.basis.index(tableau.basis[i]) for i in at]
+            band = FEAS_TOL * np.maximum(1.0 / scales[of, None], given[of][:, tableau.ids])
+            failed = (tableau.body[at, tableau.cols:] > band).any(axis=0).tolist()
             if any(failed):
                 outcomes.append((tuple(compress(tableau.ids, failed)), Status.INFEASIBLE, None, iterations))
                 if all(failed):
                     continue
                 tableau = tableau.take(np.flatnonzero(np.logical_not(failed)))
-            redundant = _drive_out_artificials(tableau, artificial)
-            if redundant:
-                keep = [i for i in range(tableau.rows) if i not in redundant]
-                starts.append((tableau.body[keep], [tableau.basis[i] for i in keep], tableau.ids, iterations))
-            else:
-                starts.append((tableau.body, tableau.basis, tableau.ids, iterations))
+            redundant = _drive_out_artificials(tableau, first)
+            keep = [i for i in range(tableau.rows) if i not in redundant]
+            table = tableau.table[[*keep, tableau.rows]] if redundant else tableau.table
+            starts.append((table, [tableau.basis[i] for i in keep], tableau.ids, iterations))
 
     # Phase 2: original costs over the feasible basis; artificials barred.
-    for body, basis, ids, before in starts:
-        phase2 = Tableau(
-            body=body,
-            cost=_priced_cost_row(body, form.objective, basis),
-            basis=basis,
-            blocked=frozenset(artificial),
-            ids=ids,
-        )
-        for tableau, iterations, unbounded in _run_simplex(phase2):
+    for table, basis, ids, before in starts:
+        _price(table, form.objective, basis)
+        for tableau, iterations, unbounded in _run_simplex(Tableau.over(table, basis, form.artificial_cols, ids)):
             if unbounded:
                 outcomes.append((tableau.ids, Status.UNBOUNDED, None, before + iterations))
                 continue
             # Scatter each column's basic values into its point, then un-shift.
-            if len(tableau.ids) == 1:
-                shifted = [0.0] * total
-                for j, value in zip(tableau.basis, tableau.body[:, tableau.cols].tolist()):
-                    shifted[j] = value
-                points = [tuple([v + s for v, s in zip(shifted, form.shifts)])]
-            else:
-                points = np.zeros((len(tableau.ids), total))
-                points[:, tableau.basis] = tableau.body[:, tableau.cols:].T
-                points = points[:, : form.var_count] + np.array(form.shifts)
+            points = np.zeros((len(tableau.ids), total))
+            points[:, tableau.basis] = tableau.body[:, tableau.cols:].T
+            points = points[:, : form.var_count] + np.array(form.shifts)
             outcomes.append((tableau.ids, Status.OPTIMAL, points, before + iterations))
     return outcomes
 
@@ -735,8 +795,8 @@ def solve(lp: LinearProgram) -> Solution:
     LPError.
     """
     form = standardize(lp)
-    ((_, status, points, iterations),) = _two_phase(form, form.body.copy())
-    return _build_solution(lp, lp.rows, status, None if points is None else points[0], iterations)
+    status, point, iterations = _two_phase_lone(form)
+    return _build_solution(lp, lp.rows, status, point, iterations)
 
 
 def _shape(lp: LinearProgram) -> tuple:
@@ -819,8 +879,11 @@ def _solve_block(lp: LinearProgram, rhs: np.ndarray) -> _Block:
     points = [np.zeros((0, lp.var_count))]         # ... and their points
     for picks in groups:
         form = _standardize(lp, given[:, picks[0]])
-        body = np.concatenate((form.body[:, :-1], shifted[:, picks]), axis=1)
-        for ids, outcome, block_points, count in _two_phase(form, body):
+        total = form.column_count
+        table = np.zeros((m + 1, total + len(picks)))   # _two_phase prices its last row, the cost row
+        table[:-1, :total] = form.body[:, :-1]
+        table[:-1, total:] = shifted[:, picks]
+        for ids, outcome, block_points, count in _two_phase(form, table):
             at = np.take(picks, ids)
             status[at] = outcome
             iterations[at] = count

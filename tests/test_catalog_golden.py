@@ -64,6 +64,18 @@ def test_a_variant_named_by_its_string_builds_that_variant(variant, recorded):
         assert get_scenario(name, variant) is get_scenario(name, variant.value)
 
 
+@pytest.mark.parametrize("name", ["m0_cost_only", "m4_nuclear"])
+def test_every_spelling_of_the_variant_shares_one_cache_entry(name):
+    AP = CoefficientVariant.AS_PRINTED
+    get_scenario.cache_clear()
+    get_scenario(name)
+    entries = get_scenario.cache_info().currsize   # the model and its parents, m0 has none
+    spellings = [get_scenario(name), get_scenario(name, AP), get_scenario(name, "as_printed"), get_scenario(name, variant=AP)]
+    assert all(scenario is spellings[0] for scenario in spellings)
+    assert get_scenario.cache_info().currsize == entries
+    assert name != "m0_cost_only" or entries == 1
+
+
 def test_unknown_name_lists_the_known_names():
     with pytest.raises(KeyError) as caught:
         get_scenario("m9_fusion")

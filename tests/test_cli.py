@@ -560,6 +560,25 @@ def test_solve_does_not_load_the_derivation_layer():
     assert result.stdout.splitlines()[-1] == "False 0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["list", "--format", "json"], ["solve", "m1_flat_demand"]],
+    ids=["list", "solve"],
+)
+def test_a_closed_stdout_exits_one_with_nothing_on_stderr(argv):
+    # The read end is closed before gridmix starts, so its first write to
+    # stdout fails, as it does when `head` stops reading early.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "gridmix.cli", *argv], env=env, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
 def test_published_table_resolves_from_derivation():
     from gridmix import catalog, derivation
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridmix.lp as lp_module
 from gridmix.catalog import get_scenario
 from gridmix.lp import (
     Constraint,
@@ -410,6 +411,83 @@ def test_fuzz_against_oracle_small():
         if sol.status is Status.OPTIMAL:
             scale = max(1.0, abs(sol.objective_value), abs(oracle.objective))
             assert abs(sol.objective_value - oracle.objective) <= 1e-6 * scale
+
+
+# ---------------------------------------------------------------------------
+# the lone loop of solve against the block loop of solve_rhs
+
+
+def hexed(solution):
+    return (
+        solution.status,
+        [v.hex() for v in solution.values],
+        solution.objective_value.hex(),
+        [a.hex() for a in solution.activities],
+        solution.binding,
+        solution.iterations,
+    )
+
+
+def redundant_program():
+    # Row b is twice row a: its artificial stays basic at zero with no
+    # structural entry to pivot on, so the row is dropped before phase 2.
+    return lp_min(
+        [1.0, 3.0],
+        [
+            Constraint((1.0, 1.0), Relation.EQ, 2.0, "a"),
+            Constraint((2.0, 2.0), Relation.EQ, 4.0, "b"),
+            Constraint((1.0, -1.0), Relation.LE, 1.0, "c"),
+        ],
+    )
+
+
+def infeasible_program():
+    return lp_min(
+        [1.0, 1.0],
+        [Constraint((1.0, 1.0), Relation.LE, 1.0, "low"), Constraint((1.0, 1.0), Relation.GE, 3.0, "high")],
+    )
+
+
+def unbounded_program():
+    # Phase 1 finds a feasible basis; x1 then grows along x1 - x2 <= 1.
+    return LinearProgram(
+        sense=Sense.MAXIMIZE,
+        objective=(1.0, 0.0),
+        constraints=(
+            Constraint((1.0, 1.0), Relation.GE, 1.0, "floor"),
+            Constraint((1.0, -1.0), Relation.LE, 1.0, "gap"),
+        ),
+        var_count=2,
+    )
+
+
+@pytest.mark.parametrize(
+    "program, status, others",
+    [
+        (redundant_program, Status.OPTIMAL, [[3.0, 6.0, 1.0], [2.0, 5.0, 1.0]]),
+        (infeasible_program, Status.INFEASIBLE, [[4.0, 3.0], [1.0, 2.0]]),
+        (unbounded_program, Status.UNBOUNDED, [[2.0, 1.0], [1.0, 3.0]]),
+    ],
+    ids=["redundant-row", "phase-1-infeasible", "phase-2-unbounded"],
+)
+def test_lone_loop_branches_equal_the_block_loop(monkeypatch, program, status, others):
+    dropped = []
+    drive_out = lp_module._drive_out_artificials
+
+    def spy(tableau, first):
+        dropped.append(drive_out(tableau, first))
+        return dropped[-1]
+
+    monkeypatch.setattr(lp_module, "_drive_out_artificials", spy)
+    lp = program()
+    solution = solve(lp)
+    assert solution.status is status
+    if program is redundant_program:
+        assert dropped == [[1]]
+        assert solution.values == (1.5, 0.5)
+    rhs = [c.rhs for c in lp.constraints]
+    for given in (np.array([rhs]), np.array([rhs, *others])):
+        assert hexed(solve_rhs(lp, given)[0]) == hexed(solution)
 
 
 # ---------------------------------------------------------------------------
