@@ -1,13 +1,17 @@
 """Independent verification: vertex enumeration, corner reports, sweeps,
 and the audit of the published result tables.
 
-The vertex oracle intersects every n-subset of constraint hyperplanes
-(variable bounds included), keeps the feasible intersection points, and
-takes the best objective over them once the same enumeration over the
-recession cone's extreme rays has ruled out unboundedness. It shares no
-pivoting code with the simplex, which is what makes agreement between the
-two a certificate; both test points against rows with the one kernel
-``lp.check_rows``.
+The vertex oracle has two halves, split where the objective enters.
+``_region`` intersects every n-subset of constraint hyperplanes (variable
+bounds included) and keeps the feasible intersection points. ``_verdict``
+ranks them by objective and takes the best once the same enumeration over
+the recession cone's extreme rays has ruled out unboundedness.
+``enumerate_vertices`` and ``oracle_solve`` are built on the two; the audit
+enumerates each distinct region once per call, so tables 12 and 13 share
+one, and reads the verdict without building ``Vertex`` records. The
+oracle shares no pivoting code with the simplex, which is what makes
+agreement between the two a certificate; both test points against rows
+with the one kernel ``lp.check_rows``.
 Singular subsystems are detected by batched partial-pivot elimination on
 row-equilibrated matrices with the SINGULAR_TOL pivot threshold;
 equilibration matters because the built-in models mix fraction-scale
@@ -38,7 +42,7 @@ import numpy as np
 from . import derivation  # noqa: F401
 from .catalog import get_scenario
 from .lp import (
-    ROW_TOL, Constraint, LinearProgram, LPError, Relation, Sense, Status, _solve_block, check_feasible, check_rows,
+    ROW_TOL, Constraint, LinearProgram, LPError, Relation, Sense, Status, _solve_block, check_rows,
     solve,
 )
 from .model import CAP_FIELDS, CoefficientVariant, ObjectiveMode, Scenario, compile_scenario, compile_sweep, tabulate
@@ -134,12 +138,6 @@ def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2) <= ROW_TOL * span
 
 
-def _near_any(point: np.ndarray, others: list) -> bool:
-    """Whether *point* equals one of *others*, tested against all of them
-    in one ``_near`` call."""
-    return bool(_near(point[None, :], np.asarray(others, dtype=float).reshape(-1, point.size)).any())
-
-
 def _dedup(points: np.ndarray) -> list[int]:
     """Indices of *points* in lexicographic order, skipping each point
     equal to one already kept. Every pair is compared in one (k, k)
@@ -153,38 +151,76 @@ def _dedup(points: np.ndarray) -> list[int]:
     return kept
 
 
-def enumerate_vertices(lp: LinearProgram) -> list[Vertex]:
-    """All vertices of the feasible region, deduplicated at ROW_TOL relative.
-
-    Works by solving every n-subset of the constraint/bound hyperplanes;
-    singular subsets are skipped. Capped at var_count <= 4.
-    """
+def _region(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The oracle's row-only half: the (k, n) feasible intersection points
+    of *lp*'s n-subsets of rows, their (k, r) binding masks over
+    ``lp.rows``, and the indices ``_dedup`` keeps. Capped at var_count <= 4."""
     n = lp.var_count
     if n > 4:
         raise UnsupportedSizeError(f"vertex enumeration supports at most 4 variables, got {n}")
     rows = lp.rows
-    idx = _subsets(len(rows.rhs), n)
-    if not len(idx):
-        return []
+    idx = _subsets(len(rows.rhs), n)      # never empty: the n bound rows are one subset
     points, ok = _batch_solve(rows.matrix[idx], rows.rhs[idx])
     points = points[ok]
     _, _, satisfied, binding = check_rows(rows, points)
     feasible = satisfied.all(axis=1)
-    points, binding = points[feasible], binding[feasible]
+    points = points[feasible]
+    return points, binding[feasible], _dedup(points)
 
+
+def _ranked(lp: LinearProgram, region: tuple) -> list[tuple[float, tuple[float, ...], int]]:
+    """(objective, point, index) of each kept point of *region*, ordered
+    by (objective, point)."""
+    points, _, kept = region
     objective = np.asarray(lp.objective)
+    coordinates = points.tolist()
+    ranked = [(float(points[i] @ objective), tuple(coordinates[i]), i) for i in kept]
+    ranked.sort(key=lambda r: (r[0], r[1]))
+    return ranked
+
+
+def _verdict(lp: LinearProgram, region: tuple) -> tuple[Status, list, tuple | None]:
+    """The oracle's verdict on *lp* over its region: the status, the
+    ``_ranked`` vertices, and the optimum among them when there is one.
+
+    No vertex means infeasible. Every variable is bounded below, so a
+    feasible region has a vertex, and it is unbounded exactly when an
+    extreme ray d of its recession cone improves the objective:
+    sign * c.d < -TIE_TOL * max(1, max|c|), with sign -1 when maximizing
+    (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
+    §4.8). The rays are enumerated only when some sign * c_i < 0, since
+    no d >= 0 improves otherwise. Else the optimum is the first vertex, in
+    ranked order, within TIE_TOL of the best objective.
+    """
+    ranked = _ranked(lp, region)
+    if not ranked:
+        return Status.INFEASIBLE, ranked, None
+    sign = 1.0 if lp.sense is Sense.MINIMIZE else -1.0
+    cost = [sign * c for c in lp.objective]
+    if min(cost) < 0.0:
+        band = TIE_TOL * max(1.0, max(map(abs, cost)))
+        cone = _recession_cone(lp)
+        if any(sign * ray < -band for ray, _, _ in _ranked(cone, _region(cone))):
+            return Status.UNBOUNDED, ranked, None
+    best = (min if sign > 0.0 else max)(r[0] for r in ranked)
+    chosen = next(r for r in ranked if abs(r[0] - best) <= TIE_TOL * max(1.0, abs(best)))
+    return Status.OPTIMAL, ranked, chosen
+
+
+def _vertices(lp: LinearProgram, region: tuple, ranked: list) -> list[Vertex]:
     labels = [c.label for c in lp.constraints]
-    coordinates, flags = points.tolist(), binding.tolist()
-    vertices = [
-        Vertex(
-            point=tuple(coordinates[i]),
-            objective=float(points[i] @ objective),
-            binding=frozenset(itertools.compress(labels, flags[i])),
-        )
-        for i in _dedup(points)
+    flags = region[1].tolist()
+    return [
+        Vertex(point=point, objective=objective, binding=frozenset(itertools.compress(labels, flags[i])))
+        for objective, point, i in ranked
     ]
-    vertices.sort(key=lambda v: (v.objective, v.point))
-    return vertices
+
+
+def enumerate_vertices(lp: LinearProgram) -> list[Vertex]:
+    """All vertices of the feasible region, deduplicated at ROW_TOL
+    relative, ordered by (objective, point). Capped at var_count <= 4."""
+    region = _region(lp)
+    return _vertices(lp, region, _ranked(lp, region))
 
 
 def _recession_cone(lp: LinearProgram) -> LinearProgram:
@@ -204,31 +240,13 @@ def _recession_cone(lp: LinearProgram) -> LinearProgram:
 
 
 def oracle_solve(lp: LinearProgram) -> OracleResult:
-    """Classify and solve *lp* by brute force.
-
-    No vertex means infeasible. Every variable is bounded below, so a
-    feasible region has a vertex, and it is unbounded exactly when an
-    extreme ray d of its recession cone improves the objective:
-    sign * c.d < -TIE_TOL * max(1, max|c|), with sign -1 when maximizing
-    (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
-    §4.8). The rays are enumerated only when some sign * c_i < 0, since
-    no d >= 0 improves otherwise. Else the optimum is the first vertex, in
-    ``enumerate_vertices``' order, within TIE_TOL of the best objective.
-    """
-    vertices = tuple(enumerate_vertices(lp))
-    if not vertices:
-        return OracleResult(status=Status.INFEASIBLE, objective=None, point=None, vertices=())
-    sign = 1.0 if lp.sense is Sense.MINIMIZE else -1.0
-    cost = [sign * c for c in lp.objective]
-    if min(cost) < 0.0:
-        band = TIE_TOL * max(1.0, max(map(abs, cost)))
-        if any(sign * ray.objective < -band for ray in enumerate_vertices(_recession_cone(lp))):
-            return OracleResult(status=Status.UNBOUNDED, objective=None, point=None, vertices=vertices)
-    best = (min if sign > 0.0 else max)(v.objective for v in vertices)
-    chosen = next(v for v in vertices if abs(v.objective - best) <= TIE_TOL * max(1.0, abs(best)))
-    return OracleResult(
-        status=Status.OPTIMAL, objective=chosen.objective, point=chosen.point, vertices=vertices
-    )
+    """Classify and solve *lp* by brute force, as ``_verdict`` sets out;
+    ``vertices`` are those of ``enumerate_vertices``."""
+    region = _region(lp)
+    status, ranked, chosen = _verdict(lp, region)
+    vertices = tuple(_vertices(lp, region, ranked))
+    objective, point = chosen[:2] if chosen else (None, None)
+    return OracleResult(status=status, objective=objective, point=point, vertices=vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +602,13 @@ def _recompute_cell(cell: _RefCell, lp: LinearProgram, point: tuple[float, ...],
     raise ValueError(f"unknown cell kind {cell.kind!r}")
 
 
-def _audit_table(ref: _RefTable) -> TableAudit:
+def _audit_table(ref: _RefTable, regions: dict) -> TableAudit:
     """Audit one printed table against its as-printed scenario, compiled
     once: the solver's and the oracle's optimum against the printed total,
     the printed point's feasibility and vertex membership, and each cell.
-    The point is tabulated only when a cell reads the table."""
+    The point is tabulated only when a cell reads the table. *regions*
+    holds the oracle's ``_region`` of each region audited so far in this
+    call, keyed on the constraints and lower bounds."""
     scenario = get_scenario(ref.scenario, CoefficientVariant.AS_PRINTED)
     if ref.objective is not None:
         scenario = scenario.with_objective(ref.objective)
@@ -596,7 +616,11 @@ def _audit_table(ref: _RefTable) -> TableAudit:
     tabulated = any(cell.kind != "objective_total" for cell in ref.cells)
     table = tabulate(scenario, ref.point) if tabulated else None
     solution = solve(lp)
-    oracle = oracle_solve(lp)
+    key = (lp.constraints, lp.lower_bounds)
+    region = regions[key] = regions.get(key) or _region(lp)
+    oracle_status, _, chosen = _verdict(lp, region)
+    points, _, kept = region
+    point = np.array([ref.point], dtype=float)
     if solution.is_optimal:
         headline = abs(solution.objective_value - ref.objective_total) / abs(ref.objective_total)
     else:
@@ -613,14 +637,14 @@ def _audit_table(ref: _RefTable) -> TableAudit:
         printed_objective=ref.objective_total,
         solver_status=solution.status,
         solver_objective=solution.objective_value if solution.is_optimal else None,
-        oracle_status=oracle.status,
-        oracle_objective=oracle.objective,
+        oracle_status=oracle_status,
+        oracle_objective=None if chosen is None else chosen[0],
         headline_delta=headline,
         classification=_classify(headline),
         expected=ref.expected,
         tolerance=ref.tolerance,
-        point_feasible=check_feasible(lp, ref.point).feasible,
-        point_is_vertex=_near_any(np.asarray(ref.point), [v.point for v in oracle.vertices]),
+        point_feasible=bool(check_rows(lp.rows, point)[2].all()),
+        point_is_vertex=bool(_near(point, points[kept]).any()),
         cells=tuple(audited),
         ledger=ref.ledger,
         notes=ref.notes,
@@ -635,7 +659,8 @@ def audit_reference_results() -> ReferenceAudit:
     a classification of the headline objective delta (match <= 0.1%,
     near <= 1%, discrepancy beyond).
     """
-    tables = [_audit_table(ref) for ref in _REFERENCE_TABLES]
+    regions: dict = {}
+    tables = [_audit_table(ref, regions) for ref in _REFERENCE_TABLES]
     for table in tables:
         unknown = set(table.ledger) - _DISCREPANCY_IDS
         if unknown:

@@ -680,10 +680,11 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     The columns of a block share its entering column, which depends only
     on the cost row and the Bland flag. Before a pivot, the columns whose
     leaving row or Bland flag differs from the lead's are split off into
-    a block of their own, which continues from the same state. Each
-    column's stall count and best objective are those of ``_run_lone``,
-    kept as arrays and tested elementwise. Returns (block, iterations,
-    unbounded) for *tableau* and for every block split from it.
+    a block of their own, which continues from the same state; a block of
+    one column cannot split and skips that test. Each column's stall
+    count and best objective are those of ``_run_lone``, kept as arrays
+    and tested elementwise. Returns (block, iterations, unbounded) for
+    *tableau* and for every block split from it.
     """
     cols = tableau.cols
     stall_limit = 2 * (tableau.rows + cols)
@@ -702,12 +703,13 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
                 done.append((tableau, iterations, False))
                 break
             row, col = pivot
-            moved = (_leaving_rows(tableau, col, bland) != row) | ((stall >= stall_limit) != bland)
-            if moved.any():
-                away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
-                todo.append((tableau.take(away), iterations, stall[away], best[away]))
-                tableau = tableau.take(kept)
-                stall, best = stall[kept], best[kept]
+            if len(tableau.ids) > 1:
+                moved = (_leaving_rows(tableau, col, bland) != row) | ((stall >= stall_limit) != bland)
+                if moved.any():
+                    away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
+                    todo.append((tableau.take(away), iterations, stall[away], best[away]))
+                    tableau = tableau.take(kept)
+                    stall, best = stall[kept], best[kept]
             _apply_pivot(tableau, row, col)
             iterations += 1
             if iterations > MAX_ITER:

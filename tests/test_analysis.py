@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gridmix import analysis
 from gridmix.analysis import (
     CAP_FIELDS,
     CORNER_A,
@@ -19,11 +20,11 @@ from gridmix.analysis import (
     enumerate_vertices,
     oracle_solve,
     sweep,
-    _near_any,
+    _near,
 )
 from gridmix.catalog import CATALOG_NAMES, PUBLISHED, builtin_scenarios, get_scenario
-from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Status, solve
-from gridmix.model import CoefficientVariant, compile_scenario, compile_sweep
+from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Status, check_feasible, solve
+from gridmix.model import CoefficientVariant, ObjectiveMode, compile_scenario, compile_sweep
 
 AP = CoefficientVariant.AS_PRINTED
 TD = CoefficientVariant.TABLE_DERIVED
@@ -408,7 +409,7 @@ def test_corners_a_b_and_d_are_vertices_of_the_printed_corner_region():
     lp = compile_scenario(get_scenario("a1_om_objective", AP))
     points = [v.point for v in enumerate_vertices(lp)]
     for corner in (CORNER_A, CORNER_B, CORNER_D):
-        assert _near_any(np.asarray(corner), points), corner
+        assert _near(np.array([corner]), np.array(points)).any(), corner
 
 
 def test_audit_oracle_agrees_everywhere(audit):
@@ -424,3 +425,51 @@ def test_discrepancy_ledger_ids_unique():
     assert len(ids) == len(set(ids))
     for t in audit_reference_results().tables:
         assert set(t.ledger) <= set(ids)
+
+
+# ---------------------------------------------------------------------------
+# one region per audit call, and the oracle's verdict read without Vertex records
+
+
+def _hex(value):
+    return None if value is None else value.hex()
+
+
+def test_the_audit_enumerates_each_distinct_region_once_per_call(monkeypatch):
+    # Seven tables over six regions: tables 12 and 13 price one region two ways.
+    calls = []
+    batch_solve = analysis._batch_solve
+
+    def counted(a, b):
+        calls.append(len(a))
+        return batch_solve(a, b)
+
+    monkeypatch.setattr(analysis, "_batch_solve", counted)
+    audit_reference_results()
+    assert len(calls) == 6
+    audit_reference_results()       # nothing is kept from one call to the next
+    assert len(calls) == 12
+
+
+def test_each_audited_table_reads_what_the_public_functions_say(audit):
+    for ref in analysis._REFERENCE_TABLES:
+        scenario = get_scenario(ref.scenario, AP)
+        if ref.objective is not None:
+            scenario = scenario.with_objective(ref.objective)
+        lp = compile_scenario(scenario)
+        table = audit.table(ref.table_id)
+        oracle = oracle_solve(lp)
+        assert table.oracle_status is oracle.status, ref.table_id
+        assert _hex(table.oracle_objective) == _hex(oracle.objective), ref.table_id
+        assert table.point_feasible == check_feasible(lp, ref.point).feasible, ref.table_id
+        points = np.array([v.point for v in enumerate_vertices(lp)]).reshape(-1, lp.var_count)
+        assert table.point_is_vertex == bool(_near(np.array([ref.point]), points).any()), ref.table_id
+
+
+def test_the_oracle_lists_the_vertices_that_enumerate_vertices_lists():
+    for name in CATALOG_NAMES:
+        for variant in CoefficientVariant:
+            for mode in ObjectiveMode:
+                lp = compile_scenario(get_scenario(name, variant).with_objective(mode))
+                if lp.var_count <= 4:
+                    assert oracle_solve(lp).vertices == tuple(enumerate_vertices(lp)), (name, variant, mode)

@@ -1,8 +1,12 @@
 """Solver-core tests: worked examples, regressions, and properties."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridmix.lp as lp_module
+from gridmix import cli
 from gridmix.catalog import get_scenario
 from gridmix.lp import (
     Constraint,
@@ -488,6 +493,25 @@ def test_lone_loop_branches_equal_the_block_loop(monkeypatch, program, status, o
     rhs = [c.rhs for c in lp.constraints]
     for given in (np.array([rhs]), np.array([rhs, *others])):
         assert hexed(solve_rhs(lp, given)[0]) == hexed(solution)
+
+
+def test_a_block_of_one_rhs_column_skips_the_split_test(monkeypatch):
+    # A block of one column can never split, so the block loop runs the
+    # split test only on blocks of two or more, here over the long grids
+    # that the sweep golden pins.
+    widths = []
+    leaving_rows = lp_module._leaving_rows
+
+    def spy(tableau, col, bland):
+        widths.append(len(tableau.ids))
+        return leaving_rows(tableau, col, bland)
+
+    monkeypatch.setattr(lp_module, "_leaving_rows", spy)
+    golden = Path(__file__).parent / "data" / "sweep_golden.json"
+    for entry in json.loads(golden.read_text()):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(list(entry["argv"])) == entry["exit"]
+    assert widths and min(widths) > 1
 
 
 # ---------------------------------------------------------------------------

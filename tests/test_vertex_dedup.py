@@ -1,4 +1,4 @@
-"""The oracle's point-equality rule: ``_dedup`` and ``_near_any`` compare
+"""The oracle's point-equality rule: ``_dedup`` and ``_near`` compare
 every pair in one array, and must keep exactly the points that the
 pair-by-pair loop below keeps. The loop is the rule as first written:
 a point equals another when every coordinate is within
@@ -10,8 +10,14 @@ none kept before it.
 import numpy as np
 import pytest
 
-from gridmix.analysis import _dedup, _near_any
+from gridmix.analysis import _dedup, _near
 from gridmix.lp import ROW_TOL
+
+
+def near_any(point: np.ndarray, others) -> bool:
+    """Whether *point* equals one of *others*, by one ``_near`` call, as
+    the audit tests a printed point against a region's vertices."""
+    return bool(_near(point[None, :], np.asarray(others, dtype=float).reshape(-1, point.size)).any())
 
 
 def near_any_pairwise(point: np.ndarray, others) -> bool:
@@ -35,14 +41,14 @@ def assert_same_rule(points: np.ndarray) -> list[int]:
     assert kept == dedup_pairwise(points)
     for point in points:
         for others in (points[:0], points[kept], points):
-            assert _near_any(point, list(map(tuple, others))) == near_any_pairwise(point, others)
+            assert near_any(point, list(map(tuple, others))) == near_any_pairwise(point, others)
     return kept
 
 
 def test_no_points_and_a_single_point():
     assert assert_same_rule(np.empty((0, 3))) == []
     assert assert_same_rule(np.array([[4.0, 0.0, 2.5e9]])) == [0]
-    assert _near_any(np.array([1.0, 2.0]), []) is False
+    assert near_any(np.array([1.0, 2.0]), []) is False
 
 
 def test_one_vertex_repeated_six_times_keeps_the_first():
@@ -59,8 +65,8 @@ def test_pairs_exactly_at_and_one_ulp_past_the_tolerance(scale):
     past = np.nextafter(at, np.inf)
     assert assert_same_rule(np.array([[scale, 0.0], [scale, at]])) == [0]
     assert assert_same_rule(np.array([[scale, 0.0], [scale, past]])) == [0, 1]
-    assert _near_any(np.array([scale, 0.0]), [(scale, at)]) is True
-    assert _near_any(np.array([scale, 0.0]), [(scale, past)]) is False
+    assert near_any(np.array([scale, 0.0]), [(scale, at)]) is True
+    assert near_any(np.array([scale, 0.0]), [(scale, past)]) is False
 
 
 def test_a_chain_depends_on_the_greedy_order():
