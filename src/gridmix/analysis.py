@@ -73,10 +73,13 @@ _NEAR = 1e-2
 SINGULAR_TOL = 1e-12   # smallest pivot of a vertex subsystem, absolute on equilibrated rows
 TIE_TOL = 1e-9         # oracle objective ties, relative to max(1, |best objective|),
                        # and improving rays, relative to max(1, max|c|)
+MAX_SUBSETS = 10_000   # the most n-subsets of rows one vertex enumeration solves
 
 
 class UnsupportedSizeError(LPError, ValueError):
-    """Vertex enumeration is combinatorial and capped at 4 variables."""
+    """Vertex enumeration is combinatorial: a region of r rows (variable
+    bounds included) in n variables has C(r, n) row subsets to solve, and
+    more than MAX_SUBSETS are refused before any is built."""
 
 
 @dataclass(frozen=True)
@@ -154,11 +157,16 @@ def _dedup(points: np.ndarray) -> list[int]:
 def _region(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The oracle's row-only half: the (k, n) feasible intersection points
     of *lp*'s n-subsets of rows, their (k, r) binding masks over
-    ``lp.rows``, and the indices ``_dedup`` keeps. Capped at var_count <= 4."""
+    ``lp.rows``, and the indices ``_dedup`` keeps. Capped at MAX_SUBSETS
+    row subsets."""
     n = lp.var_count
-    if n > 4:
-        raise UnsupportedSizeError(f"vertex enumeration supports at most 4 variables, got {n}")
     rows = lp.rows
+    count = math.comb(len(rows.rhs), n)
+    if count > MAX_SUBSETS:
+        raise UnsupportedSizeError(
+            f"vertex enumeration supports at most {MAX_SUBSETS:,} row subsets, "
+            f"got C({len(rows.rhs)}, {n}) = {count:,}"
+        )
     idx = _subsets(len(rows.rhs), n)      # never empty: the n bound rows are one subset
     points, ok = _batch_solve(rows.matrix[idx], rows.rhs[idx])
     points = points[ok]
@@ -218,7 +226,7 @@ def _vertices(lp: LinearProgram, region: tuple, ranked: list) -> list[Vertex]:
 
 def enumerate_vertices(lp: LinearProgram) -> list[Vertex]:
     """All vertices of the feasible region, deduplicated at ROW_TOL
-    relative, ordered by (objective, point). Capped at var_count <= 4."""
+    relative, ordered by (objective, point). Capped at MAX_SUBSETS row subsets."""
     region = _region(lp)
     return _vertices(lp, region, _ranked(lp, region))
 

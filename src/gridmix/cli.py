@@ -390,8 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Magnitudes past the float range would otherwise print an answer
-        # built on inf or nan.
+        # Magnitudes past the float range in numpy arithmetic (the LP and
+        # sweep arrays) would otherwise print an answer built on inf or nan.
+        # Report amounts are Python floats, which never raise: ``tabulate``
+        # checks its totals and raises ScenarioError instead.
         with np.errstate(over="raise", invalid="raise"):
             code = args.func(args)
         sys.stdout.flush()

@@ -178,12 +178,10 @@ _BASELINE_MIX = [
     (0.0004, 1_106_765.0),   # oil
     (0.0021, 230_000.0),     # biomass
 ]
-_BASELINE_MIX_SWAPPED = [
-    (0.2099, 820_000.0),
-    (0.1231, 490_000.0),
-    (0.0021, 1_106_765.0),   # oil at the printed 0.21% label
-    (0.0004, 230_000.0),     # biomass at the printed 0.04% label
-]
+# The same rows with the oil and biomass shares exchanged, as the printed
+# percent labels pair them.
+_OIL, _BIOMASS = _BASELINE_MIX[2:]
+_BASELINE_MIX_SWAPPED = [*_BASELINE_MIX[:2], (_BIOMASS[0], _OIL[1]), (_OIL[0], _BIOMASS[1])]
 
 # Deltas below this threshold are measurement noise; above it they join
 # the delta table.
@@ -194,139 +192,108 @@ def derive_all() -> DerivedConstants:
     """Recompute the full constant set and diff it against published values.
 
     Constants suffixed ``_printed`` are the published numbers scenarios
-    consume; unsuffixed entries are the recomputed counterparts. Every
-    recomputed/published pair whose relative gap exceeds 0.05% lands in
+    consume; unsuffixed entries are the recomputed counterparts. A
+    constant named like a ``PUBLISHED`` key is diffed against it, and every
+    pair whose relative gap exceeds 0.05% (or that carries a note) lands in
     the delta table.
     """
     constants: list[DerivedConstant] = []
     deltas: list[DeltaRow] = []
-
-    def add(name: str, value: float, unit: str, provenance: str) -> float:
-        constants.append(DerivedConstant(name, value, unit, provenance))
-        return value
 
     def diff(name: str, recomputed: float, published: float, note: str = "") -> None:
         rel = abs(recomputed - published) / abs(published)
         if rel > _DELTA_FLOOR or note:
             deltas.append(DeltaRow(name, recomputed, published, rel, note))
 
-    share = estimate_city_share(
-        RAW["city_elec_2010_mwh"],
-        RAW["elec_coverage"],
-        RAW["city_gas_2010_mwh"],
-        RAW["gas_coverage"],
-        RAW["state_total_2010_mwh"],
-    )
+    def add(name: str, value: float, unit: str, provenance: str,
+            printed: str = "", note: str = "") -> float:
+        """Record *name*, then its ``_printed`` twin (provenance *printed*), then its delta."""
+        constants.append(DerivedConstant(name, value, unit, provenance))
+        if printed:
+            constants.append(DerivedConstant(f"{name}_printed", PUBLISHED[name], unit, printed))
+        if name in PUBLISHED:
+            diff(name, value, PUBLISHED[name], note)
+        return value
+
     add(
         "city_share_2010",
-        share,
+        estimate_city_share(
+            RAW["city_elec_2010_mwh"],
+            RAW["elec_coverage"],
+            RAW["city_gas_2010_mwh"],
+            RAW["gas_coverage"],
+            RAW["state_total_2010_mwh"],
+        ),
         "fraction",
         "2010 city electricity/gas grossed up by 68%/81% coverage over the state total",
+        printed="published share",
+        note="published gas estimate 46,504,074 equals 37,668,300/0.81, not 37,998,300/0.81",
     )
-    add("city_share_2010_printed", PUBLISHED["city_share_2010"], "fraction", "published share")
-    diff(
-        "city_share_2010",
-        share,
-        PUBLISHED["city_share_2010"],
-        "published gas estimate 46,504,074 equals 37,668,300/0.81, not 37,998,300/0.81",
-    )
-
+    add("adjusted_share", RAW["adjusted_share"], "fraction",
+        "population-adjusted share; configured input (author judgment, not derivable)")
+    non_clean = add("non_clean_fraction", 1.0 - RAW["clean_shares"], "fraction",
+                    "one minus the nuclear/wind/solar/hydro shares of state generation")
     add(
-        "adjusted_share",
-        RAW["adjusted_share"],
-        "fraction",
-        "population-adjusted share; configured input (author judgment, not derivable)",
-    )
-
-    non_clean = 1.0 - RAW["clean_shares"]
-    add(
-        "non_clean_fraction",
-        non_clean,
-        "fraction",
-        "one minus the nuclear/wind/solar/hydro shares of state generation",
-    )
-
-    need = annual_need(RAW["state_total_2021_mwh"], RAW["adjusted_share"], non_clean)
-    add("annual_need_mwh", need, "MWh", "2021 state total x adjusted share x non-clean fraction")
-    add(
-        "annual_need_mwh_printed",
-        PUBLISHED["annual_need_mwh"],
+        "annual_need_mwh",
+        annual_need(RAW["state_total_2021_mwh"], RAW["adjusted_share"], non_clean),
         "MWh",
-        "published demand floor; used by every scenario",
+        "2021 state total x adjusted share x non-clean fraction",
+        printed="published demand floor; used by every scenario",
+        note="published value rounds the intermediate city total before multiplying",
     )
-    diff("annual_need_mwh", need, PUBLISHED["annual_need_mwh"],
-         "published value rounds the intermediate city total before multiplying")
+    add("city_total_2021_mwh", RAW["state_total_2021_mwh"] * RAW["adjusted_share"], "MWh",
+        "2021 state total x adjusted share")
 
-    city_total = RAW["state_total_2021_mwh"] * RAW["adjusted_share"]
-    add("city_total_2021_mwh", city_total, "MWh", "2021 state total x adjusted share")
-    diff("city_total_2021_mwh", city_total, PUBLISHED["city_total_2021_mwh"])
-
-    baseline = baseline_emissions(_BASELINE_MIX, PUBLISHED["city_total_2021_mwh"])
-    add(
+    baseline = add(
         "baseline_emissions_g",
-        baseline,
+        baseline_emissions(_BASELINE_MIX, PUBLISHED["city_total_2021_mwh"]),
         "g CO2",
         "current-mix shares x emission rates x city total (oil at 0.04%, biomass at 0.21%)",
     )
-    diff("baseline_emissions_g", baseline, PUBLISHED["baseline_emissions_g"])
-    swapped = baseline_emissions(_BASELINE_MIX_SWAPPED, PUBLISHED["city_total_2021_mwh"])
-    add(
-        "baseline_emissions_swapped_g",
-        swapped,
-        "g CO2",
-        "same mix with the oil/biomass pairing taken from the printed percent labels",
-    )
     diff(
         "baseline_emissions_swapped_g",
-        swapped,
+        add(
+            "baseline_emissions_swapped_g",
+            baseline_emissions(_BASELINE_MIX_SWAPPED, PUBLISHED["city_total_2021_mwh"]),
+            "g CO2",
+            "same mix with the oil/biomass pairing taken from the printed percent labels",
+        ),
         baseline,
         "oil/biomass rows transposed in the published table; both pairings recomputed",
     )
-
-    cap = emissions_cap(baseline, RAW["emissions_reduction"])
-    add("emissions_cap_g", cap, "g CO2", "recomputed baseline cut by 80%")
     add(
-        "emissions_cap_g_printed",
-        PUBLISHED["emissions_cap_g"],
+        "emissions_cap_g",
+        emissions_cap(baseline, RAW["emissions_reduction"]),
         "g CO2",
-        "published cap; used by every table-derived scenario",
+        "recomputed baseline cut by 80%",
+        printed="published cap; used by every table-derived scenario",
+        note="published cap implies a slightly larger baseline than its own mix table",
     )
-    diff("emissions_cap_g", cap, PUBLISHED["emissions_cap_g"],
-         "published cap implies a slightly larger baseline than its own mix table")
 
-    land = land_budget(RAW["state_area_ft2"], RAW["unoccupied_fraction"], RAW["dedication"])
-    add("land_budget_ft2", land, "ft^2", "state area x 47% unoccupied x 1/15 dedicated")
-    diff("land_budget_ft2", land, PUBLISHED["land_budget_ft2"])
-
-    wind_bound = production_bound(land, RAW["wind_land_ft2_per_mwh"])
-    add("wind_production_bound_mwh", wind_bound, "MWh", "land budget / 1065.6 ft^2 per MWh")
-    diff("wind_production_bound_mwh", wind_bound, PUBLISHED["wind_production_bound_mwh"])
-
-    rooftop = production_bound(RAW["rooftop_area_ft2"], RAW["solar_land_ft2_per_mwh"])
-    add("rooftop_bound_mwh", rooftop, "MWh", "building footprint / 204.5 ft^2 per MWh")
-    diff("rooftop_bound_mwh", rooftop, PUBLISHED["rooftop_bound_mwh"])
-
+    land = add(
+        "land_budget_ft2",
+        land_budget(RAW["state_area_ft2"], RAW["unoccupied_fraction"], RAW["dedication"]),
+        "ft^2",
+        "state area x 47% unoccupied x 1/15 dedicated",
+    )
+    add("wind_production_bound_mwh", production_bound(land, RAW["wind_land_ft2_per_mwh"]), "MWh",
+        "land budget / 1065.6 ft^2 per MWh")
     add(
-        "budget_cap_usd",
-        PUBLISHED["budget_cap_usd"],
-        "USD",
-        "published construction budget; configured input",
+        "rooftop_bound_mwh",
+        production_bound(RAW["rooftop_area_ft2"], RAW["solar_land_ft2_per_mwh"]),
+        "MWh",
+        "building footprint / 204.5 ft^2 per MWh",
     )
+    add("budget_cap_usd", PUBLISHED["budget_cap_usd"], "USD",
+        "published construction budget; configured input")
 
     for period, fraction in zip(PERIOD_NAMES, DEMAND_FRACTIONS):
-        value = period_rhs(PUBLISHED["annual_need_mwh"], fraction)
         add(
             f"{period}_rhs_mwh",
-            value,
+            period_rhs(PUBLISHED["annual_need_mwh"], fraction),
             "MWh",
             f"annual need x {fraction} (highest observed {period.replace('_', ' ')} demand share)",
+            printed="published rounded period requirement",
         )
-        add(
-            f"{period}_rhs_mwh_printed",
-            PUBLISHED[f"{period}_rhs_mwh"],
-            "MWh",
-            "published rounded period requirement",
-        )
-        diff(f"{period}_rhs_mwh", value, PUBLISHED[f"{period}_rhs_mwh"])
 
     return DerivedConstants(constants=tuple(constants), deltas=tuple(deltas))

@@ -420,7 +420,12 @@ class ScenarioReport:
 
 def tabulate(scenario: Scenario, values: Sequence[float]) -> tuple[tuple[SourceReportRow, ...], SourceReportRow]:
     """Each source's report row at annual outputs *values*, and their total:
-    the one place the report quantities are computed from a point."""
+    the one place the report quantities are computed from a point.
+
+    Raises ScenarioError when a total amount is past the float range. No
+    LP row bounds an uncapped rate, so the solve cannot catch it; every
+    per-source amount is >= 0, so any infinite one makes its total infinite.
+    """
     rows = []
     per_period_mode = scenario.demand_mode is DemandMode.PER_PERIOD
     for s, value in zip(scenario.sources, values):
@@ -438,6 +443,16 @@ def tabulate(scenario: Scenario, values: Sequence[float]) -> tuple[tuple[SourceR
                 objective=_objective_rate(s, scenario.objective_mode) * value,
             )
         )
+    amounts = {
+        "annual": sum(r.annual for r in rows),
+        "land_ft2": sum(r.land_ft2 for r in rows),
+        "emissions_g": sum(r.emissions_g for r in rows),
+        "capital_usd": sum(r.capital_usd for r in rows),
+        "objective": sum(r.objective for r in rows),
+    }
+    if not all(map(math.isfinite, amounts.values())):
+        overflowed = ", ".join(name for name, amount in amounts.items() if not math.isfinite(amount))
+        raise ScenarioError(f"scenario {scenario.name!r}: report totals past the float range: {overflowed}")
     total = SourceReportRow(
         source="total",
         per_period=(
@@ -445,11 +460,7 @@ def tabulate(scenario: Scenario, values: Sequence[float]) -> tuple[tuple[SourceR
             if per_period_mode
             else None
         ),
-        annual=sum(r.annual for r in rows),
-        land_ft2=sum(r.land_ft2 for r in rows),
-        emissions_g=sum(r.emissions_g for r in rows),
-        capital_usd=sum(r.capital_usd for r in rows),
-        objective=sum(r.objective for r in rows),
+        **amounts,
     )
     return tuple(rows), total
 

@@ -73,11 +73,26 @@ def test_m1_vertex_minimum_matches_simplex():
     )
 
 
-def test_size_cap():
-    lp = compile_scenario(get_scenario("m0_cost_only"))
-    assert lp.var_count == 6
-    with pytest.raises(UnsupportedSizeError):
+def test_subset_cap_counts_row_subsets_before_building_any(monkeypatch):
+    # 4 variables, 100 constraint rows and 4 bound rows: C(104, 4) subsets.
+    lp = LinearProgram(
+        sense=Sense.MINIMIZE,
+        objective=(1.0,) * 4,
+        constraints=tuple(
+            Constraint((1.0, float(i), 0.0, 1.0), Relation.LE, 100.0 + i, f"r{i}") for i in range(100)
+        ),
+        var_count=4,
+    )
+
+    def refuse(*_):
+        raise AssertionError("built before the size check")
+
+    monkeypatch.setattr(analysis, "_subsets", refuse)
+    monkeypatch.setattr(analysis, "_batch_solve", refuse)
+    with pytest.raises(UnsupportedSizeError, match="4,598,126"):
         enumerate_vertices(lp)
+    with pytest.raises(UnsupportedSizeError, match="4,598,126"):
+        oracle_solve(lp)
 
 
 def test_oracle_statuses():

@@ -95,10 +95,12 @@ def test_solve_with_oracle(capsys):
     assert "oracle: agrees" in out
 
 
-def test_solve_oracle_rejects_large_models(capsys):
-    code, _, err = run(capsys, "solve", "m0_cost_only", "--oracle")
-    assert code == 1
-    assert "4 variables" in err
+@pytest.mark.parametrize("variant", ["as-printed", "table-derived"])
+def test_solve_oracle_checks_the_six_variable_model(capsys, variant):
+    # m0 has 6 variables but 7 rows, so only 7 row subsets to enumerate.
+    code, out, err = run(capsys, "solve", "m0_cost_only", "--variant", variant, "--oracle")
+    assert (code, err) == (0, "")
+    assert "oracle: agrees (objective 960,789,712)" in out
 
 
 def test_solve_csv_quoting(capsys):
@@ -615,3 +617,58 @@ def test_a_land_bound_past_the_float_range_exits_one_without_a_traceback(tmp_pat
         "gridmix: error: scenario 'm1_flat_demand': land_cap 1e+308 puts the rhs of row 'space_wind' "
         "past the float range\n"
     )
+
+
+def overflowing_example(tmp_path) -> Path:
+    # Uncapped emission and capital rates: no LP row sees them, so the solve
+    # succeeds and only the report's amounts pass the float range.
+    doc = json.loads((Path(__file__).parent / "data" / "scenario_example.json").read_text())
+    doc["sources"][0]["emissions_g_per_mwh"] = 1e305
+    doc["sources"][0]["capital_cost"] = 1e305
+    doc["caps"]["emissions_g"] = None
+    doc["caps"]["budget_usd"] = None
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_report_amount_past_the_float_range_exits_one(tmp_path, capsys, fmt):
+    code, out, err = run(capsys, "solve", str(overflowing_example(tmp_path)), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == (
+        "gridmix: error: scenario 'my_city': report totals past the float range: emissions_g, capital_usd\n"
+    )
+
+
+def test_solve_oracle_status_disagreement_exits_one(capsys, monkeypatch):
+    from gridmix import analysis
+
+    monkeypatch.setattr(
+        analysis, "oracle_solve", lambda lp: analysis.OracleResult(Status.INFEASIBLE, None, None, ())
+    )
+    code, out, err = run(capsys, "solve", "m1_flat_demand", "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "oracle disagrees: solver=optimal oracle=infeasible\n"
+
+
+def test_solve_oracle_objective_disagreement_exits_one(capsys, monkeypatch):
+    from gridmix import analysis
+
+    monkeypatch.setattr(
+        analysis, "oracle_solve", lambda lp: analysis.OracleResult(Status.OPTIMAL, 1.0, (1.0, 0.0), ())
+    )
+    code, out, err = run(capsys, "solve", "m1_flat_demand", "--oracle")
+    assert (code, out) == (1, "")
+    assert err.startswith("oracle disagrees on the objective: solver=968476030.")
+    assert err.endswith(" oracle=1.0\n")
+
+
+def test_numpy_overflow_exits_one_with_the_range_error(capsys):
+    code, out, err = run(
+        capsys, "sweep", "m1_flat_demand", "--param", "emissions_g",
+        "--from=-1.5e308", "--to", "1.5e308", "--steps", "3",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("gridmix: error: the input's magnitudes are out of range")
+    assert err.count("\n") == 1

@@ -588,3 +588,17 @@ def test_a_land_bound_past_the_float_range_raises_scenario_error():
     assert str(caught.value) == (
         "scenario 'm1_flat_demand': land_cap 1e+308 puts the rhs of row 'space_wind' past the float range"
     )
+
+
+def test_a_report_amount_past_the_float_range_raises_scenario_error():
+    # Uncapped rates: the LP solves, and only the report's amounts overflow.
+    scenario = load_scenario_file(Path(__file__).parent / "data" / "scenario_example.json")
+    wind = replace(scenario.sources[0], emissions=1e305, capital_cost=1e305)
+    scenario = replace(scenario, sources=(wind,), emissions_cap=None, budget_cap=None)
+    sol = solve(compile_scenario(scenario))
+    assert sol.status is Status.OPTIMAL
+    with pytest.raises(ScenarioError) as caught:
+        report(scenario, sol)
+    assert str(caught.value) == (
+        "scenario 'my_city': report totals past the float range: emissions_g, capital_usd"
+    )
