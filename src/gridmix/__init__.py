@@ -1,10 +1,11 @@
 """gridmix: clean-energy portfolio linear programs for one city.
 
 A from-scratch two-phase simplex (``gridmix.lp``), a scenario catalog
-compiling energy-mix models into LPs (``gridmix.model``,
-``gridmix.catalog``), audited derivations of every model constant
+(``gridmix.scenario``, ``gridmix.catalog``) compiled into LPs
+(``gridmix.model``), audited derivations of every model constant
 (``gridmix.derivation``), and an independent vertex-enumeration oracle
-plus reproduction audit (``gridmix.analysis``).
+plus reproduction audit (``gridmix.analysis``). The scenario, catalog and
+derivation modules load neither numpy nor ``gridmix.lp``.
 """
 
 from importlib import import_module
@@ -14,9 +15,9 @@ from importlib import import_module
 _SOURCES = {
     "lp": ("Constraint", "LinearProgram", "Relation", "Sense", "Solution", "Status",
            "FeasibilityReport", "solve", "solve_many", "solve_rhs", "standardize", "check_feasible"),
-    "model": ("EnergySource", "DayPeriod", "Scenario", "ScenarioReport", "DemandMode", "SpaceMode",
-              "ObjectiveMode", "CoefficientVariant", "compile_scenario", "compile_sweep", "report",
-              "load_scenario_file"),
+    "scenario": ("EnergySource", "DayPeriod", "Scenario", "DemandMode", "SpaceMode", "ObjectiveMode",
+                 "CoefficientVariant", "load_scenario_file"),
+    "model": ("ScenarioReport", "compile_scenario", "compile_sweep", "report"),
     "catalog": ("builtin_scenarios", "get_scenario", "scenario_names"),
     "derivation": ("DerivedConstants", "derive_all"),
     "analysis": ("Vertex", "OracleResult", "CornerReport", "ReferenceAudit", "enumerate_vertices",

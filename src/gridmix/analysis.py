@@ -45,7 +45,8 @@ from .lp import (
     ROW_TOL, Constraint, LinearProgram, LPError, Relation, Sense, Status, _solve_block, check_rows,
     solve,
 )
-from .model import CAP_FIELDS, CoefficientVariant, ObjectiveMode, Scenario, compile_scenario, compile_sweep, tabulate
+from .model import compile_scenario, compile_sweep, tabulate
+from .scenario import CAP_FIELDS, CoefficientVariant, ObjectiveMode, Scenario
 
 __all__ = [
     "UnsupportedSizeError",

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cache
 
-from .model import (
+from .scenario import (
     PERIOD_NAMES,
     BudgetRates,
     CoefficientVariant,

@@ -11,6 +11,7 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -18,25 +19,17 @@ import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
 
-import numpy as np
-
 from . import catalog
-from .lp import LPError, Status, solve
-from .model import (
-    CoefficientVariant,
-    DemandMode,
-    ObjectiveMode,
-    Scenario,
-    ScenarioError,
-    compile_scenario,
-    load_scenario_file,
-    report,
-)
+from .scenario import CoefficientVariant, DemandMode, ObjectiveMode, Scenario, ScenarioError, load_scenario_file
 
 CATALOG_DIR_ENV = "GRIDMIX_CATALOG_DIR"
 MAX_STEPS = 1_000_000   # sweep grid points; larger grids are refused before anything is allocated
 
-_EXIT_BY_STATUS = {Status.OPTIMAL: 0, Status.INFEASIBLE: 2, Status.UNBOUNDED: 3}
+# The commands that solve: only they load numpy, ``gridmix.lp`` and ``gridmix.model``.
+_SOLVER_COMMANDS = frozenset({"solve", "sweep", "audit"})
+
+# Exit code by ``lp.Status`` value.
+_EXIT_BY_STATUS = {"optimal": 0, "infeasible": 2, "unbounded": 3}
 
 _VARIANTS = {
     "as-printed": CoefficientVariant.AS_PRINTED,
@@ -157,7 +150,7 @@ def _cmd_list(args) -> int:
 def _solve_text(scenario: Scenario, solution, records: list[dict], oracle) -> str:
     lines = [f"scenario: {scenario.name} ({scenario.coefficient_variant.value})",
              f"status: {solution.status.value}"]
-    if solution.status is Status.OPTIMAL:
+    if solution.is_optimal:
         if scenario.objective_mode is ObjectiveMode.EMISSIONS:
             lines.append(f"objective (emissions): {_fmt(solution.objective_value)} g CO2")
         else:
@@ -178,6 +171,9 @@ def _solve_text(scenario: Scenario, solution, records: list[dict], oracle) -> st
 
 
 def _cmd_solve(args) -> int:
+    from .lp import solve
+    from .model import compile_scenario, report
+
     scenario = _resolve_scenario(args.scenario, _VARIANTS[args.variant], args.base)
     if args.objective:
         scenario = scenario.with_objective(ObjectiveMode(args.objective))
@@ -195,7 +191,7 @@ def _cmd_solve(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        if solution.status is Status.OPTIMAL:
+        if solution.is_optimal:
             scale = max(1.0, abs(solution.objective_value), abs(oracle.objective))
             if abs(solution.objective_value - oracle.objective) > 1e-6 * scale:
                 print(
@@ -218,7 +214,7 @@ def _cmd_solve(args) -> int:
         "objective_mode": scenario.objective_mode.value,
         "status": solution.status.value,
     }
-    if solution.status is Status.OPTIMAL:
+    if solution.is_optimal:
         doc.update(
             objective_value=solution.objective_value,
             values=dict(zip((s.name for s in scenario.sources), solution.values)),
@@ -233,7 +229,7 @@ def _cmd_solve(args) -> int:
         for r in records
     ]
     _emit(args.format, doc, _solve_text(scenario, solution, records, oracle), (_SOLVE_CSV, csv_rows))
-    return _EXIT_BY_STATUS[solution.status]
+    return _EXIT_BY_STATUS[solution.status.value]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +237,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import numpy as np
+
     from . import analysis
+    from .lp import Status
 
     if args.steps < 1:
         raise ScenarioError("--steps must be >= 1")
@@ -389,12 +388,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    input_errors: tuple[type[Exception], ...] = (ScenarioError, KeyError)
+    guard = contextlib.nullcontext()
+    if args.command in _SOLVER_COMMANDS:
+        # The solver commands, and only they, load numpy and the LP layer,
+        # so only they can raise LPError. The guard covers them: magnitudes
+        # past the float range in numpy arithmetic (the LP and sweep arrays)
+        # would otherwise print an answer built on inf or nan. Report
+        # amounts are Python floats, which never raise: ``tabulate`` checks
+        # its totals and raises ScenarioError instead.
+        import numpy as np
+
+        from .lp import LPError
+
+        input_errors += (LPError,)
+        guard = np.errstate(over="raise", invalid="raise")
     try:
-        # Magnitudes past the float range in numpy arithmetic (the LP and
-        # sweep arrays) would otherwise print an answer built on inf or nan.
-        # Report amounts are Python floats, which never raise: ``tabulate``
-        # checks its totals and raises ScenarioError instead.
-        with np.errstate(over="raise", invalid="raise"):
+        with guard:
             code = args.func(args)
         sys.stdout.flush()
         return code
@@ -406,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     except FloatingPointError as exc:
         print(f"gridmix: error: the input's magnitudes are out of range ({exc})", file=sys.stderr)
         return 1
-    except (ScenarioError, KeyError, LPError) as exc:
+    except input_errors as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"gridmix: error: {message}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import DEMAND_FRACTIONS, PUBLISHED
-from .model import PERIOD_NAMES
+from .scenario import PERIOD_NAMES
 
 __all__ = [
     "DerivationError",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gridmix import cli
 from gridmix.lp import Status
-from gridmix.model import ScenarioFormatError, load_scenario_file, scenario_to_dict
+from gridmix.scenario import ScenarioFormatError, load_scenario_file, scenario_to_dict
 from gridmix.catalog import get_scenario
 
 
@@ -46,9 +46,9 @@ def test_solve_exit_code_infeasible(capsys):
 
 def test_exit_code_table_is_complete():
     assert cli._EXIT_BY_STATUS == {
-        Status.OPTIMAL: 0,
-        Status.INFEASIBLE: 2,
-        Status.UNBOUNDED: 3,
+        Status.OPTIMAL.value: 0,
+        Status.INFEASIBLE.value: 2,
+        Status.UNBOUNDED.value: 3,
     }
 
 
@@ -56,6 +56,15 @@ def test_solve_missing_file(capsys):
     code, _, err = run(capsys, "solve", "missing.json")
     assert code == 1
     assert "missing.json" in err
+
+
+def test_solve_a_file_that_is_not_utf8_exits_one_naming_it(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"gridmix: error: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
 
 
 def test_solve_unknown_scenario(capsys):
@@ -365,11 +374,14 @@ def test_catalog_dir_env(tmp_path, capsys, monkeypatch):
     scenario["name"] = "my_city"
     (tmp_path / "my_city.json").write_text(json.dumps(scenario))
     (tmp_path / "broken.json").write_text("{nope")
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe")
     monkeypatch.setenv(cli.CATALOG_DIR_ENV, str(tmp_path))
     code, out, err = run(capsys, "list")
     assert code == 0
     assert "my_city" in out
-    assert "broken.json" in err  # unparseable files are skipped with a warning
+    # Unparseable and non-UTF-8 files are skipped with a warning.
+    assert "broken.json" in err
+    assert "latin1.json: 'utf-8' codec can't decode byte 0xff" in err
     code, out, _ = run(capsys, "solve", "my_city")
     assert code == 0
     assert "25,621,059" in out
@@ -537,29 +549,29 @@ def test_derive_csv(capsys):
 # imports
 
 
-def test_solve_does_not_load_the_analysis_layer():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    script = (
-        "import sys, gridmix.cli\n"
-        "loaded_at_import = 'gridmix.analysis' in sys.modules\n"
-        "code = gridmix.cli.main(['solve', 'm1_flat_demand'])\n"
-        "print(loaded_at_import, 'gridmix.analysis' in sys.modules, code)\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines()[-1] == "False False 0"
+SOLVER = ("numpy", "gridmix.lp", "gridmix.model")
+ANALYSIS = ("gridmix.analysis",)
 
 
-def test_solve_does_not_load_the_derivation_layer():
+@pytest.mark.parametrize(
+    "statement, unloaded",
+    [
+        ("import gridmix.cli", SOLVER + ANALYSIS + ("gridmix.derivation",)),
+        ("import gridmix.cli; gridmix.cli.main(['list', '--format', 'json'])", SOLVER + ANALYSIS),
+        ("import gridmix.cli; gridmix.cli.main(['derive', '--format', 'json'])", SOLVER + ANALYSIS),
+        ("import gridmix.catalog, gridmix.derivation", SOLVER + ANALYSIS),
+        ("import gridmix; gridmix.Scenario", SOLVER + ANALYSIS),
+        ("import gridmix.cli; gridmix.cli.main(['solve', 'm1_flat_demand'])", ANALYSIS + ("gridmix.derivation",)),
+    ],
+    ids=["import-cli", "list", "derive", "import-catalog-derivation", "package-Scenario", "solve"],
+)
+def test_each_entry_point_leaves_the_layers_it_does_not_use_unloaded(statement, unloaded):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    script = (
-        "import sys, gridmix.cli\n"
-        "code = gridmix.cli.main(['solve', 'm1_flat_demand'])\n"
-        "print('gridmix.derivation' in sys.modules, code)\n"
-    )
+    env.pop(cli.CATALOG_DIR_ENV, None)
+    script = f"import sys\n{statement}\nprint(sorted(sys.modules.keys() & {set(unloaded)!r}))\n"
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines()[-1] == "False 0"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from gridmix.catalog import builtin_scenarios, get_scenario
 from gridmix.lp import Relation, Solution, Status, solve
-from gridmix.model import (
+from gridmix.model import compile_scenario, report
+from gridmix.scenario import (
     PERIOD_NAMES,
     CoefficientVariant,
     DayPeriod,
@@ -22,9 +23,7 @@ from gridmix.model import (
     ScenarioError,
     ScenarioFormatError,
     SpaceMode,
-    compile_scenario,
     load_scenario_file,
-    report,
     scenario_from_dict,
     scenario_to_dict,
 )
