@@ -25,9 +25,6 @@ from .scenario import CoefficientVariant, DemandMode, ObjectiveMode, Scenario, S
 CATALOG_DIR_ENV = "GRIDMIX_CATALOG_DIR"
 MAX_STEPS = 1_000_000   # sweep grid points; larger grids are refused before anything is allocated
 
-# The commands that solve: only they load numpy, ``gridmix.lp`` and ``gridmix.model``.
-_SOLVER_COMMANDS = frozenset({"solve", "sweep", "audit"})
-
 # Exit code by ``lp.Status`` value.
 _EXIT_BY_STATUS = {"optimal": 0, "infeasible": 2, "unbounded": 3}
 
@@ -360,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--oracle", action="store_true",
                          help="also run vertex enumeration and require agreement")
     p_solve.add_argument("--base", help="catalog scenario a file overrides key-by-key")
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=_cmd_solve, solves=True)
 
     p_sweep = sub.add_parser("sweep", help="re-solve while sweeping one cap")
     p_sweep.add_argument("scenario")
@@ -369,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, default=10)
     p_sweep.add_argument("--variant", choices=sorted(_VARIANTS), default="as-printed")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, solves=True)
 
     p_audit = sub.add_parser("audit", help="audit the published result tables")
     p_audit.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_audit.add_argument("--table", action="append", help="restrict to a table id (repeatable)")
     p_audit.add_argument("--strict", action="store_true",
                          help="fail when any table classifies worse than expected")
-    p_audit.set_defaults(func=_cmd_audit)
+    p_audit.set_defaults(func=_cmd_audit, solves=True)
 
     p_derive = sub.add_parser("derive", help="export the derived-constant provenance table")
     p_derive.add_argument("--format", choices=["text", "json", "csv"], default="text")
@@ -390,9 +387,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     input_errors: tuple[type[Exception], ...] = (ScenarioError, KeyError)
     guard = contextlib.nullcontext()
-    if args.command in _SOLVER_COMMANDS:
-        # The solver commands, and only they, load numpy and the LP layer,
-        # so only they can raise LPError. The guard covers them: magnitudes
+    if getattr(args, "solves", False):
+        # The solver commands (``solves=True`` on their subparser), and
+        # only they, load numpy and the LP layer, so only they can raise
+        # LPError. The guard covers them: magnitudes
         # past the float range in numpy arithmetic (the LP and sweep arrays)
         # would otherwise print an answer built on inf or nan. Report
         # amounts are Python floats, which never raise: ``tabulate`` checks

@@ -9,8 +9,9 @@ affine offset. ``compile_sweep`` writes one rhs row per cap value, and
 ``report`` tabulates a solution by source.
 
 This module loads numpy and ``gridmix.lp``; ``gridmix.scenario`` loads
-neither. The data names imported here stay readable as
-``gridmix.model.<name>``.
+neither. The scenario data names live in ``gridmix.scenario``; of them,
+only ``CAP_FIELDS``, ``CoefficientVariant`` and ``load_scenario_file`` are
+re-exported here, for callers that read them as ``gridmix.model.<name>``.
 """
 
 from __future__ import annotations

@@ -554,24 +554,28 @@ ANALYSIS = ("gridmix.analysis",)
 
 
 @pytest.mark.parametrize(
-    "statement, unloaded",
+    "statement, unloaded, last_line",
     [
-        ("import gridmix.cli", SOLVER + ANALYSIS + ("gridmix.derivation",)),
-        ("import gridmix.cli; gridmix.cli.main(['list', '--format', 'json'])", SOLVER + ANALYSIS),
-        ("import gridmix.cli; gridmix.cli.main(['derive', '--format', 'json'])", SOLVER + ANALYSIS),
-        ("import gridmix.catalog, gridmix.derivation", SOLVER + ANALYSIS),
-        ("import gridmix; gridmix.Scenario", SOLVER + ANALYSIS),
-        ("import gridmix.cli; gridmix.cli.main(['solve', 'm1_flat_demand'])", ANALYSIS + ("gridmix.derivation",)),
+        ("import gridmix.cli", SOLVER + ANALYSIS + ("gridmix.derivation",), "[] None"),
+        ("import gridmix.cli; code = gridmix.cli.main(['list', '--format', 'json'])", SOLVER + ANALYSIS, "[] 0"),
+        ("import gridmix.cli; code = gridmix.cli.main(['derive', '--format', 'json'])", SOLVER + ANALYSIS, "[] 0"),
+        ("import gridmix.catalog, gridmix.derivation", SOLVER + ANALYSIS, "[] None"),
+        ("import gridmix; gridmix.Scenario", SOLVER + ANALYSIS, "[] None"),
+        ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand'])",
+         ANALYSIS + ("gridmix.derivation",), "[] 0"),
     ],
     ids=["import-cli", "list", "derive", "import-catalog-derivation", "package-Scenario", "solve"],
 )
-def test_each_entry_point_leaves_the_layers_it_does_not_use_unloaded(statement, unloaded):
+def test_each_entry_point_leaves_the_layers_it_does_not_use_unloaded(statement, unloaded, last_line):
+    # The rows that run a command print its exit code after the loaded
+    # modules (the import rows print None), so a command that fails before
+    # reaching a layer cannot pass.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     env.pop(cli.CATALOG_DIR_ENV, None)
-    script = f"import sys\n{statement}\nprint(sorted(sys.modules.keys() & {set(unloaded)!r}))\n"
+    script = f"import sys\ncode = None\n{statement}\nprint(sorted(sys.modules.keys() & {set(unloaded)!r}), code)\n"
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert result.stdout.splitlines()[-1] == last_line
 
 
 @pytest.mark.parametrize(
