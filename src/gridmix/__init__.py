@@ -2,10 +2,14 @@
 
 A from-scratch two-phase simplex (``gridmix.lp``), a scenario catalog
 (``gridmix.scenario``, ``gridmix.catalog``) compiled into LPs
-(``gridmix.model``), audited derivations of every model constant
-(``gridmix.derivation``), and an independent vertex-enumeration oracle
-plus reproduction audit (``gridmix.analysis``). The scenario, catalog and
-derivation modules load neither numpy nor ``gridmix.lp``.
+(``gridmix.model``), one program solved at many right-hand sides and cap
+sweeps (``gridmix.parametric``), audited derivations of every model
+constant (``gridmix.derivation``), an independent vertex-enumeration
+oracle (``gridmix.oracle``) and the reproduction audit
+(``gridmix.audit``); ``gridmix.analysis`` re-exports the last three jobs
+under one name. The scenario, catalog and derivation modules load
+neither numpy nor ``gridmix.lp``, and ``gridmix.lp`` loads neither the
+block loop nor the oracle.
 """
 
 from importlib import import_module
@@ -13,15 +17,16 @@ from importlib import import_module
 # Each re-export and its defining module. They load on first use (PEP 562),
 # so importing one submodule, e.g. ``gridmix.cli``, loads only what it needs.
 _SOURCES = {
-    "lp": ("Constraint", "LinearProgram", "Relation", "Sense", "Solution", "Status",
-           "FeasibilityReport", "solve", "solve_many", "solve_rhs", "standardize", "check_feasible"),
+    "lp": ("Constraint", "LinearProgram", "Relation", "Sense", "Solution", "Status", "solve", "standardize"),
     "scenario": ("EnergySource", "DayPeriod", "Scenario", "DemandMode", "SpaceMode", "ObjectiveMode",
                  "CoefficientVariant", "load_scenario_file"),
     "model": ("ScenarioReport", "compile_scenario", "compile_sweep", "report"),
     "catalog": ("builtin_scenarios", "get_scenario", "scenario_names"),
     "derivation": ("DerivedConstants", "derive_all"),
-    "analysis": ("Vertex", "OracleResult", "CornerReport", "ReferenceAudit", "enumerate_vertices",
-                 "oracle_solve", "corner_report", "sweep", "audit_reference_results"),
+    "parametric": ("solve_many", "solve_rhs", "sweep"),
+    "oracle": ("Vertex", "OracleResult", "CornerReport", "FeasibilityReport", "enumerate_vertices",
+               "oracle_solve", "corner_report", "check_feasible"),
+    "audit": ("ReferenceAudit", "audit_reference_results"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

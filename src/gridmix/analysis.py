@@ -1,52 +1,34 @@
-"""Independent verification: vertex enumeration, corner reports, sweeps,
-and the audit of the published result tables.
+"""Independent verification and sweeps, under one name: a re-export
+facade over the modules that do each job.
 
-The vertex oracle has two halves, split where the objective enters.
-``_region`` intersects every n-subset of constraint hyperplanes (variable
-bounds included) and keeps the feasible intersection points. ``_verdict``
-ranks them by objective and takes the best once the same enumeration over
-the recession cone's extreme rays has ruled out unboundedness.
-``enumerate_vertices`` and ``oracle_solve`` are built on the two; the audit
-enumerates each distinct region once per call, so tables 12 and 13 share
-one, and reads the verdict without building ``Vertex`` records. The
-oracle shares no pivoting code with the simplex, which is what makes
-agreement between the two a certificate; both test points against rows
-with the one kernel ``lp.check_rows``.
-Singular subsystems are detected by batched partial-pivot elimination on
-row-equilibrated matrices with the SINGULAR_TOL pivot threshold;
-equilibration matters because the built-in models mix fraction-scale
-rows with 1e13 g emission rows. Many subsets meet at one vertex of a
-degenerate region, so the intersection points are deduplicated: two are
-equal when every coordinate is within ROW_TOL * max(1, the largest
-|coordinate| of the pair). Every pair is tested in one (k, k) array, and
-a greedy pass in lexicographic order keeps each point equal to none kept
-before it.
+- ``gridmix.oracle``: vertex enumeration, ``oracle_solve``,
+  ``corner_report`` and ``check_feasible``;
+- ``gridmix.parametric``: ``sweep`` and ``SweepPoint``, on the block loop;
+- ``gridmix.audit``: the audit of the published result tables and its
+  discrepancy ledger.
 
-The audit never corrects the published tables silently: every cell that
-disagrees with its own model becomes a ledger item carrying both numbers.
+Every name keeps resolving as ``gridmix.analysis.<name>``, each the very
+object its home module defines. Loading the facade loads all three, so
+the CLI imports only the module each command runs and never this one.
+The facade also loads ``gridmix.derivation``, which no job here uses:
+the benchmark's tracer wraps ``derivation.derive_all`` through
+``sys.modules`` and needs that module loaded once it has imported this
+one.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import math
-from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
-
-# Loaded with the analysis layer because perfbench/tracing.py wraps
-# derivation.derive_all and needs the module loaded by the time it installs.
-from . import derivation  # noqa: F401
-from .catalog import get_scenario
-from .lp import (
-    ROW_TOL, Constraint, LinearProgram, LPError, Relation, Sense, Status, _solve_block, check_rows,
-    solve,
+from . import derivation  # noqa: F401 - read from sys.modules by the benchmark's tracer
+from .audit import (  # noqa: F401 - the private names are read as gridmix.analysis.<name>
+    CORNER_A, CORNER_B, CORNER_D, DISCREPANCIES, _REFERENCE_TABLES, CellAudit, Discrepancy, ReferenceAudit,
+    TableAudit, audit_reference_results,
 )
-from .model import compile_scenario, compile_sweep, tabulate
-from .scenario import CAP_FIELDS, CoefficientVariant, ObjectiveMode, Scenario
+from .oracle import (  # noqa: F401
+    MAX_SUBSETS, SINGULAR_TOL, TIE_TOL, CornerReport, CornerRow, OracleResult, UnsupportedSizeError, Vertex,
+    _batch_solve, _dedup, _near, _subsets, corner_report, enumerate_vertices, oracle_solve,
+)
+from .parametric import SweepPoint, sweep
+from .scenario import CAP_FIELDS
 
 __all__ = [
     "UnsupportedSizeError",
@@ -67,611 +49,3 @@ __all__ = [
     "DISCREPANCIES",
     "CAP_FIELDS",
 ]
-
-_MATCH = 1e-3     # headline classification thresholds (relative)
-_NEAR = 1e-2
-
-SINGULAR_TOL = 1e-12   # smallest pivot of a vertex subsystem, absolute on equilibrated rows
-TIE_TOL = 1e-9         # oracle objective ties, relative to max(1, |best objective|),
-                       # and improving rays, relative to max(1, max|c|)
-MAX_SUBSETS = 10_000   # the most n-subsets of rows one vertex enumeration solves
-
-
-class UnsupportedSizeError(LPError, ValueError):
-    """Vertex enumeration is combinatorial: a region of r rows (variable
-    bounds included) in n variables has C(r, n) row subsets to solve, and
-    more than MAX_SUBSETS are refused before any is built."""
-
-
-@dataclass(frozen=True)
-class Vertex:
-    point: tuple[float, ...]
-    objective: float
-    binding: frozenset[str]
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    status: Status
-    objective: float | None
-    point: tuple[float, ...] | None
-    vertices: tuple[Vertex, ...]     # every vertex of the feasible region, as enumerate_vertices orders them
-
-
-def _batch_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a (K, n, n) float64 batch of square systems by Gauss-Jordan
-    with partial pivoting; returns solutions and a nonsingular mask."""
-    k, n, _ = a.shape
-    m = np.concatenate([a, b[..., None]], axis=2)
-    scale = np.abs(a).max(axis=2)
-    nonzero = scale > 0.0
-    ok = nonzero.all(axis=1)
-    m /= np.where(nonzero, scale, 1.0)[:, :, None]
-    rows = np.arange(k)
-    for col in range(n):
-        if col < n - 1:     # a search over the last row alone picks that row
-            pivot_row = np.abs(m[:, col:, col]).argmax(axis=1) + col
-            swap = m[rows, pivot_row]
-            m[rows, pivot_row] = m[:, col]
-            m[:, col] = swap
-        pivots = m[:, col, col]
-        usable = np.abs(pivots) > SINGULAR_TOL
-        ok &= usable
-        m[:, col, :] /= np.where(usable, pivots, 1.0)[:, None]
-        factors = m[:, :, col].copy()
-        factors[:, col] = 0.0
-        m -= factors[:, :, None] * m[:, col : col + 1, :]
-    return m[:, :, n], ok
-
-
-@functools.cache
-def _subsets(row_count: int, n: int) -> np.ndarray:
-    """Every n-subset of range(row_count) as one read-only (C(row_count, n), n)
-    index array in ``itertools.combinations`` order, built once per (row_count, n)."""
-    index = np.array(list(itertools.combinations(range(row_count), n)), dtype=np.intp).reshape(-1, n)
-    index.flags.writeable = False
-    return index
-
-
-def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (len(a), len(b)) mask of point equality: a[i] equals b[j] when
-    every coordinate is within ROW_TOL * max(1, the largest |coordinate|
-    of the pair). Each entry takes the same IEEE operations as a test of
-    the one pair."""
-    span = np.maximum(np.maximum(1.0, np.abs(a).max(axis=1))[:, None], np.abs(b).max(axis=1))
-    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2) <= ROW_TOL * span
-
-
-def _dedup(points: np.ndarray) -> list[int]:
-    """Indices of *points* in lexicographic order, skipping each point
-    equal to one already kept. Every pair is compared in one (k, k)
-    ``_near`` array; only the greedy pass is Python."""
-    near = _near(points, points).tolist()
-    kept: list[int] = []
-    for idx in np.lexsort(points.T[::-1]).tolist():
-        row = near[idx]
-        if not any(row[j] for j in kept):
-            kept.append(idx)
-    return kept
-
-
-def _region(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The oracle's row-only half: the (k, n) feasible intersection points
-    of *lp*'s n-subsets of rows, their (k, r) binding masks over
-    ``lp.rows``, and the indices ``_dedup`` keeps. Capped at MAX_SUBSETS
-    row subsets."""
-    n = lp.var_count
-    rows = lp.rows
-    count = math.comb(len(rows.rhs), n)
-    if count > MAX_SUBSETS:
-        raise UnsupportedSizeError(
-            f"vertex enumeration supports at most {MAX_SUBSETS:,} row subsets, "
-            f"got C({len(rows.rhs)}, {n}) = {count:,}"
-        )
-    idx = _subsets(len(rows.rhs), n)      # never empty: the n bound rows are one subset
-    points, ok = _batch_solve(rows.matrix[idx], rows.rhs[idx])
-    points = points[ok]
-    _, _, satisfied, binding = check_rows(rows, points)
-    feasible = satisfied.all(axis=1)
-    points = points[feasible]
-    return points, binding[feasible], _dedup(points)
-
-
-def _ranked(lp: LinearProgram, region: tuple) -> list[tuple[float, tuple[float, ...], int]]:
-    """(objective, point, index) of each kept point of *region*, ordered
-    by (objective, point)."""
-    points, _, kept = region
-    objective = np.asarray(lp.objective)
-    coordinates = points.tolist()
-    ranked = [(float(points[i] @ objective), tuple(coordinates[i]), i) for i in kept]
-    ranked.sort(key=lambda r: (r[0], r[1]))
-    return ranked
-
-
-def _verdict(lp: LinearProgram, region: tuple) -> tuple[Status, list, tuple | None]:
-    """The oracle's verdict on *lp* over its region: the status, the
-    ``_ranked`` vertices, and the optimum among them when there is one.
-
-    No vertex means infeasible. Every variable is bounded below, so a
-    feasible region has a vertex, and it is unbounded exactly when an
-    extreme ray d of its recession cone improves the objective:
-    sign * c.d < -TIE_TOL * max(1, max|c|), with sign -1 when maximizing
-    (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
-    §4.8). The rays are enumerated only when some sign * c_i < 0, since
-    no d >= 0 improves otherwise. Else the optimum is the first vertex, in
-    ranked order, within TIE_TOL of the best objective.
-    """
-    ranked = _ranked(lp, region)
-    if not ranked:
-        return Status.INFEASIBLE, ranked, None
-    sign = 1.0 if lp.sense is Sense.MINIMIZE else -1.0
-    cost = [sign * c for c in lp.objective]
-    if min(cost) < 0.0:
-        band = TIE_TOL * max(1.0, max(map(abs, cost)))
-        cone = _recession_cone(lp)
-        if any(sign * ray < -band for ray, _, _ in _ranked(cone, _region(cone))):
-            return Status.UNBOUNDED, ranked, None
-    best = (min if sign > 0.0 else max)(r[0] for r in ranked)
-    chosen = next(r for r in ranked if abs(r[0] - best) <= TIE_TOL * max(1.0, abs(best)))
-    return Status.OPTIMAL, ranked, chosen
-
-
-def _vertices(lp: LinearProgram, region: tuple, ranked: list) -> list[Vertex]:
-    labels = [c.label for c in lp.constraints]
-    flags = region[1].tolist()
-    return [
-        Vertex(point=point, objective=objective, binding=frozenset(itertools.compress(labels, flags[i])))
-        for objective, point, i in ranked
-    ]
-
-
-def enumerate_vertices(lp: LinearProgram) -> list[Vertex]:
-    """All vertices of the feasible region, deduplicated at ROW_TOL
-    relative, ordered by (objective, point). Capped at MAX_SUBSETS row subsets."""
-    region = _region(lp)
-    return _vertices(lp, region, _ranked(lp, region))
-
-
-def _recession_cone(lp: LinearProgram) -> LinearProgram:
-    """The directions d >= 0 along which *lp*'s region recedes, cut by
-    sum(d) = 1: its vertices are the extreme rays of the recession cone.
-
-    Each row keeps its relation with rhs 0 and is divided by its max-abs
-    coefficient, so ``check_rows``' absolute band at rhs 0 means the same
-    on 1e-2 rows as on 1e13 rows.
-    """
-    n = lp.var_count
-    rows = [Constraint((1.0,) * n, Relation.EQ, 1.0, "sum(d)")]
-    for c in lp.constraints:
-        scale = max(map(abs, c.coefficients))
-        rows.append(Constraint(tuple(a / scale for a in c.coefficients), c.relation, 0.0, c.label))
-    return LinearProgram(sense=lp.sense, objective=lp.objective, constraints=tuple(rows), var_count=n)
-
-
-def oracle_solve(lp: LinearProgram) -> OracleResult:
-    """Classify and solve *lp* by brute force, as ``_verdict`` sets out;
-    ``vertices`` are those of ``enumerate_vertices``."""
-    region = _region(lp)
-    status, ranked, chosen = _verdict(lp, region)
-    vertices = tuple(_vertices(lp, region, ranked))
-    objective, point = chosen[:2] if chosen else (None, None)
-    return OracleResult(status=status, objective=objective, point=point, vertices=vertices)
-
-
-# ---------------------------------------------------------------------------
-# corner report
-
-
-@dataclass(frozen=True)
-class CornerRow:
-    point: tuple[float, ...]
-    binding: frozenset[str]
-    values: dict[str, float]
-
-
-@dataclass(frozen=True)
-class CornerReport:
-    objectives: tuple[str, ...]
-    rows: tuple[CornerRow, ...]
-    argmin: dict[str, int]           # objective name -> row index
-    shared_argmin: bool
-
-    def argmin_point(self, name: str) -> tuple[float, ...]:
-        return self.rows[self.argmin[name]].point
-
-
-def corner_report(lp: LinearProgram, objectives: list[tuple[str, tuple[float, ...]]]) -> CornerReport:
-    """Evaluate several named objective vectors at every feasible vertex
-    and flag the argmin of each; ``shared_argmin`` says whether all
-    objectives select the same vertex."""
-    vertices = enumerate_vertices(lp)
-    if not vertices:
-        raise LPError("corner_report: the feasible region has no vertex")
-    rows = tuple(
-        CornerRow(
-            point=v.point,
-            binding=v.binding,
-            values={name: float(np.dot(vec, v.point)) for name, vec in objectives},
-        )
-        for v in vertices
-    )
-    argmin = {}
-    for name, _vec in objectives:
-        argmin[name] = min(range(len(rows)), key=lambda i: (rows[i].values[name], i))
-    indices = set(argmin.values())
-    return CornerReport(
-        objectives=tuple(name for name, _ in objectives),
-        rows=rows,
-        argmin=argmin,
-        shared_argmin=len(indices) == 1,
-    )
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-
-class SweepPoint(NamedTuple):
-    """One grid point of a sweep. A named tuple rather than a frozen
-    dataclass: a sweep builds one per point, and a dataclass constructor
-    sets each field with its own ``object.__setattr__`` call."""
-
-    value: float
-    status: Status
-    objective: float
-    production: tuple[float, ...]
-
-
-def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> tuple[SweepPoint, ...]:
-    """Solve *scenario* at each cap value; infeasible points are kept in
-    the trajectory with their status rather than dropped. A point that is
-    not optimal has a NaN objective and NaN production.
-
-    The scenario is compiled once: ``compile_sweep`` checks every value as
-    ``with_cap`` would and writes each point's rhs with the expressions of
-    ``compile_scenario``, and one ``lp._solve_block`` call runs the simplex
-    for every point; the points share one tableau, with one rhs column
-    each, until their pivots differ. Each point's status, objective and
-    production are those of the Solution ``solve`` returns for
-    ``compile_scenario(scenario.with_cap(cap, value))``, to the bit, read
-    straight from the solved block's arrays: no Solution, activities or
-    binding set is built per point. A cap that compiles no row (see
-    ``compile_sweep``) leaves every point the same program.
-    """
-    if parameter not in CAP_FIELDS:
-        raise KeyError(f"unknown sweep parameter {parameter!r}; known: {', '.join(CAP_FIELDS)}")
-    if len(values) == 0:
-        return ()
-    program, rhs = compile_sweep(scenario, CAP_FIELDS[parameter], values)
-    block = _solve_block(program, rhs)
-    objective = np.full(len(values), math.nan)
-    production = np.full((len(values), program.var_count), math.nan)
-    objective[block.at] = block.objective
-    production[block.at] = block.points
-    # tuple.__new__ is SweepPoint._make without its length check; every
-    # item of the zip holds the four fields in order.
-    fields = zip(map(float, values), block.status, objective.tolist(), map(tuple, production.tolist()))
-    return tuple(map(tuple.__new__, itertools.repeat(SweepPoint), fields))
-
-
-# ---------------------------------------------------------------------------
-# discrepancy ledger
-
-@dataclass(frozen=True)
-class Discrepancy:
-    ident: str
-    summary: str
-
-
-DISCREPANCIES: tuple[Discrepancy, ...] = (
-    Discrepancy("early-wind-share", "early-morning wind share prints 0.3760 in the wind+solar models, 0.3769 once nuclear/geothermal join, and 0.3769 in the production table"),
-    Discrepancy("results-implied-shares", "per-period rows of every result table divide back to wind shares 0.38/0.3769/0.24, none of the printed model blocks"),
-    Discrepancy("emissions-cap-drift", "the emissions cap prints 3.578e12 g, then 16,325e9 g, then 163,325e9 g across otherwise-identical models"),
-    Discrepancy("rooftop-offset-drift", "the rooftop solar exemption prints 344,900, then 2,190,438, then 10,279,088 MWh without derivation"),
-    Discrepancy("geothermal-objective-rates", "the geothermal model prices wind/solar at 73.7/55.8 $/MWh against the cost table's 37.80/58.62"),
-    Discrepancy("geothermal-evening-share", "geothermal's evening share prints 0.21 although the same section derives 0.2083"),
-    Discrepancy("geothermal-capital-rate", "the geothermal budget-row rate 21.8 $/MWh appears only in that row, not in the capital-cost table"),
-    Discrepancy("oil-biomass-transposed", "the baseline-emissions table pairs 30,556 MWh with the 0.21% label and 160,418 MWh with 0.04%; the MWh cells match the opposite labels"),
-    Discrepancy("emissions-cap-arithmetic", "an 80% cut of the recomputed 1.7826e13 g baseline is 3.565e12 g, not the printed 3.578e12 g"),
-    Discrepancy("wind-space-rate-7.46", "space-occupied cells divide to about 7.46 ft^2/MWh for wind, not the model's 1065.6"),
-    Discrepancy("tight-space-table", "the tight-space result row violates its own 205,898,600 ft^2 cap at the model's land rates and prints the garbled objective cell '976,3043,136'"),
-    Discrepancy("geothermal-table-total", "the geothermal table's objective total reprices geothermal at 39.61 while its per-source cell used 44.0; the printed point is not a vertex of the printed model"),
-    Discrepancy("gas-estimate-mismatch", "the consumption table's gas estimate 46,504,074 equals 37,668,300/0.81, not the quoted 37,998,300/0.81"),
-    Discrepancy("period-rhs-rounding", "printed period requirements 7.069e6/13.192e6/6.006e6 round the fraction products 7,068,850/13,192,283/6,005,576"),
-)
-
-_DISCREPANCY_IDS = {d.ident for d in DISCREPANCIES}
-
-
-# ---------------------------------------------------------------------------
-# reference tables and the audit
-
-
-@dataclass(frozen=True)
-class _RefCell:
-    label: str
-    printed: float
-    kind: str              # production | period_production | space_source | emissions_total | capital_total | space_total | objective_total
-    source: int = 0        # source index, for per-source kinds
-    period: int = 0        # period index, for period_production
-    at: tuple[float, ...] | None = None   # an objective_total cell's own point, in place of the table's
-
-
-@dataclass(frozen=True)
-class _RefTable:
-    table_id: str
-    scenario: str
-    title: str
-    point: tuple[float, ...]
-    objective_total: float
-    cells: tuple[_RefCell, ...]
-    ledger: tuple[str, ...]          # discrepancy idents tied to this table
-    expected: str                    # pinned classification
-    tolerance: float                 # acceptance tolerance on the headline delta
-    notes: tuple[str, ...] = ()
-    objective: ObjectiveMode | None = None   # replaces the scenario's objective
-
-
-# Corner points of the alternate-objective analysis (tables 12 and 13):
-# each table prints the optimum at B and carries A and D for the full report.
-CORNER_B = (24_862_479.0, 3_900_512.0)
-CORNER_A = (21_812_415.0, 77_102_051.0)
-CORNER_D = (47_475_469.0, 0.0)
-
-_REFERENCE_TABLES: tuple[_RefTable, ...] = (
-    _RefTable(
-        table_id="5",
-        scenario="m1_flat_demand",
-        title="flat-demand wind+solar results",
-        point=(25_621_059.0, 0.0),
-        objective_total=968_476_030.0,
-        cells=(
-            _RefCell("wind production", 25_621_059.0, "production", source=0),
-            _RefCell("emissions total", 127_336_663_230.0, "emissions_total"),
-            _RefCell("capital total", 703_298_069.0, "capital_total"),
-            _RefCell("space total", 191_133_100.0, "space_total"),
-        ),
-        ledger=("wind-space-rate-7.46",),
-        expected="match",
-        tolerance=_MATCH,
-    ),
-    _RefTable(
-        table_id="7",
-        scenario="m2_period_demand",
-        title="time-of-day wind+solar results",
-        point=(34_104_806.0, 344_900.0),
-        objective_total=1_309_379_704.0,
-        cells=(
-            _RefCell("wind early-morning production", 12_959_826.0, "period_production", source=0, period=0),
-            _RefCell("wind daytime production", 12_854_101.0, "period_production", source=0, period=1),
-            _RefCell("emissions total", 185_021_385_820.0, "emissions_total"),
-            _RefCell("capital total", 949_669_412.0, "capital_total"),
-        ),
-        ledger=("early-wind-share", "results-implied-shares", "period-rhs-rounding"),
-        expected="near",
-        tolerance=5e-3,
-    ),
-    _RefTable(
-        table_id="8",
-        scenario="m3_shared_space",
-        title="shared-space wind+solar results",
-        point=(24_862_479.0, 3_900_512.0),
-        objective_total=1_168_449_731.0,
-        cells=(
-            _RefCell("wind daytime production", 9_370_668.0, "period_production", source=0, period=1),
-            _RefCell("emissions total", 299_089_569_630.0, "emissions_total"),
-            _RefCell("capital total", 835_063_085.0, "capital_total"),
-            _RefCell("solar space", 797_309_844.0, "space_source", source=1),
-        ),
-        ledger=("results-implied-shares", "emissions-cap-drift", "rooftop-offset-drift"),
-        expected="near",
-        tolerance=1e-2,
-    ),
-    _RefTable(
-        table_id="9",
-        scenario="m4_tight_space",
-        title="nuclear results under the tight land cap",
-        point=(25_821_247.0, 2_190_438.0, 2_628_000.0),
-        objective_total=1_357_260_212.0,
-        cells=(
-            _RefCell("emissions total", 355_673_307_590.0, "emissions_total"),
-            _RefCell("capital total", 980_545_564.0, "capital_total"),
-            _RefCell("nuclear space", 8_488_440.0, "space_source", source=2),
-            _RefCell("wind space", 192_626_502.0, "space_source", source=0),
-        ),
-        ledger=("tight-space-table", "wind-space-rate-7.46", "results-implied-shares"),
-        expected="discrepancy",
-        tolerance=_NEAR,
-        notes=("wind objective cell prints '976,3043,136' and is not compared",),
-    ),
-    _RefTable(
-        table_id="10",
-        scenario="m5_geothermal",
-        title="geothermal results",
-        point=(5_695_821.0, 0.0, 22_090_490.0),
-        objective_total=1_090_306_357.0,
-        cells=(
-            _RefCell("emissions total", 867_746_852_358.0, "emissions_total"),
-            _RefCell("capital total", 637_922_979.0, "capital_total"),
-            _RefCell("objective total", 1_090_306_357.0, "objective_total"),
-        ),
-        ledger=("geothermal-objective-rates", "geothermal-table-total", "geothermal-evening-share"),
-        expected="discrepancy",
-        tolerance=_NEAR,
-        notes=("per-source objective cells sum to 1,187,283,608, not the printed total",),
-    ),
-    *(
-        _RefTable(
-            table_id=table_id,
-            scenario="a1_om_objective",
-            title=f"corner-point values under the {objective.value} objective",
-            point=CORNER_B,
-            objective_total=b_value,
-            cells=(
-                _RefCell("corner A value", a_value, "objective_total", at=CORNER_A),
-                _RefCell("corner D value", d_value, "objective_total", at=CORNER_D),
-            ),
-            ledger=("results-implied-shares", "emissions-cap-drift"),
-            expected="match",
-            tolerance=_MATCH,
-            notes=("corner C is excluded by the source analysis itself and is not reproduced",),
-            objective=objective,
-        )
-        for table_id, objective, b_value, a_value, d_value in (
-            ("12", ObjectiveMode.OM_ONLY, 333_464_655.0, 1_730_019_510.0, 491_371_104.0),
-            ("13", ObjectiveMode.LCOE, 1_168_449_731.0, 5_344_231_517.0, 1_794_572_728.0),
-        )
-    ),
-)
-
-
-@dataclass(frozen=True)
-class CellAudit:
-    label: str
-    printed: float
-    recomputed: float
-    rel_delta: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class TableAudit:
-    table_id: str
-    scenario: str
-    title: str
-    printed_objective: float
-    solver_status: Status
-    solver_objective: float | None
-    oracle_status: Status
-    oracle_objective: float | None
-    headline_delta: float
-    classification: str
-    expected: str
-    tolerance: float
-    point_feasible: bool
-    point_is_vertex: bool
-    cells: tuple[CellAudit, ...]
-    ledger: tuple[str, ...]
-    notes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ReferenceAudit:
-    tables: tuple[TableAudit, ...]
-    discrepancies: tuple[Discrepancy, ...]
-
-    def table(self, table_id: str) -> TableAudit:
-        for t in self.tables:
-            if t.table_id == table_id:
-                return t
-        raise KeyError(table_id)
-
-    @property
-    def passed(self) -> bool:
-        """Every table pinned as a match actually matches."""
-        return all(t.classification == "match" for t in self.tables if t.expected == "match")
-
-    @property
-    def strict_passed(self) -> bool:
-        """No table classifies worse than pinned, and near tables stay
-        inside their stated tolerance."""
-        rank = {"match": 0, "near": 1, "discrepancy": 2}
-        for t in self.tables:
-            if rank[t.classification] > rank[t.expected]:
-                return False
-            if t.expected in ("match", "near") and t.headline_delta > t.tolerance:
-                return False
-        return True
-
-
-def _classify(delta: float) -> str:
-    if delta <= _MATCH:
-        return "match"
-    if delta <= _NEAR:
-        return "near"
-    return "discrepancy"
-
-
-def _recompute_cell(cell: _RefCell, lp: LinearProgram, point: tuple[float, ...], table) -> float:
-    if cell.kind == "objective_total":
-        return lp.objective_at(point if cell.at is None else cell.at)
-    rows, total = table
-    row = rows[cell.source]
-    if cell.kind == "production":
-        return row.annual
-    if cell.kind == "period_production":
-        return row.per_period[cell.period]
-    if cell.kind == "space_source":
-        return row.land_ft2
-    if cell.kind == "emissions_total":
-        return total.emissions_g
-    if cell.kind == "capital_total":
-        return total.capital_usd
-    if cell.kind == "space_total":
-        return total.land_ft2
-    raise ValueError(f"unknown cell kind {cell.kind!r}")
-
-
-def _audit_table(ref: _RefTable, regions: dict) -> TableAudit:
-    """Audit one printed table against its as-printed scenario, compiled
-    once: the solver's and the oracle's optimum against the printed total,
-    the printed point's feasibility and vertex membership, and each cell.
-    The point is tabulated only when a cell reads the table. *regions*
-    holds the oracle's ``_region`` of each region audited so far in this
-    call, keyed on the constraints and lower bounds."""
-    scenario = get_scenario(ref.scenario, CoefficientVariant.AS_PRINTED)
-    if ref.objective is not None:
-        scenario = scenario.with_objective(ref.objective)
-    lp = compile_scenario(scenario)
-    tabulated = any(cell.kind != "objective_total" for cell in ref.cells)
-    table = tabulate(scenario, ref.point) if tabulated else None
-    solution = solve(lp)
-    key = (lp.constraints, lp.lower_bounds)
-    region = regions[key] = regions.get(key) or _region(lp)
-    oracle_status, _, chosen = _verdict(lp, region)
-    points, _, kept = region
-    point = np.array([ref.point], dtype=float)
-    if solution.is_optimal:
-        headline = abs(solution.objective_value - ref.objective_total) / abs(ref.objective_total)
-    else:
-        headline = math.inf
-    audited = []
-    for cell in ref.cells:
-        recomputed = _recompute_cell(cell, lp, ref.point, table)
-        delta = abs(recomputed - cell.printed) / max(1.0, abs(cell.printed))
-        audited.append(CellAudit(cell.label, cell.printed, recomputed, delta, delta > _MATCH))
-    return TableAudit(
-        table_id=ref.table_id,
-        scenario=scenario.name,
-        title=ref.title,
-        printed_objective=ref.objective_total,
-        solver_status=solution.status,
-        solver_objective=solution.objective_value if solution.is_optimal else None,
-        oracle_status=oracle_status,
-        oracle_objective=None if chosen is None else chosen[0],
-        headline_delta=headline,
-        classification=_classify(headline),
-        expected=ref.expected,
-        tolerance=ref.tolerance,
-        point_feasible=bool(check_rows(lp.rows, point)[2].all()),
-        point_is_vertex=bool(_near(point, points[kept]).any()),
-        cells=tuple(audited),
-        ledger=ref.ledger,
-        notes=ref.notes,
-    )
-
-
-def audit_reference_results() -> ReferenceAudit:
-    """Audit every published result table against the as-printed models.
-
-    For each table: feasibility and vertex-membership of the printed
-    point, our solver optimum, the oracle optimum, recomputed cells, and
-    a classification of the headline objective delta (match <= 0.1%,
-    near <= 1%, discrepancy beyond).
-    """
-    regions: dict = {}
-    tables = [_audit_table(ref, regions) for ref in _REFERENCE_TABLES]
-    for table in tables:
-        unknown = set(table.ledger) - _DISCREPANCY_IDS
-        if unknown:
-            raise ValueError(f"table {table.table_id} references unknown ledger ids {unknown}")
-    return ReferenceAudit(tables=tuple(tables), discrepancies=DISCREPANCIES)

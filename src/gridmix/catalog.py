@@ -19,7 +19,7 @@ data tables: the table shares of each source, m0's LCOEs, the 3.578e12 g
 emissions cap, and the 344,900 MWh rooftop bound everywhere.
 
 Keeping both variants makes each discrepancy a testable fact instead of a
-silent fix; the audit in ``gridmix.analysis`` reports where they diverge.
+silent fix; the audit in ``gridmix.audit`` reports where they diverge.
 Each model is built once per process and shared: every field is frozen.
 """
 

@@ -20,7 +20,9 @@ from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import catalog
-from .scenario import CoefficientVariant, DemandMode, ObjectiveMode, Scenario, ScenarioError, load_scenario_file
+from .scenario import (
+    CAP_FIELDS, CoefficientVariant, DemandMode, ObjectiveMode, Scenario, ScenarioError, load_scenario_file,
+)
 
 CATALOG_DIR_ENV = "GRIDMIX_CATALOG_DIR"
 MAX_STEPS = 1_000_000   # sweep grid points; larger grids are refused before anything is allocated
@@ -55,12 +57,14 @@ def _extra_catalog() -> dict[str, Scenario]:
     extra: dict[str, Scenario] = {}
     directory = Path(root)
     if not directory.is_dir():
+        print(f"gridmix: warning: {CATALOG_DIR_ENV} {root!r} is not a directory; no scenario files loaded",
+              file=sys.stderr)
         return {}
     for path in sorted(directory.glob("*.json")):
         try:
             scenario = load_scenario_file(path)
         except ScenarioError as exc:
-            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+            print(f"gridmix: warning: skipping {path}: {exc}", file=sys.stderr)
             continue
         extra[scenario.name] = scenario
     return extra
@@ -179,9 +183,9 @@ def _cmd_solve(args) -> int:
     rep = report(scenario, solution)
     oracle = None
     if args.oracle:
-        from . import analysis
+        from .oracle import oracle_solve
 
-        oracle = analysis.oracle_solve(lp)
+        oracle = oracle_solve(lp)
         if oracle.status is not solution.status:
             print(
                 f"oracle disagrees: solver={solution.status.value} oracle={oracle.status.value}",
@@ -236,8 +240,9 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     import numpy as np
 
-    from . import analysis
     from .lp import Status
+    from .model import cap_rows
+    from .parametric import sweep
 
     if args.steps < 1:
         raise ScenarioError("--steps must be >= 1")
@@ -248,7 +253,11 @@ def _cmd_sweep(args) -> int:
     if args.start > args.stop:
         raise ScenarioError("--from must not exceed --to")
     scenario = _resolve_scenario(args.scenario, _VARIANTS[args.variant], None)
-    points = analysis.sweep(scenario, args.param, np.linspace(args.start, args.stop, args.steps))
+    points = sweep(scenario, args.param, np.linspace(args.start, args.stop, args.steps))
+    cap = CAP_FIELDS[args.param]
+    if not cap_rows(scenario.with_cap(cap, args.start), cap):
+        print(f"gridmix: note: {args.param} bounds no row of scenario {scenario.name!r}, "
+              "so every point solves the same program", file=sys.stderr)
     names = [s.name for s in scenario.sources]
     rows = [
         [p.value, p.status.value,
@@ -291,9 +300,9 @@ def _audit_text(tables, discrepancies) -> str:
 
 
 def _cmd_audit(args) -> int:
-    from . import analysis
+    from .audit import audit_reference_results
 
-    audit = analysis.audit_reference_results()
+    audit = audit_reference_results()
     table_ids = set(args.table) if args.table else set()
     known = {t.table_id for t in audit.tables}
     unknown = table_ids - known

@@ -13,10 +13,10 @@ not fall below its best so far for 2*(m+n) iterations the solver falls
 back to Bland's rule, which guarantees termination on degenerate instances.
 
 ``LinearProgram.rows`` is one dense view of a program's constraints and
-lower bounds, built once and read by ``standardize``, ``check_feasible``,
-the binding set of a Solution and the vertex oracle. ``check_rows`` is
-the only test of points against rows. Every threshold is a module
-constant below (ROW_TOL, FEAS_TOL, ...), never a parameter.
+lower bounds, built once and read by ``standardize``, the binding set of
+a Solution, ``oracle.check_feasible`` and the vertex oracle.
+``check_rows`` is the only test of points against rows. Every threshold
+is a module constant below (ROW_TOL, FEAS_TOL, ...), never a parameter.
 
 ``solve`` is deterministic to the bit, and tests/test_solve_golden.py pins
 every field of its Solutions. At this size a numpy call costs more than
@@ -29,57 +29,26 @@ and ``@``/``np.dot`` for activities and objectives.
 A ``Tableau`` is one array: the body rows with the reduced-cost row
 stacked under them (Bertsimas & Tsitsiklis, *Introduction to Linear
 Optimization*, §3.6), so ``_apply_pivot``'s one outer product updates
-both. Two loops pivot on it. ``solve`` runs the lone loop,
-``_two_phase_lone`` over ``_run_lone``: one rhs column, a scalar stall
-count and best objective, and the phase-1 verdict and the point read
-out on Python floats.
+both. ``solve`` runs the lone loop, ``_two_phase_lone`` over
+``_run_lone``: one rhs column, a scalar stall count and best objective,
+and the phase-1 verdict and the point read out on Python floats.
 
-``_solve_block`` runs the block loop, ``_two_phase`` over
-``_run_simplex``: it solves one program at each row of a (k, m) rhs
-array and returns each row's status and pivot count, and one (k, n)
-array of the optimal points with their objectives. Two read-outs sit on
-it: ``solve_rhs`` reads each row's Solution out through ``solve``'s
-``_build_solution``, and ``analysis.sweep`` reads its points straight
-from the arrays. ``solve_many`` groups a batch of programs that differ
-only in their constraints' rhs into one ``solve_rhs`` call each, so the
-rhs shift, equilibration and sign flip live in one place. Rows of rhs
-whose standardized rhs have the same signs have the same tableau but for
-the rhs, so they share one: it carries one rhs column per row, and every
-pivot updates the whole block.
-The rows are grouped by one packed sign code each (``np.packbits``, any
-m). Each pivot is chosen by ``pivot_rule`` for the lead (first) column;
-the others replay its ratio test, tie band included, in
-``_leaving_rows``. The entering column depends only on the cost row and
-the Bland flag, which all columns of a block share, so a column leaves
-its block only where its leaving row, its Bland flag (from its own stall
-count) or its phase-1 verdict differs from the lead's; it continues in a
-block of its own from the same state. This is parametric rhs analysis
-(Bertsimas & Tsitsiklis, §5.2): one basis stays optimal over an interval
-of rhs values, so a sweep's grid needs few blocks. A block's per-column
-steps (stall counts, split tests, the phase-1 verdict, reading out its
-points) are whole-array operations, a block of one column included. The
-bits match ``solve`` because every operation on the tableau is
-elementwise per column (the outer-product update, the priced cost row,
-the ratios and tolerances), and the objectives of all optimal points
-come from one stacked product, ``np.matmul(P[:, None, :], c[:, None])``:
-each (1, n) slice goes through the BLAS call of ``solve``'s
-``np.dot(c, x)``, where a plain 2-D ``P @ c`` rounds differently. Two
-caveats: P must be C-contiguous, or numpy skips BLAS and the objective
-can move by an ulp; and at n = 1 ``np.dot`` is the bare product c*x,
--0.0 included, where the stacked form gives +0.0, so the objective is
-that product.
+This module holds only what ``solve`` runs. The block loop that solves
+one program at many rhs (``solve_rhs``, ``solve_many`` and their
+internals) lives in ``gridmix.parametric``, and ``check_feasible`` with
+its report types in ``gridmix.oracle``. Both names still resolve here:
+they load their module on first use (PEP 562), so a plain ``solve``
+compiles neither.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, wraps
-from itertools import compress
-from typing import NamedTuple
+from importlib import import_module
 
 import numpy as np
 
@@ -300,28 +269,6 @@ class Solution:
         return self.status is Status.OPTIMAL
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
-    label: str
-    relation: Relation
-    activity: float
-    rhs: float
-    violation: float        # 0.0 when satisfied
-    satisfied: bool
-    binding: bool
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    checks: tuple[ConstraintCheck, ...]
-    bounds_ok: bool
-    worst_violation: float
-    worst_label: str | None
-    binding: frozenset[str]
-    violated: frozenset[str]
-
-
 # ---------------------------------------------------------------------------
 # standard form
 
@@ -522,34 +469,6 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | No
     return row, col
 
 
-def _leaving_rows(tableau: Tableau, col: int, bland: bool) -> np.ndarray:
-    """``pivot_rule``'s ratio test for entering column *col*, replayed on
-    every rhs column at once: the leaving row of each.
-
-    Which rows are eligible depends on column *col* alone, so every rhs
-    column starts from the same first eligible row; the ratios, tie bands
-    and comparisons are pivot_rule's own, elementwise.
-    """
-    rhs = tableau.body[:, tableau.cols:]
-    basis = np.array(tableau.basis)
-    row = best = None
-    for i, entry in enumerate(tableau.body[:, col].tolist()):
-        if entry <= PIVOT_TOL:
-            continue
-        ratio = rhs[i] / entry
-        if row is None:
-            row, best = np.full(len(ratio), i), ratio
-            continue
-        tie_band = PIVOT_TOL * np.maximum(1.0, np.abs(best))
-        lower = ratio < best - tie_band
-        take = lower
-        if bland:
-            take = lower | ((np.abs(ratio - best) <= tie_band) & (basis[i] < basis[row]))
-        row = np.where(take, i, row)
-        best = np.where(lower, ratio, best)
-    return row
-
-
 def _apply_pivot(tableau: Tableau, row: int, col: int) -> None:
     """Pivot on (row, col): one outer-product update of the whole table,
     cost row included, which becomes c - c[col] * pivot row entrywise."""
@@ -674,117 +593,6 @@ def _two_phase_lone(form: StandardForm) -> tuple[Status, tuple[float, ...] | Non
     return Status.OPTIMAL, tuple([v + s for v, s in zip(shifted, form.shifts)]), before + iterations
 
 
-def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
-    """Iterate every rhs column of *tableau* to optimality.
-
-    The columns of a block share its entering column, which depends only
-    on the cost row and the Bland flag. Before a pivot, the columns whose
-    leaving row or Bland flag differs from the lead's are split off into
-    a block of their own, which continues from the same state; a block of
-    one column cannot split and skips that test. Each column's stall
-    count and best objective are those of ``_run_lone``, kept as arrays
-    and tested elementwise. Returns (block, iterations, unbounded) for
-    *tableau* and for every block split from it.
-    """
-    cols = tableau.cols
-    stall_limit = 2 * (tableau.rows + cols)
-    todo = [(tableau, 0, np.zeros(len(tableau.ids), dtype=np.intp), tableau.cost[cols:].copy())]
-    done: list[tuple[Tableau, int, bool]] = []
-    while todo:
-        tableau, iterations, stall, best = todo.pop()
-        while True:
-            bland = stall[0] >= stall_limit
-            try:
-                pivot = pivot_rule(tableau, bland=bland)
-            except _Unbounded:
-                done.append((tableau, iterations, True))
-                break
-            if pivot is None:
-                done.append((tableau, iterations, False))
-                break
-            row, col = pivot
-            if len(tableau.ids) > 1:
-                moved = (_leaving_rows(tableau, col, bland) != row) | ((stall >= stall_limit) != bland)
-                if moved.any():
-                    away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
-                    todo.append((tableau.take(away), iterations, stall[away], best[away]))
-                    tableau = tableau.take(kept)
-                    stall, best = stall[kept], best[kept]
-            _apply_pivot(tableau, row, col)
-            iterations += 1
-            if iterations > MAX_ITER:
-                raise IterationLimitError(f"no convergence within {MAX_ITER} iterations")
-            current = tableau.cost[cols:]
-            fell = current > best + STALL_TOL * np.maximum(1.0, np.abs(best))
-            stall = np.where(fell, 0, stall + 1)
-            best = np.where(fell, current, best)
-    return done
-
-
-# (rhs columns, status, their (k, n) points when optimal, iterations)
-_Outcome = tuple[tuple[int, ...], Status, "np.ndarray | None", int]
-
-
-def _two_phase(form: StandardForm, table: np.ndarray) -> list[_Outcome]:
-    """Run both simplex phases on *table*: *form*'s rows with one rhs
-    column per program, over a cost row that is overwritten here. Returns
-    one outcome per block of rhs columns that ended alike, in no fixed
-    order.
-
-    The steps are ``_two_phase_lone``'s, taken on every column of a block
-    at once: the phase-1 verdict and the read-out of the points are whole
-    arrays, elementwise, so each column's bits are those of a lone solve.
-    """
-    total = form.column_count
-    ids = tuple(range(table.shape[1] - total))
-    if not form.basis:
-        # Only lower bounds constrain the problem; the minimum sits at the shift.
-        if min(form.objective, default=0.0) < 0.0:
-            return [(ids, Status.UNBOUNDED, None, 0)]
-        return [(ids, Status.OPTIMAL, np.tile(form.shifts, (len(ids), 1)), 0)]
-
-    outcomes: list[_Outcome] = []
-    first = total - len(form.artificial_cols)   # the artificials are the last columns
-    starts = []   # phase-2 blocks: table, basis, ids, phase-1 iterations
-    if first == total:
-        starts.append((table, list(form.basis), ids, 0))
-    else:
-        _price(table, [0.0] * first + [1.0] * (total - first), form.basis)
-        scales = np.array(form.row_scales)
-        given = table[:-1, total:].copy()    # each program's equilibrated rhs, before phase 1 pivots
-        for tableau, iterations, unbounded in _run_simplex(Tableau.over(table, list(form.basis), ids=ids)):
-            if unbounded:  # the phase-1 objective is bounded below by zero
-                raise LPError("phase 1 reported unbounded; input is numerically degenerate")
-            # Each basic artificial against its own row's scale, as in _two_phase_lone.
-            at = [i for i, col in enumerate(tableau.basis) if col >= first]
-            of = [form.basis.index(tableau.basis[i]) for i in at]
-            band = FEAS_TOL * np.maximum(1.0 / scales[of, None], given[of][:, tableau.ids])
-            failed = (tableau.body[at, tableau.cols:] > band).any(axis=0).tolist()
-            if any(failed):
-                outcomes.append((tuple(compress(tableau.ids, failed)), Status.INFEASIBLE, None, iterations))
-                if all(failed):
-                    continue
-                tableau = tableau.take(np.flatnonzero(np.logical_not(failed)))
-            redundant = _drive_out_artificials(tableau, first)
-            keep = [i for i in range(tableau.rows) if i not in redundant]
-            table = tableau.table[[*keep, tableau.rows]] if redundant else tableau.table
-            starts.append((table, [tableau.basis[i] for i in keep], tableau.ids, iterations))
-
-    # Phase 2: original costs over the feasible basis; artificials barred.
-    for table, basis, ids, before in starts:
-        _price(table, form.objective, basis)
-        for tableau, iterations, unbounded in _run_simplex(Tableau.over(table, basis, form.artificial_cols, ids)):
-            if unbounded:
-                outcomes.append((tableau.ids, Status.UNBOUNDED, None, before + iterations))
-                continue
-            # Scatter each column's basic values into its point, then un-shift.
-            points = np.zeros((len(tableau.ids), total))
-            points[:, tableau.basis] = tableau.body[:, tableau.cols:].T
-            points = points[:, : form.var_count] + np.array(form.shifts)
-            outcomes.append((tableau.ids, Status.OPTIMAL, points, before + iterations))
-    return outcomes
-
-
 @_in_float_range
 def solve(lp: LinearProgram) -> Solution:
     """Solve *lp* with the two-phase simplex.
@@ -799,134 +607,6 @@ def solve(lp: LinearProgram) -> Solution:
     form = standardize(lp)
     status, point, iterations = _two_phase_lone(form)
     return _build_solution(lp, lp.rows, status, point, iterations)
-
-
-def _shape(lp: LinearProgram) -> tuple:
-    """Everything a Solution of *lp* depends on except the constraints' rhs,
-    to the bit (so 0.0 and -0.0 differ)."""
-    cons = lp.constraints
-    floats = [*lp.objective, *lp.lower_bounds, *[a for c in cons for a in c.coefficients]]
-    return (
-        lp.sense,
-        tuple([c.relation for c in cons]),
-        tuple([c.label for c in cons]),
-        struct.pack(f"{len(floats)}d", *floats),
-    )
-
-
-def solve_many(programs: Sequence[LinearProgram]) -> tuple[Solution, ...]:
-    """Solve every program in *programs*; each Solution equals ``solve``'s,
-    to the bit.
-
-    Programs that differ only in their constraints' rhs go to one
-    ``solve_rhs`` call. An error that ``solve`` would raise for any
-    program is raised here.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, lp in enumerate(programs):
-        groups.setdefault(_shape(lp), []).append(i)
-    solutions: list[Solution | None] = [None] * len(programs)
-    for members in groups.values():
-        given = np.array([[c.rhs for c in programs[i].constraints] for i in members], dtype=float)
-        for i, solution in zip(members, solve_rhs(programs[members[0]], given)):
-            solutions[i] = solution
-    return tuple(solutions)
-
-
-class _Block(NamedTuple):
-    """``_solve_block``'s answer for a (k, m) rhs."""
-
-    status: list[Status]        # each row's status
-    iterations: list[int]       # each row's pivots, both phases
-    at: np.ndarray              # the optimal rows, in the order of the two arrays below
-    points: np.ndarray          # (len(at), n) C-contiguous: each optimal row's point
-    objective: np.ndarray       # (len(at),) each point's objective, to the bit of solve's
-
-
-@_in_float_range
-def _solve_block(lp: LinearProgram, rhs: np.ndarray) -> _Block:
-    """The simplex of ``solve_rhs`` without its read-out: every row's
-    status and pivot count, and the points and objectives of the optimal
-    rows. Raises what ``solve_rhs`` raises, objective overflow included.
-
-    Rows whose standardized rhs have the same signs share one tableau; a
-    row's signs are packed into one code of ceil(m / 8) bytes, and one
-    stable sort of the codes groups the rows in order of first appearance.
-    """
-    m = len(lp.constraints)
-    given = np.asarray(rhs, dtype=float)
-    if given.ndim != 2 or given.shape[1] != m:
-        raise ValidationError(f"rhs has shape {given.shape}; expected (k, {m})")
-    finite = np.isfinite(given).all(axis=0).tolist()
-    if not all(finite):
-        raise ValidationError(f"constraint {lp.constraints[finite.index(False)].label!r}: rhs is not finite")
-    k = len(given)
-    given = given.T
-    view = lp.rows
-    # standardize's rhs of every row at once: shifted, equilibrated, flipped to >= 0
-    scales = np.abs(view.matrix[:m]).max(axis=1)
-    shifted = (given - (view.matrix[:m] @ view.rhs[m:])[:, None]) / scales[:, None]
-    flips = shifted < 0.0
-    shifted = np.where(flips, -shifted, shifted)
-    codes = np.packbits(flips, axis=0)          # (ceil(m / 8), k): column j is row j's sign code
-    order = np.lexsort(codes) if m else np.arange(k)   # stable: each group's rows ascend
-    ordered = codes[:, order]
-    cuts = (np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1).tolist()
-    starts = [0, *cuts] if k else []
-    groups = sorted((order[a:b] for a, b in zip(starts, [*cuts, k])), key=lambda picks: picks[0])
-
-    status = np.empty(k, dtype=object)
-    iterations = np.zeros(k, dtype=int)
-    found = [np.zeros(0, dtype=int)]               # the optimal rows of each block ...
-    points = [np.zeros((0, lp.var_count))]         # ... and their points
-    for picks in groups:
-        form = _standardize(lp, given[:, picks[0]])
-        total = form.column_count
-        table = np.zeros((m + 1, total + len(picks)))   # _two_phase prices its last row, the cost row
-        table[:-1, :total] = form.body[:, :-1]
-        table[:-1, total:] = shifted[:, picks]
-        for ids, outcome, block_points, count in _two_phase(form, table):
-            at = np.take(picks, ids)
-            status[at] = outcome
-            iterations[at] = count
-            if block_points is not None:
-                found.append(at)
-                points.append(block_points)
-
-    # One stacked product, each point's own (1, n) product as in solve,
-    # where a 2-D product would round differently (see above).
-    at = np.concatenate(found)
-    points = np.concatenate(points)   # C-contiguous, as the product needs
-    cost = np.array(lp.objective)
-    if lp.var_count == 1:   # np.dot of one term is the bare product, -0.0 included
-        objective = points[:, 0] * cost[0]
-    else:
-        objective = np.matmul(points[:, None, :], cost[:, None])[:, 0, 0]
-    finite = np.isfinite(objective)
-    if not finite.all():   # a product's overflow raises no floating-point flag
-        raise LPError(f"{_OUT_OF_RANGE} (the objective is {float(objective[~finite][0])})")
-    return _Block(status.tolist(), iterations.tolist(), at, points, objective)
-
-
-@_in_float_range
-def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
-    """Solve *lp* once for each row of *rhs*, a (k, m) array that takes the
-    place of its constraints' rhs. Solution i equals, to the bit, ``solve``
-    of *lp* with row i as its rhs.
-
-    ``_solve_block`` runs the simplex, and ``_build_solution`` reads out
-    each row's Solution against that row's rhs, as ``solve`` does. An
-    error that ``solve`` would raise for any row is raised here.
-    """
-    status, iterations, at, points, _ = _solve_block(lp, rhs)
-    found = dict(zip(at.tolist(), map(tuple, points.tolist())))
-    view = lp.rows
-    bounds = view.rhs[len(lp.constraints):]
-    solutions = []
-    for k, row in enumerate(np.asarray(rhs, dtype=float)):
-        rows = Rows(view.matrix, np.concatenate((row, bounds)), view.sense)
-        solutions.append(_build_solution(lp, rows, status[k], found.get(k), iterations[k]))
-    return tuple(solutions)
 
 
 def _build_solution(
@@ -963,36 +643,24 @@ def _build_solution(
     )
 
 
-def check_feasible(lp: LinearProgram, values: tuple[float, ...]) -> FeasibilityReport:
-    """Audit a candidate point against every constraint and lower bound.
+# Names that moved to the block loop's and the oracle's modules, by module.
+# Each loads its module on first use (PEP 562) and is then kept here, so a
+# caller that reads, say, ``lp.check_feasible`` once per call pays the
+# import lookup (~2.6 us) only the first time.
+_MOVED = {
+    "parametric": ("solve_many", "solve_rhs", "_solve_block", "_two_phase", "_run_simplex", "_leaving_rows",
+                   "_Block", "_shape"),
+    "oracle": ("ConstraintCheck", "FeasibilityReport", "check_feasible"),
+}
+_HOME = {name: module for module, names in _MOVED.items() for name in names}
 
-    Violations and binding tests are those of ``check_rows``, relative to
-    each row's scale max(1, |rhs|), which keeps gram-scale rows (~1e12)
-    and fraction-scale demand rows comparable.
-    """
-    if len(values) != lp.var_count:
-        raise ValidationError(f"expected {lp.var_count} values, got {len(values)}")
-    m = len(lp.constraints)
-    rows = lp.rows
-    activity, violation, satisfied, binding = (
-        a[0] for a in check_rows(rows, np.array([values], dtype=float))
-    )
-    checks = tuple(
-        ConstraintCheck(c.label, c.relation, act, c.rhs, vio, sat, bind)
-        for c, act, vio, sat, bind in zip(
-            lp.constraints, activity.tolist(), violation.tolist(), satisfied.tolist(), binding.tolist()
-        )
-    )
-    relative = violation[:m] / rows.scale[:m]
-    worst = float(relative.max(initial=0.0))
-    bounds_ok = bool(satisfied[m:].all())
-    violated = frozenset(ch.label for ch in checks if not ch.satisfied)
-    return FeasibilityReport(
-        feasible=bounds_ok and not violated,
-        checks=checks,
-        bounds_ok=bounds_ok,
-        worst_violation=worst,
-        worst_label=lp.constraints[int(np.argmax(relative))].label if worst > 0.0 else None,
-        binding=frozenset(ch.label for ch in checks if ch.binding),
-        violated=violated,
-    )
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

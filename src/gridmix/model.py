@@ -5,8 +5,9 @@ LinearProgram deterministically. Two space treatments exist: per-source
 production bounds (the land budget divided by each source's land rate,
 plus a rooftop bound for rooftop solar) and a single shared-land row where
 rooftop-exempt solar output is folded into the right-hand side as an
-affine offset. ``compile_sweep`` writes one rhs row per cap value, and
-``report`` tabulates a solution by source.
+affine offset. ``compile_sweep`` writes one rhs row per cap value,
+``cap_rows`` names the rows a cap writes, and ``report`` tabulates a
+solution by source.
 
 This module loads numpy and ``gridmix.lp``; ``gridmix.scenario`` loads
 neither. The scenario data names live in ``gridmix.scenario``; of them,
@@ -41,6 +42,7 @@ __all__ = [
     "ScenarioReport",
     "compile_scenario",
     "compile_sweep",
+    "cap_rows",
     "tabulate",
     "report",
 ]
@@ -189,7 +191,7 @@ def compile_sweep(scenario: Scenario, cap_name: str, values: Sequence[float]) ->
     Returns the program of ``scenario.with_cap(cap_name, values[0])`` and a
     (len(values), m) array whose row i holds, to the bit, the constraints'
     rhs that ``compile_scenario(scenario.with_cap(cap_name, values[i]))``
-    writes; ``lp.solve_rhs`` solves the program at every row. The values
+    writes; ``parametric.solve_rhs`` solves the program at every row. The values
     are checked and the rhs written as whole arrays. The first value that
     ``with_cap`` would refuse raises its ScenarioError, and the first that
     puts a rhs past the float range raises ``compile_scenario``'s, before
@@ -213,6 +215,12 @@ def compile_sweep(scenario: Scenario, cap_name: str, values: Sequence[float]) ->
         if name == cap_name:
             rhs[:, index] = _rhs_of(scenario.name, row, caps)
     return program, rhs
+
+
+def cap_rows(scenario: Scenario, cap_name: str) -> tuple[str, ...]:
+    """The labels of the rows whose rhs *scenario*'s *cap_name* writes; none
+    when the cap bounds no row (see ``compile_sweep``)."""
+    return tuple(label for _, label, name, _ in _compile(scenario)[1] if name == cap_name)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gridmix import analysis
+from gridmix import analysis, oracle
 from gridmix.analysis import (
     CAP_FIELDS,
     CORNER_A,
@@ -24,7 +24,7 @@ from gridmix.analysis import (
 )
 from gridmix.catalog import CATALOG_NAMES, PUBLISHED, builtin_scenarios, get_scenario
 from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Status, check_feasible, solve
-from gridmix.model import CoefficientVariant, ObjectiveMode, compile_scenario, compile_sweep
+from gridmix.model import CoefficientVariant, ObjectiveMode, cap_rows, compile_scenario, compile_sweep
 
 AP = CoefficientVariant.AS_PRINTED
 TD = CoefficientVariant.TABLE_DERIVED
@@ -87,8 +87,8 @@ def test_subset_cap_counts_row_subsets_before_building_any(monkeypatch):
     def refuse(*_):
         raise AssertionError("built before the size check")
 
-    monkeypatch.setattr(analysis, "_subsets", refuse)
-    monkeypatch.setattr(analysis, "_batch_solve", refuse)
+    monkeypatch.setattr(oracle, "_subsets", refuse)
+    monkeypatch.setattr(oracle, "_batch_solve", refuse)
     with pytest.raises(UnsupportedSizeError, match="4,598,126"):
         enumerate_vertices(lp)
     with pytest.raises(UnsupportedSizeError, match="4,598,126"):
@@ -287,6 +287,17 @@ def test_compile_sweep_rhs_follows_the_cap_except_where_no_row_compiles():
     assert blind == _RHS_BLIND
 
 
+def test_cap_rows_is_empty_exactly_where_no_row_compiles():
+    empty = {
+        (name, variant, parameter)
+        for name in CATALOG_NAMES
+        for variant in CoefficientVariant
+        for parameter, field in CAP_FIELDS.items()
+        if not cap_rows(get_scenario(name, variant).with_cap(field, _DEFAULT_CAPS[field]), field)
+    }
+    assert empty == _RHS_BLIND
+
+
 def test_sweep_unknown_parameter():
     with pytest.raises(KeyError):
         sweep(get_scenario("m4_nuclear"), "gravity", [1.0])
@@ -453,13 +464,13 @@ def _hex(value):
 def test_the_audit_enumerates_each_distinct_region_once_per_call(monkeypatch):
     # Seven tables over six regions: tables 12 and 13 price one region two ways.
     calls = []
-    batch_solve = analysis._batch_solve
+    batch_solve = oracle._batch_solve
 
     def counted(a, b):
         calls.append(len(a))
         return batch_solve(a, b)
 
-    monkeypatch.setattr(analysis, "_batch_solve", counted)
+    monkeypatch.setattr(oracle, "_batch_solve", counted)
     audit_reference_results()
     assert len(calls) == 6
     audit_reference_results()       # nothing is kept from one call to the next

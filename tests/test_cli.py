@@ -387,6 +387,22 @@ def test_catalog_dir_env(tmp_path, capsys, monkeypatch):
     assert "25,621,059" in out
 
 
+def test_a_catalog_dir_that_is_not_a_directory_is_named_in_one_warning(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "my_city.json"
+    path.write_text("{}")
+    monkeypatch.setenv(cli.CATALOG_DIR_ENV, str(path))
+    code, out, err = run(capsys, "solve", "my_city")
+    assert (code, out) == (1, "")
+    warning, error = err.splitlines()
+    assert warning == (
+        f"gridmix: warning: {cli.CATALOG_DIR_ENV} {str(path)!r} is not a directory; no scenario files loaded"
+    )
+    assert error.startswith("gridmix: error: unknown scenario 'my_city'")
+    code, out, err = run(capsys, "list")
+    assert code == 0 and "m1_flat_demand" in out
+    assert err.count("\n") == 1 and err.startswith("gridmix: warning: ")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -403,6 +419,19 @@ def test_sweep_csv_output(capsys):
     nuclear = [float(r[5]) for r in rows[1:]]
     for a, b in zip(nuclear, nuclear[1:]):
         assert b <= a + 1e-6 * max(1.0, a)
+
+
+@pytest.mark.parametrize(
+    "param, start, stop, noted",
+    [("rooftop_mwh", "1e5", "1e7", True), ("land_ft2", "1e10", "1.1e11", False)],
+    ids=["rooftop-bounds-no-row", "land-bounds-rows"],
+)
+def test_sweep_notes_a_cap_that_bounds_no_row_on_stderr_only(capsys, param, start, stop, noted):
+    code, out, err = run(capsys, "sweep", "m4_nuclear", "--param", param, "--from", start, "--to", stop, "--steps", "3")
+    assert code == 0
+    assert out.splitlines()[0] == "value,status,objective,wind,solar,nuclear" and len(out.splitlines()) == 4
+    note = f"gridmix: note: {param} bounds no row of scenario 'm4_nuclear', so every point solves the same program\n"
+    assert err == (note if noted else "")
 
 
 def test_sweep_single_step(capsys):
@@ -551,6 +580,8 @@ def test_derive_csv(capsys):
 
 SOLVER = ("numpy", "gridmix.lp", "gridmix.model")
 ANALYSIS = ("gridmix.analysis",)
+PARAMETRIC, ORACLE, AUDIT, DERIVATION = "gridmix.parametric", "gridmix.oracle", "gridmix.audit", "gridmix.derivation"
+SWEEP = "['sweep', 'm4_nuclear', '--param', 'land_ft2', '--from', '1e10', '--to', '1.1e11', '--steps', '5']"
 
 
 @pytest.mark.parametrize(
@@ -562,9 +593,15 @@ ANALYSIS = ("gridmix.analysis",)
         ("import gridmix.catalog, gridmix.derivation", SOLVER + ANALYSIS, "[] None"),
         ("import gridmix; gridmix.Scenario", SOLVER + ANALYSIS, "[] None"),
         ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand'])",
-         ANALYSIS + ("gridmix.derivation",), "[] 0"),
+         ANALYSIS + (PARAMETRIC, ORACLE, AUDIT, DERIVATION), "[] 0"),
+        ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand', '--oracle'])",
+         ANALYSIS + (PARAMETRIC, AUDIT, DERIVATION), "[] 0"),
+        (f"import gridmix.cli; code = gridmix.cli.main({SWEEP})", ANALYSIS + (ORACLE, AUDIT, DERIVATION), "[] 0"),
+        ("import gridmix.cli; code = gridmix.cli.main(['audit', '--format', 'json'])",
+         ANALYSIS + (PARAMETRIC, DERIVATION), "[] 0"),
     ],
-    ids=["import-cli", "list", "derive", "import-catalog-derivation", "package-Scenario", "solve"],
+    ids=["import-cli", "list", "derive", "import-catalog-derivation", "package-Scenario", "solve", "solve-oracle",
+         "sweep", "audit"],
 )
 def test_each_entry_point_leaves_the_layers_it_does_not_use_unloaded(statement, unloaded, last_line):
     # The rows that run a command print its exit code after the loaded
@@ -613,6 +650,38 @@ def test_package_reexports_resolve_lazily():
         gridmix.no_such_name
 
 
+# Where each name that left gridmix.lp and gridmix.analysis is defined.
+HOMES = {
+    "gridmix.parametric": ("solve_many", "solve_rhs", "_solve_block", "_two_phase", "_run_simplex", "_leaving_rows",
+                           "_Block", "_shape", "SweepPoint", "sweep"),
+    "gridmix.oracle": ("ConstraintCheck", "FeasibilityReport", "check_feasible", "UnsupportedSizeError", "Vertex",
+                       "OracleResult", "CornerRow", "CornerReport", "enumerate_vertices", "oracle_solve",
+                       "corner_report"),
+    "gridmix.audit": ("Discrepancy", "CellAudit", "TableAudit", "ReferenceAudit", "audit_reference_results",
+                      "DISCREPANCIES"),
+    "gridmix.scenario": ("CAP_FIELDS",),
+}
+
+
+def test_moved_names_resolve_to_the_objects_of_their_new_homes():
+    import importlib
+
+    import gridmix
+    from gridmix import analysis, lp
+
+    home = {name: module for module, names in HOMES.items() for name in names}
+    for facade, names in ((analysis, analysis.__all__), (lp, lp._HOME)):
+        for name in names:
+            assert getattr(facade, name) is getattr(importlib.import_module(home[name]), name), name
+    for name in gridmix.__all__:
+        if name != "__version__":
+            obj = getattr(gridmix, name)
+            assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+            assert obj.__module__ == home.get(name, obj.__module__), name
+    with pytest.raises(AttributeError):
+        lp.no_such_name
+
+
 @pytest.mark.parametrize(
     "command",
     [["solve"], ["sweep", "--param", "land_ft2", "--from", "1e300", "--to", "1e308", "--steps", "2"]],
@@ -658,10 +727,10 @@ def test_a_report_amount_past_the_float_range_exits_one(tmp_path, capsys, fmt):
 
 
 def test_solve_oracle_status_disagreement_exits_one(capsys, monkeypatch):
-    from gridmix import analysis
+    from gridmix import oracle
 
     monkeypatch.setattr(
-        analysis, "oracle_solve", lambda lp: analysis.OracleResult(Status.INFEASIBLE, None, None, ())
+        oracle, "oracle_solve", lambda lp: oracle.OracleResult(Status.INFEASIBLE, None, None, ())
     )
     code, out, err = run(capsys, "solve", "m1_flat_demand", "--oracle")
     assert (code, out) == (1, "")
@@ -669,10 +738,10 @@ def test_solve_oracle_status_disagreement_exits_one(capsys, monkeypatch):
 
 
 def test_solve_oracle_objective_disagreement_exits_one(capsys, monkeypatch):
-    from gridmix import analysis
+    from gridmix import oracle
 
     monkeypatch.setattr(
-        analysis, "oracle_solve", lambda lp: analysis.OracleResult(Status.OPTIMAL, 1.0, (1.0, 0.0), ())
+        oracle, "oracle_solve", lambda lp: oracle.OracleResult(Status.OPTIMAL, 1.0, (1.0, 0.0), ())
     )
     code, out, err = run(capsys, "solve", "m1_flat_demand", "--oracle")
     assert (code, out) == (1, "")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridmix.lp as lp_module
-from gridmix import cli
+from gridmix import cli, parametric
 from gridmix.catalog import get_scenario
 from gridmix.lp import (
     Constraint,
@@ -500,13 +500,13 @@ def test_a_block_of_one_rhs_column_skips_the_split_test(monkeypatch):
     # split test only on blocks of two or more, here over the long grids
     # that the sweep golden pins.
     widths = []
-    leaving_rows = lp_module._leaving_rows
+    leaving_rows = parametric._leaving_rows
 
     def spy(tableau, col, bland):
         widths.append(len(tableau.ids))
         return leaving_rows(tableau, col, bland)
 
-    monkeypatch.setattr(lp_module, "_leaving_rows", spy)
+    monkeypatch.setattr(parametric, "_leaving_rows", spy)
     golden = Path(__file__).parent / "data" / "sweep_golden.json"
     for entry in json.loads(golden.read_text()):
         with contextlib.redirect_stdout(io.StringIO()):

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridmix import analysis
+from gridmix import oracle
 from gridmix.analysis import audit_reference_results, corner_report, oracle_solve
 from gridmix.catalog import CATALOG_NAMES, get_scenario
 from gridmix.lp import Constraint, LinearProgram, Relation, Sense
@@ -185,14 +185,14 @@ def test_degenerate_cases_repeat_vertices(monkeypatch):
     # The point of the random tier: many subsets meet at one vertex, so
     # deduplication has copies to drop in most cases.
     dropped = []
-    dedup = analysis._dedup
+    dedup = oracle._dedup
 
     def counting(points):
         kept = dedup(points)
         dropped.append(len(points) - len(kept))
         return kept
 
-    monkeypatch.setattr(analysis, "_dedup", counting)
+    monkeypatch.setattr(oracle, "_dedup", counting)
     repeated = 0
     for seed in range(50):
         dropped.clear()

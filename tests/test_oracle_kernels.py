@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gridmix import analysis
+from gridmix import audit as audit_module
 from gridmix.analysis import SINGULAR_TOL, _batch_solve, _subsets, audit_reference_results
 from gridmix.catalog import builtin_scenarios
 from gridmix.model import ObjectiveMode, compile_scenario
@@ -126,7 +126,7 @@ def test_the_audit_compiles_each_table_once_and_tabulates_each_point_once(monkey
     calls = {"compile_scenario": 0, "tabulate": 0}
 
     def counted(name):
-        original = getattr(analysis, name)
+        original = getattr(audit_module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -135,7 +135,7 @@ def test_the_audit_compiles_each_table_once_and_tabulates_each_point_once(monkey
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(analysis, name, counted(name))
+        monkeypatch.setattr(audit_module, name, counted(name))
     audit = audit_reference_results()
     assert len(audit.tables) == 7
     assert calls == {"compile_scenario": 7, "tabulate": 5}
