@@ -11,7 +11,7 @@ ledger item carrying both numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ _NEAR = 1e-2
 # ---------------------------------------------------------------------------
 # discrepancy ledger
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     ident: str
     summary: str
 
@@ -67,8 +66,7 @@ _DISCREPANCY_IDS = {d.ident for d in DISCREPANCIES}
 # reference tables and the audit
 
 
-@dataclass(frozen=True)
-class _RefCell:
+class _RefCell(NamedTuple):
     label: str
     printed: float
     kind: str              # production | period_production | space_source | emissions_total | capital_total | space_total | objective_total
@@ -77,8 +75,7 @@ class _RefCell:
     at: tuple[float, ...] | None = None   # an objective_total cell's own point, in place of the table's
 
 
-@dataclass(frozen=True)
-class _RefTable:
+class _RefTable(NamedTuple):
     table_id: str
     scenario: str
     title: str
@@ -205,8 +202,7 @@ _REFERENCE_TABLES: tuple[_RefTable, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CellAudit:
+class CellAudit(NamedTuple):
     label: str
     printed: float
     recomputed: float
@@ -214,8 +210,7 @@ class CellAudit:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class TableAudit:
+class TableAudit(NamedTuple):
     table_id: str
     scenario: str
     title: str
@@ -235,8 +230,7 @@ class TableAudit:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ReferenceAudit:
+class ReferenceAudit(NamedTuple):
     tables: tuple[TableAudit, ...]
     discrepancies: tuple[Discrepancy, ...]
 

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import os
 import sys
-from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import catalog
@@ -98,10 +95,15 @@ _DERIVE_CSV = (("name", "value", "unit", "provenance"),
 
 def _emit(fmt: str, doc, text: str, *tables) -> None:
     """Print a command's output in *fmt*: *doc* as JSON, *text* as is, or
-    each (header, rows) of *tables* as CSV, a blank line between tables."""
+    each (header, rows) of *tables* as CSV, a blank line between tables.
+    Each format's module loads only when that format is printed."""
     if fmt == "json":
+        import json
+
         print(json.dumps(doc, indent=2, sort_keys=True))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         for i, (header, rows) in enumerate(tables):
             if i:
@@ -112,9 +114,15 @@ def _emit(fmt: str, doc, text: str, *tables) -> None:
         sys.stdout.write(text)
 
 
-def _record(obj, **renamed) -> dict:
-    """A dataclass as a JSON record: its fields, with *renamed* field=key."""
-    return {renamed.get(key, key): value for key, value in asdict(obj).items()}
+def _record(value, **renamed):
+    """*value* as JSON data: a library record (a named tuple) becomes a
+    dict of its fields, with *renamed* field=key, and any other tuple a
+    list, their items converted in turn."""
+    if hasattr(value, "_fields"):
+        return {renamed.get(key, key): _record(item) for key, item in zip(value._fields, value)}
+    if isinstance(value, tuple):
+        return list(map(_record, value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +345,10 @@ def _cmd_derive(args) -> int:
         )
     _emit(
         args.format,
-        asdict(derived),
+        {"constants": _record(derived.constants), "deltas": _record(derived.deltas)},
         "\n".join(lines) + "\n",
-        (_DERIVE_CSV[0], map(astuple, derived.constants)),
-        (_DERIVE_CSV[1], map(astuple, derived.deltas)),
+        (_DERIVE_CSV[0], derived.constants),
+        (_DERIVE_CSV[1], derived.deltas),
     )
     return 0
 

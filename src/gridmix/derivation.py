@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import DEMAND_FRACTIONS, PUBLISHED
 from .scenario import PERIOD_NAMES
@@ -39,16 +40,14 @@ class DerivationError(ValueError):
     """Raised when a derivation input is outside its domain."""
 
 
-@dataclass(frozen=True)
-class DerivedConstant:
+class DerivedConstant(NamedTuple):
     name: str
     value: float
     unit: str
     provenance: str
 
 
-@dataclass(frozen=True)
-class DeltaRow:
+class DeltaRow(NamedTuple):
     name: str
     recomputed: float
     published: float
@@ -58,6 +57,10 @@ class DeltaRow:
 
 @dataclass(frozen=True)
 class DerivedConstants:
+    """Every derived constant and every published-value delta. A dataclass,
+    not a named tuple like its rows: ``derived[name]`` looks a constant up
+    by name, which would shadow a tuple's indexing."""
+
     constants: tuple[DerivedConstant, ...]
     deltas: tuple[DeltaRow, ...]
 

@@ -45,10 +45,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
 from importlib import import_module
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,7 +163,6 @@ class Constraint:
 _SENSE = {Relation.LE: 1.0, Relation.GE: -1.0, Relation.EQ: 0.0}
 
 
-@dataclass(frozen=True, eq=False)
 class Rows:
     """Dense half-spaces ``matrix @ x  <sense>  rhs``; callers never write
     to the arrays, which a LinearProgram shares with every reader.
@@ -170,13 +170,13 @@ class Rows:
     ``sense`` is +1 for <=, -1 for >= and 0 for =.
     """
 
-    matrix: np.ndarray              # (r, n)
-    rhs: np.ndarray                 # (r,), or (k, r) with one rhs per point of a check
-    sense: np.ndarray               # (r,)
-    scale: np.ndarray = field(init=False)   # max(1, |rhs|), each row's tolerance scale
+    __slots__ = ("matrix", "rhs", "sense", "scale")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", np.maximum(1.0, np.abs(self.rhs)))
+    def __init__(self, matrix: np.ndarray, rhs: np.ndarray, sense: np.ndarray) -> None:
+        self.matrix = matrix                        # (r, n)
+        self.rhs = rhs                              # (r,), or (k, r) with one rhs per point of a check
+        self.sense = sense                          # (r,)
+        self.scale = np.maximum(1.0, np.abs(rhs))   # max(1, |rhs|), each row's tolerance scale
 
 
 def check_rows(rows: Rows, points: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -255,8 +255,7 @@ class LinearProgram:
         )
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     status: Status
     values: tuple[float, ...]
     objective_value: float
@@ -273,8 +272,7 @@ class Solution:
 # standard form
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(NamedTuple):
     """Equality-form data for the two-phase tableau.
 
     Columns are ordered structural | slack | surplus | artificial, and the
@@ -376,7 +374,6 @@ def _standardize(lp: LinearProgram, given: np.ndarray) -> StandardForm:
 # tableau and pivoting
 
 
-@dataclass
 class Tableau:
     """Canonical-form simplex tableau: body rows over a priced cost row,
     stacked in one array, ``table``, so that one elimination step updates
@@ -392,19 +389,22 @@ class Tableau:
     ``Tableau.over`` wraps a stacked table as it is.
     """
 
-    body: np.ndarray
-    cost: np.ndarray
-    basis: list[int]
-    blocked: Sequence[int] = ()                                 # columns barred from entering
-    ids: tuple[int, ...] = (0,)                                 # the program of each rhs column
-    table: np.ndarray | None = field(default=None, repr=False)  # body over cost, one array
-    cols: int = field(init=False)                               # N, the matrix columns
+    __slots__ = ("body", "cost", "basis", "blocked", "ids", "table", "cols")
 
-    def __post_init__(self) -> None:
-        if self.table is None:
-            self.table = np.vstack((self.body, self.cost))
-            self.body, self.cost = self.table[:-1], self.table[-1]
-        self.cols = self.table.shape[1] - len(self.ids)
+    def __init__(
+        self,
+        body: np.ndarray,
+        cost: np.ndarray,
+        basis: list[int],
+        blocked: Sequence[int] = (),            # columns barred from entering
+        ids: tuple[int, ...] = (0,),            # the program of each rhs column
+        table: np.ndarray | None = None,        # body over cost, one array
+    ) -> None:
+        if table is None:
+            table = np.vstack((body, cost))
+            body, cost = table[:-1], table[-1]
+        self.body, self.cost, self.basis, self.blocked, self.ids, self.table = body, cost, basis, blocked, ids, table
+        self.cols = table.shape[1] - len(ids)   # N, the matrix columns
 
     @classmethod
     def over(

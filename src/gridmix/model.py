@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,8 +227,7 @@ def cap_rows(scenario: Scenario, cap_name: str) -> tuple[str, ...]:
 # reporting
 
 
-@dataclass(frozen=True)
-class SourceReportRow:
+class SourceReportRow(NamedTuple):
     source: str
     per_period: tuple[float, float, float] | None
     annual: float
@@ -238,8 +237,7 @@ class SourceReportRow:
     objective: float
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     scenario: str
     variant: str
     status: Status

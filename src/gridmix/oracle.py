@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,15 +62,13 @@ class UnsupportedSizeError(LPError, ValueError):
     more than MAX_SUBSETS are refused before any is built."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     point: tuple[float, ...]
     objective: float
     binding: frozenset[str]
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     status: Status
     objective: float | None
     point: tuple[float, ...] | None
@@ -241,15 +239,13 @@ def oracle_solve(lp: LinearProgram) -> OracleResult:
 # corner report
 
 
-@dataclass(frozen=True)
-class CornerRow:
+class CornerRow(NamedTuple):
     point: tuple[float, ...]
     binding: frozenset[str]
     values: dict[str, float]
 
 
-@dataclass(frozen=True)
-class CornerReport:
+class CornerReport(NamedTuple):
     objectives: tuple[str, ...]
     rows: tuple[CornerRow, ...]
     argmin: dict[str, int]           # objective name -> row index
@@ -290,8 +286,7 @@ def corner_report(lp: LinearProgram, objectives: list[tuple[str, tuple[float, ..
 # feasibility of one point
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
+class ConstraintCheck(NamedTuple):
     label: str
     relation: Relation
     activity: float
@@ -301,8 +296,7 @@ class ConstraintCheck:
     binding: bool
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     feasible: bool
     checks: tuple[ConstraintCheck, ...]
     bounds_ok: bool

@@ -336,9 +336,9 @@ def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
 
 
 class SweepPoint(NamedTuple):
-    """One grid point of a sweep. A named tuple rather than a frozen
-    dataclass: a sweep builds one per point, and a dataclass constructor
-    sets each field with its own ``object.__setattr__`` call."""
+    """One grid point of a sweep, a named tuple like the library's other
+    result records. A sweep builds one per point, each in one
+    ``tuple.__new__`` call with no per-field setter."""
 
     value: float
     status: Status

@@ -13,7 +13,6 @@ the derivations and the CLI's ``list`` and ``derive`` start without them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -394,6 +393,8 @@ def load_scenario_file(path: str | Path, *, base: Scenario | None = None) -> Sce
     ``annual_need_mwh`` or ``demand_mode``. The file is read as UTF-8; a
     file that cannot be read or decoded raises ScenarioFormatError naming it.
     """
+    import json   # loaded only by the commands that read a scenario file
+
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

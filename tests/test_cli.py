@@ -582,26 +582,33 @@ SOLVER = ("numpy", "gridmix.lp", "gridmix.model")
 ANALYSIS = ("gridmix.analysis",)
 PARAMETRIC, ORACLE, AUDIT, DERIVATION = "gridmix.parametric", "gridmix.oracle", "gridmix.audit", "gridmix.derivation"
 SWEEP = "['sweep', 'm4_nuclear', '--param', 'land_ft2', '--from', '1e10', '--to', '1.1e11', '--steps', '5']"
+FORMATS = ("json", "csv")   # each loads only when its format is printed, or a scenario file is read
+SOLVE_FILE = f"['solve', {str(Path(__file__).parent / 'data' / 'scenario_example.json')!r}, '--base', 'm1_flat_demand']"
 
 
 @pytest.mark.parametrize(
     "statement, unloaded, last_line",
     [
-        ("import gridmix.cli", SOLVER + ANALYSIS + ("gridmix.derivation",), "[] None"),
+        ("import gridmix.cli", SOLVER + ANALYSIS + ("gridmix.derivation",) + FORMATS, "[] None"),
         ("import gridmix.cli; code = gridmix.cli.main(['list', '--format', 'json'])", SOLVER + ANALYSIS, "[] 0"),
         ("import gridmix.cli; code = gridmix.cli.main(['derive', '--format', 'json'])", SOLVER + ANALYSIS, "[] 0"),
         ("import gridmix.catalog, gridmix.derivation", SOLVER + ANALYSIS, "[] None"),
         ("import gridmix; gridmix.Scenario", SOLVER + ANALYSIS, "[] None"),
         ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand'])",
-         ANALYSIS + (PARAMETRIC, ORACLE, AUDIT, DERIVATION), "[] 0"),
+         ANALYSIS + (PARAMETRIC, ORACLE, AUDIT, DERIVATION) + FORMATS, "[] 0"),
+        ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand', '--format', 'json'])",
+         FORMATS, "['json'] 0"),
+        ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand', '--format', 'csv'])",
+         FORMATS, "['csv'] 0"),
+        (f"import gridmix.cli; code = gridmix.cli.main({SOLVE_FILE})", FORMATS, "['json'] 0"),
         ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand', '--oracle'])",
          ANALYSIS + (PARAMETRIC, AUDIT, DERIVATION), "[] 0"),
         (f"import gridmix.cli; code = gridmix.cli.main({SWEEP})", ANALYSIS + (ORACLE, AUDIT, DERIVATION), "[] 0"),
         ("import gridmix.cli; code = gridmix.cli.main(['audit', '--format', 'json'])",
          ANALYSIS + (PARAMETRIC, DERIVATION), "[] 0"),
     ],
-    ids=["import-cli", "list", "derive", "import-catalog-derivation", "package-Scenario", "solve", "solve-oracle",
-         "sweep", "audit"],
+    ids=["import-cli", "list", "derive", "import-catalog-derivation", "package-Scenario", "solve", "solve-json",
+         "solve-csv", "solve-file", "solve-oracle", "sweep", "audit"],
 )
 def test_each_entry_point_leaves_the_layers_it_does_not_use_unloaded(statement, unloaded, last_line):
     # The rows that run a command print its exit code after the loaded
