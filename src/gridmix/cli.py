@@ -23,6 +23,7 @@ from .scenario import (
 
 CATALOG_DIR_ENV = "GRIDMIX_CATALOG_DIR"
 MAX_STEPS = 1_000_000   # sweep grid points; larger grids are refused before anything is allocated
+ORACLE_TOL = 1e-6       # solve --oracle: objectives agree within this, relative to max(1, |either objective|)
 
 # Exit code by ``lp.Status`` value.
 _EXIT_BY_STATUS = {"optimal": 0, "infeasible": 2, "unbounded": 3}
@@ -202,7 +203,7 @@ def _cmd_solve(args) -> int:
             return 1
         if solution.is_optimal:
             scale = max(1.0, abs(solution.objective_value), abs(oracle.objective))
-            if abs(solution.objective_value - oracle.objective) > 1e-6 * scale:
+            if abs(solution.objective_value - oracle.objective) > ORACLE_TOL * scale:
                 print(
                     f"oracle disagrees on the objective: solver={solution.objective_value!r} "
                     f"oracle={oracle.objective!r}",

@@ -34,11 +34,12 @@ both. ``solve`` runs the lone loop, ``_two_phase_lone`` over
 and the phase-1 verdict and the point read out on Python floats.
 
 This module holds only what ``solve`` runs. The block loop that solves
-one program at many rhs (``solve_rhs``, ``solve_many`` and their
-internals) lives in ``gridmix.parametric``, and ``check_feasible`` with
-its report types in ``gridmix.oracle``. Both names still resolve here:
-they load their module on first use (PEP 562), so a plain ``solve``
-compiles neither.
+one program at many rhs lives in ``gridmix.parametric``, and
+``check_feasible`` with its report types in ``gridmix.oracle``; code in
+the package imports them from there. Three of those names, kept for the
+benchmark and the pinned tests, still resolve here: ``solve_many``,
+``solve_rhs`` and ``check_feasible`` load their module on first use
+(PEP 562), so a plain ``solve`` compiles neither.
 """
 
 from __future__ import annotations
@@ -63,18 +64,13 @@ __all__ = [
     "Solution",
     "StandardForm",
     "Tableau",
-    "ConstraintCheck",
-    "FeasibilityReport",
     "LPError",
     "ValidationError",
     "IterationLimitError",
     "solve",
-    "solve_many",
-    "solve_rhs",
     "standardize",
     "pivot_rule",
     "check_rows",
-    "check_feasible",
 ]
 
 ROW_TOL = 1e-6       # row check and point equality, relative to max(1, |rhs|) or the point scale
@@ -385,33 +381,21 @@ class Tableau:
     rows and ``cost`` of its last: the reduced-cost row, whose rhs entries
     hold each program's negated objective value. ``basis[i]`` is the
     column basic in row i. The first rhs column leads: ``pivot_rule`` reads
-    it. Given only ``body`` and ``cost``, the tableau stacks copies of them;
-    ``Tableau.over`` wraps a stacked table as it is.
+    it.
     """
 
     __slots__ = ("body", "cost", "basis", "blocked", "ids", "table", "cols")
 
     def __init__(
         self,
-        body: np.ndarray,
-        cost: np.ndarray,
+        table: np.ndarray,                      # body over cost, one array
         basis: list[int],
         blocked: Sequence[int] = (),            # columns barred from entering
         ids: tuple[int, ...] = (0,),            # the program of each rhs column
-        table: np.ndarray | None = None,        # body over cost, one array
     ) -> None:
-        if table is None:
-            table = np.vstack((body, cost))
-            body, cost = table[:-1], table[-1]
-        self.body, self.cost, self.basis, self.blocked, self.ids, self.table = body, cost, basis, blocked, ids, table
+        self.table, self.body, self.cost = table, table[:-1], table[-1]
+        self.basis, self.blocked, self.ids = basis, blocked, ids
         self.cols = table.shape[1] - len(ids)   # N, the matrix columns
-
-    @classmethod
-    def over(
-        cls, table: np.ndarray, basis: list[int], blocked: Sequence[int] = (), ids: tuple[int, ...] = (0,)
-    ) -> Tableau:
-        """The tableau whose body and cost row are views of *table*."""
-        return cls(table[:-1], table[-1], basis, blocked, ids, table)
 
     @property
     def rows(self) -> int:
@@ -421,7 +405,7 @@ class Tableau:
         """A copy holding only the rhs columns at positions *picks*."""
         index = np.concatenate((np.arange(self.cols), self.cols + picks))
         ids = tuple([self.ids[k] for k in picks.tolist()])
-        return Tableau.over(self.table[:, index], list(self.basis), self.blocked, ids)
+        return Tableau(self.table[:, index], list(self.basis), self.blocked, ids)
 
 
 def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | None:
@@ -562,7 +546,7 @@ def _two_phase_lone(form: StandardForm) -> tuple[Status, tuple[float, ...] | Non
     before = 0
     if first < total:
         _price(table, [0.0] * first + [1.0] * (total - first), basis)
-        phase1 = Tableau.over(table, basis)
+        phase1 = Tableau(table, basis)
         before, unbounded = _run_lone(phase1)
         if unbounded:  # the phase-1 objective is bounded below by zero
             raise LPError("phase 1 reported unbounded; input is numerically degenerate")
@@ -583,7 +567,7 @@ def _two_phase_lone(form: StandardForm) -> tuple[Status, tuple[float, ...] | Non
 
     # Phase 2: original costs over the feasible basis; artificials barred.
     _price(table, form.objective, basis)
-    iterations, unbounded = _run_lone(Tableau.over(table, basis, form.artificial_cols))
+    iterations, unbounded = _run_lone(Tableau(table, basis, form.artificial_cols))
     if unbounded:
         return Status.UNBOUNDED, None, before + iterations
     # Scatter the basic values into the point, then un-shift.
@@ -643,16 +627,12 @@ def _build_solution(
     )
 
 
-# Names that moved to the block loop's and the oracle's modules, by module.
-# Each loads its module on first use (PEP 562) and is then kept here, so a
-# caller that reads, say, ``lp.check_feasible`` once per call pays the
-# import lookup (~2.6 us) only the first time.
-_MOVED = {
-    "parametric": ("solve_many", "solve_rhs", "_solve_block", "_two_phase", "_run_simplex", "_leaving_rows",
-                   "_Block", "_shape"),
-    "oracle": ("ConstraintCheck", "FeasibilityReport", "check_feasible"),
-}
-_HOME = {name: module for module, names in _MOVED.items() for name in names}
+# The three moved names still read as ``lp.<name>`` from outside the package
+# (the pinned tests/test_solve_many.py and tests/test_solve_rhs.py, and the
+# benchmark's workloads and tracer), and the module each lives in. Each
+# loads its module on first use (PEP 562) and is then kept here, so a caller
+# that reads ``lp.check_feasible`` once per call pays the import only once.
+_HOME = {"solve_many": "parametric", "solve_rhs": "parametric", "check_feasible": "oracle"}
 
 
 def __getattr__(name: str):

@@ -170,7 +170,7 @@ def _two_phase(form: StandardForm, table: np.ndarray) -> list[_Outcome]:
         lp_module._price(table, [0.0] * first + [1.0] * (total - first), form.basis)
         scales = np.array(form.row_scales)
         given = table[:-1, total:].copy()    # each program's equilibrated rhs, before phase 1 pivots
-        for tableau, iterations, unbounded in _run_simplex(Tableau.over(table, list(form.basis), ids=ids)):
+        for tableau, iterations, unbounded in _run_simplex(Tableau(table, list(form.basis), ids=ids)):
             if unbounded:  # the phase-1 objective is bounded below by zero
                 raise LPError("phase 1 reported unbounded; input is numerically degenerate")
             # Each basic artificial against its own row's scale, as in _two_phase_lone.
@@ -191,7 +191,7 @@ def _two_phase(form: StandardForm, table: np.ndarray) -> list[_Outcome]:
     # Phase 2: original costs over the feasible basis; artificials barred.
     for table, basis, ids, before in starts:
         lp_module._price(table, form.objective, basis)
-        for tableau, iterations, unbounded in _run_simplex(Tableau.over(table, basis, form.artificial_cols, ids)):
+        for tableau, iterations, unbounded in _run_simplex(Tableau(table, basis, form.artificial_cols, ids)):
             if unbounded:
                 outcomes.append((tableau.ids, Status.UNBOUNDED, None, before + iterations))
                 continue

@@ -11,10 +11,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gridmix.analysis import audit_reference_results, corner_report, oracle_solve, sweep
+from gridmix.audit import audit_reference_results
 from gridmix.catalog import builtin_scenarios, get_scenario
-from gridmix.lp import Constraint, LinearProgram, Relation, Sense, Status, check_feasible, solve
+from gridmix.lp import Constraint, LinearProgram, Relation, Sense, Status, solve
 from gridmix.model import CoefficientVariant, compile_scenario
+from gridmix.oracle import check_feasible, corner_report, oracle_solve
+from gridmix.parametric import sweep
 
 AP = CoefficientVariant.AS_PRINTED
 TD = CoefficientVariant.TABLE_DERIVED

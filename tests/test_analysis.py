@@ -6,25 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from gridmix import analysis, oracle
-from gridmix.analysis import (
-    CAP_FIELDS,
-    CORNER_A,
-    CORNER_B,
-    CORNER_D,
-    DISCREPANCIES,
-    SweepPoint,
-    UnsupportedSizeError,
-    audit_reference_results,
-    corner_report,
-    enumerate_vertices,
-    oracle_solve,
-    sweep,
-    _near,
-)
+import gridmix.audit as audit_module
+from gridmix import oracle
+from gridmix.audit import CORNER_A, CORNER_B, CORNER_D, DISCREPANCIES, audit_reference_results
 from gridmix.catalog import CATALOG_NAMES, PUBLISHED, builtin_scenarios, get_scenario
-from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Status, check_feasible, solve
+from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Status, solve
 from gridmix.model import CoefficientVariant, ObjectiveMode, cap_rows, compile_scenario, compile_sweep
+from gridmix.oracle import UnsupportedSizeError, _near, check_feasible, corner_report, enumerate_vertices, oracle_solve
+from gridmix.parametric import SweepPoint, sweep
+from gridmix.scenario import CAP_FIELDS
 
 AP = CoefficientVariant.AS_PRINTED
 TD = CoefficientVariant.TABLE_DERIVED
@@ -478,7 +468,7 @@ def test_the_audit_enumerates_each_distinct_region_once_per_call(monkeypatch):
 
 
 def test_each_audited_table_reads_what_the_public_functions_say(audit):
-    for ref in analysis._REFERENCE_TABLES:
+    for ref in audit_module._REFERENCE_TABLES:
         scenario = get_scenario(ref.scenario, AP)
         if ref.objective is not None:
             scenario = scenario.with_objective(ref.objective)

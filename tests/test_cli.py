@@ -657,29 +657,32 @@ def test_package_reexports_resolve_lazily():
         gridmix.no_such_name
 
 
-# Where each name that left gridmix.lp and gridmix.analysis is defined.
+# The names the two shims keep for readers outside the package, by home
+# module: gridmix.analysis's six and the three gridmix.lp loads on first use.
 HOMES = {
-    "gridmix.parametric": ("solve_many", "solve_rhs", "_solve_block", "_two_phase", "_run_simplex", "_leaving_rows",
-                           "_Block", "_shape", "SweepPoint", "sweep"),
-    "gridmix.oracle": ("ConstraintCheck", "FeasibilityReport", "check_feasible", "UnsupportedSizeError", "Vertex",
-                       "OracleResult", "CornerRow", "CornerReport", "enumerate_vertices", "oracle_solve",
-                       "corner_report"),
-    "gridmix.audit": ("Discrepancy", "CellAudit", "TableAudit", "ReferenceAudit", "audit_reference_results",
-                      "DISCREPANCIES"),
+    "gridmix.parametric": ("solve_many", "solve_rhs", "sweep"),
+    "gridmix.oracle": ("check_feasible", "corner_report", "enumerate_vertices", "oracle_solve"),
+    "gridmix.audit": ("audit_reference_results",),
     "gridmix.scenario": ("CAP_FIELDS",),
 }
 
 
-def test_moved_names_resolve_to_the_objects_of_their_new_homes():
+def test_the_shims_hold_exactly_the_names_read_from_outside_the_package():
+    import ast
     import importlib
 
     import gridmix
     from gridmix import analysis, lp
 
+    assert sorted(analysis.__all__) == [
+        "CAP_FIELDS", "audit_reference_results", "corner_report", "enumerate_vertices", "oracle_solve", "sweep",
+    ]
+    assert set(lp._HOME) == {"solve_many", "solve_rhs", "check_feasible"}
     home = {name: module for module, names in HOMES.items() for name in names}
     for facade, names in ((analysis, analysis.__all__), (lp, lp._HOME)):
         for name in names:
             assert getattr(facade, name) is getattr(importlib.import_module(home[name]), name), name
+    assert {getattr(lp, name).__module__ for name in lp.__all__} == {"gridmix.lp"}
     for name in gridmix.__all__:
         if name != "__version__":
             obj = getattr(gridmix, name)
@@ -687,6 +690,12 @@ def test_moved_names_resolve_to_the_objects_of_their_new_homes():
             assert obj.__module__ == home.get(name, obj.__module__), name
     with pytest.raises(AttributeError):
         lp.no_such_name
+    # No module of the package reads the facade.
+    for path in Path(gridmix.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                read = {getattr(node, "module", None) or ""} | {alias.name for alias in node.names}
+                assert not read & {"analysis", "gridmix.analysis"}, path.name
 
 
 @pytest.mark.parametrize(

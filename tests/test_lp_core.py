@@ -25,13 +25,13 @@ from gridmix.lp import (
     LPError,
     Tableau,
     ValidationError,
-    check_feasible,
     pivot_rule,
     solve,
-    solve_rhs,
     standardize,
 )
 from gridmix.model import CoefficientVariant, compile_scenario
+from gridmix.oracle import check_feasible
+from gridmix.parametric import solve_rhs
 
 TD = CoefficientVariant.TABLE_DERIVED
 
@@ -84,7 +84,7 @@ def test_m1_demand_vertex_exact():
 
 
 def test_m3_agrees_with_oracle():
-    from gridmix.analysis import oracle_solve
+    from gridmix.oracle import oracle_solve
 
     lp = compile_scenario(get_scenario("m3_shared_space"))
     sol = solve(lp)
@@ -255,8 +255,7 @@ def test_standardize_flips_negative_rhs():
 
 def test_pivot_rule_optimal_returns_none():
     tableau = Tableau(
-        body=np.array([[1.0, 0.5, 4.0]]),
-        cost=np.array([0.3, 0.2, 0.0]),
+        np.array([[1.0, 0.5, 4.0], [0.3, 0.2, 0.0]]),
         basis=[0],
     )
     assert pivot_rule(tableau) is None
@@ -264,8 +263,7 @@ def test_pivot_rule_optimal_returns_none():
 
 def test_pivot_rule_forced_pivot():
     tableau = Tableau(
-        body=np.array([[1.0, 0.5, 4.0], [0.0, 1.0, 2.0]]),
-        cost=np.array([-1.0, 0.0, 0.0]),
+        np.array([[1.0, 0.5, 4.0], [0.0, 1.0, 2.0], [-1.0, 0.0, 0.0]]),
         basis=[1, 2],
     )
     assert pivot_rule(tableau) == (0, 0)
@@ -273,8 +271,7 @@ def test_pivot_rule_forced_pivot():
 
 def test_pivot_rule_bland_picks_lowest_index():
     tableau = Tableau(
-        body=np.array([[1.0, 2.0, 4.0]]),
-        cost=np.array([-1.0, -5.0, 0.0]),
+        np.array([[1.0, 2.0, 4.0], [-1.0, -5.0, 0.0]]),
         basis=[2],
     )
     assert pivot_rule(tableau, bland=True) == (0, 0)
@@ -316,8 +313,8 @@ def test_check_feasible_m3_daytime_slack():
 def test_check_feasible_names_no_worst_row_at_catalog_vertices():
     # Exact vertices miss their binding rows only by rounding; a gap within
     # the row tolerance is no violation, so no worst row is named.
-    from gridmix.analysis import enumerate_vertices
     from gridmix.catalog import builtin_scenarios
+    from gridmix.oracle import enumerate_vertices
 
     checked = 0
     for scenario in builtin_scenarios():
@@ -384,7 +381,7 @@ def test_objective_scaling_leaves_argmin_unchanged(scale):
 
 def test_fuzz_against_oracle_small():
     # A fast slice of the acceptance fuzz: random LPs vs the vertex oracle.
-    from gridmix.analysis import oracle_solve
+    from gridmix.oracle import oracle_solve
 
     rng = np.random.default_rng(7)
     relations = [Relation.LE, Relation.LE, Relation.GE, Relation.GE, Relation.EQ]

@@ -29,10 +29,11 @@ import numpy as np
 import pytest
 
 from gridmix import oracle
-from gridmix.analysis import audit_reference_results, corner_report, oracle_solve
+from gridmix.audit import audit_reference_results
 from gridmix.catalog import CATALOG_NAMES, get_scenario
 from gridmix.lp import Constraint, LinearProgram, Relation, Sense
 from gridmix.model import CoefficientVariant, ObjectiveMode, compile_scenario
+from gridmix.oracle import corner_report, oracle_solve
 
 GOLDEN = Path(__file__).parent / "data" / "oracle_golden.json"
 SCALES = (0.25, 1.0, 8.0)

@@ -11,10 +11,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridmix.analysis import oracle_solve
 from gridmix.catalog import builtin_scenarios, get_scenario
 from gridmix.lp import Constraint, LinearProgram, Relation, Sense, Status, solve
 from gridmix.model import ObjectiveMode, compile_scenario
+from gridmix.oracle import oracle_solve
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from gridmix import audit as audit_module
-from gridmix.analysis import SINGULAR_TOL, _batch_solve, _subsets, audit_reference_results
+from gridmix.audit import audit_reference_results
 from gridmix.catalog import builtin_scenarios
 from gridmix.model import ObjectiveMode, compile_scenario
+from gridmix.oracle import SINGULAR_TOL, _batch_solve, _subsets
 
 
 def batch_solve_frozen(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

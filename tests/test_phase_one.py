@@ -7,8 +7,8 @@ came back "optimal" at a point below its bounds.
 
 import numpy as np
 
-from gridmix.analysis import oracle_solve
-from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Status, check_feasible, solve
+from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Status, solve
+from gridmix.oracle import check_feasible, oracle_solve
 
 RELATIONS = (Relation.LE, Relation.GE, Relation.EQ)
 

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from gridmix import analysis, catalog, cli
+from gridmix import catalog, cli
+from gridmix.scenario import CAP_FIELDS
 
 GOLDEN = Path(__file__).parent / "data" / "sweep_golden.json"
 STEPS = 1000
@@ -38,7 +39,7 @@ def golden_argvs() -> list[list[str]]:
     argvs = []
     for param, name in LONG_GRIDS:
         for flag, variant in cli._VARIANTS.items():
-            cap = getattr(catalog.get_scenario(name, variant), analysis.CAP_FIELDS[param])
+            cap = getattr(catalog.get_scenario(name, variant), CAP_FIELDS[param])
             argvs.append(["sweep", name, "--param", param, "--from", repr(0.2 * cap),
                           "--to", repr(2.2 * cap), "--steps", str(STEPS), "--variant", flag])
     return argvs

@@ -10,8 +10,8 @@ none kept before it.
 import numpy as np
 import pytest
 
-from gridmix.analysis import _dedup, _near
 from gridmix.lp import ROW_TOL
+from gridmix.oracle import _dedup, _near
 
 
 def near_any(point: np.ndarray, others) -> bool:
