@@ -9,8 +9,10 @@ scaling is undone when the solution is reported.
 
 Pivoting defaults to Dantzig's rule (most negative reduced cost, smallest
 ratio, ties broken toward the lowest row index). If the objective does
-not fall below its best so far for 2*(m+n) iterations the solver falls
-back to Bland's rule, which guarantees termination on degenerate instances.
+not fall below its best so far for 2 * (rows + columns) pivots, counting
+the tableau's rows and all its columns (slack, surplus and artificial
+included), the solver falls back to Bland's rule, which guarantees
+termination on degenerate instances.
 
 ``LinearProgram.rows`` is one dense view of a program's constraints and
 lower bounds, built once and read by ``standardize``, the binding set of
@@ -404,7 +406,7 @@ class Tableau:
     def take(self, picks: np.ndarray) -> Tableau:
         """A copy holding only the rhs columns at positions *picks*."""
         index = np.concatenate((np.arange(self.cols), self.cols + picks))
-        ids = tuple([self.ids[k] for k in picks.tolist()])
+        ids = tuple(map(self.ids.__getitem__, picks.tolist()))
         return Tableau(self.table[:, index], list(self.basis), self.blocked, ids)
 
 
@@ -500,10 +502,11 @@ def _run_lone(tableau: Tableau) -> tuple[int, bool]:
     (iterations, unbounded).
 
     Bland's rule takes over once the objective has not fallen below its
-    best so far for 2*(m+n) pivots. Measured against the previous pivot
-    instead, a cycle whose objective falls and rises by rounding-level
-    steps would reset the count forever. The cost row holds -objective, so
-    the objective falls where that entry rises.
+    best so far for 2 * (tableau.rows + tableau.cols) pivots; the columns
+    include every slack, surplus and artificial column. Measured against
+    the previous pivot instead, a cycle whose objective falls and rises by
+    rounding-level steps would reset the count forever. The cost row holds
+    -objective, so the objective falls where that entry rises.
     """
     cols = tableau.cols
     cost = tableau.cost

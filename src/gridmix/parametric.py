@@ -24,16 +24,20 @@ block of its own from the same state. This is parametric rhs analysis
 one basis stays optimal over an interval of rhs values, so a sweep's grid
 needs few blocks. A block's per-column steps (stall counts, split tests,
 the phase-1 verdict, reading out its points) are whole-array operations,
-a block of one column included. The bits match ``solve`` because every
-operation on the tableau is elementwise per column (the outer-product
-update, the priced cost row, the ratios and tolerances), and the
-objectives of all optimal points come from one stacked product,
-``np.matmul(P[:, None, :], c[:, None])``: each (1, n) slice goes through
-the BLAS call of ``solve``'s ``np.dot(c, x)``, where a plain 2-D
-``P @ c`` rounds differently. Two caveats: P must be C-contiguous, or
-numpy skips BLAS and the objective can move by an ulp; and at n = 1
-``np.dot`` is the bare product c*x, -0.0 included, where the stacked
-form gives +0.0, so the objective is that product.
+a block of one column included, and each runs only where it can change
+a bit. The stall counts start once the block has taken as many pivots as
+the stall limit: before that no column can reach Bland's rule, so the
+block keeps only its objectives after each pivot and replays them there.
+The phase-1 verdict runs only while an artificial is basic. The bits
+match ``solve`` because every operation on the tableau is elementwise per
+column (the outer-product update, the priced cost row, the ratios and
+tolerances), and the objectives of all optimal points come from one
+stacked product, ``np.matmul(P[:, None, :], c[:, None])``: each (1, n)
+slice goes through the BLAS call of ``solve``'s ``np.dot(c, x)``, where
+a plain 2-D ``P @ c`` rounds differently. Two caveats: P must be
+C-contiguous, or numpy skips BLAS and the objective can move by an ulp;
+and at n = 1 ``np.dot`` is the bare product c*x, -0.0 included, where
+the stacked form gives +0.0, so the objective is that product.
 
 The block loop shares ``solve``'s pivoting, pricing and read-out and its
 thresholds. It reads each of them as an attribute of ``gridmix.lp`` when
@@ -72,7 +76,7 @@ def _leaving_rows(tableau: Tableau, col: int, bland: bool) -> np.ndarray:
     and comparisons are pivot_rule's own, elementwise.
     """
     rhs = tableau.body[:, tableau.cols:]
-    basis = np.array(tableau.basis)
+    basis = np.array(tableau.basis) if bland else None
     row = best = None
     for i, entry in enumerate(tableau.body[:, col].tolist()):
         if entry <= lp_module.PIVOT_TOL:
@@ -91,6 +95,14 @@ def _leaving_rows(tableau: Tableau, col: int, bland: bool) -> np.ndarray:
     return row
 
 
+def _stall_step(current: np.ndarray, stall: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lp._run_lone``'s stall rule for one pivot, elementwise: each
+    column's stall count and best objective after its cost row's rhs entry
+    became *current*."""
+    fell = current > best + lp_module.STALL_TOL * np.maximum(1.0, np.abs(best))
+    return np.where(fell, 0, stall + 1), np.where(fell, current, best)
+
+
 def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     """Iterate every rhs column of *tableau* to optimality.
 
@@ -100,17 +112,28 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     a block of their own, which continues from the same state; a block of
     one column cannot split and skips that test. Each column's stall
     count and best objective are those of ``lp._run_lone``, kept as arrays
-    and tested elementwise. Returns (block, iterations, unbounded) for
+    and tested elementwise. A stall count never exceeds the pivots taken,
+    so no column can reach Bland's rule before the block has taken
+    ``stall_limit`` pivots: until then the block only keeps a copy of the
+    cost row's rhs entries before its first pivot and after each one,
+    split along with it, and replays that history through the stall rule
+    when it reaches the limit. Returns (block, iterations, unbounded) for
     *tableau* and for every block split from it.
     """
     cols = tableau.cols
     stall_limit = 2 * (tableau.rows + cols)
-    todo = [(tableau, 0, np.zeros(len(tableau.ids), dtype=np.intp), tableau.cost[cols:].copy())]
+    # (block, iterations, history or None once replayed, stall, best)
+    todo = [(tableau, 0, [tableau.cost[cols:].copy()], None, None)]
     done: list[tuple[Tableau, int, bool]] = []
     while todo:
-        tableau, iterations, stall, best = todo.pop()
+        tableau, iterations, history, stall, best = todo.pop()
         while True:
-            bland = stall[0] >= stall_limit
+            if history is not None and iterations >= stall_limit:
+                stall, best = np.zeros(len(tableau.ids), dtype=np.intp), history[0]
+                for current in history[1:]:
+                    stall, best = _stall_step(current, stall, best)
+                history = None
+            bland = history is None and stall[0] >= stall_limit
             try:
                 pivot = lp_module.pivot_rule(tableau, bland=bland)
             except _Unbounded:
@@ -121,20 +144,26 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
                 break
             row, col = pivot
             if len(tableau.ids) > 1:
-                moved = (_leaving_rows(tableau, col, bland) != row) | ((stall >= stall_limit) != bland)
+                moved = _leaving_rows(tableau, col, bland) != row
+                if history is None:
+                    moved |= (stall >= stall_limit) != bland
                 if moved.any():
                     away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
-                    todo.append((tableau.take(away), iterations, stall[away], best[away]))
+                    if history is None:
+                        todo.append((tableau.take(away), iterations, None, stall[away], best[away]))
+                        stall, best = stall[kept], best[kept]
+                    else:
+                        todo.append((tableau.take(away), iterations, [h[away] for h in history], None, None))
+                        history = [h[kept] for h in history]
                     tableau = tableau.take(kept)
-                    stall, best = stall[kept], best[kept]
             lp_module._apply_pivot(tableau, row, col)
             iterations += 1
             if iterations > lp_module.MAX_ITER:
                 raise IterationLimitError(f"no convergence within {lp_module.MAX_ITER} iterations")
-            current = tableau.cost[cols:]
-            fell = current > best + lp_module.STALL_TOL * np.maximum(1.0, np.abs(best))
-            stall = np.where(fell, 0, stall + 1)
-            best = np.where(fell, current, best)
+            if history is None:
+                stall, best = _stall_step(tableau.cost[cols:], stall, best)
+            else:
+                history.append(tableau.cost[cols:].copy())
     return done
 
 
@@ -174,15 +203,17 @@ def _two_phase(form: StandardForm, table: np.ndarray) -> list[_Outcome]:
             if unbounded:  # the phase-1 objective is bounded below by zero
                 raise LPError("phase 1 reported unbounded; input is numerically degenerate")
             # Each basic artificial against its own row's scale, as in _two_phase_lone.
+            # No column can fail once every artificial has left the basis.
             at = [i for i, col in enumerate(tableau.basis) if col >= first]
-            of = [form.basis.index(tableau.basis[i]) for i in at]
-            band = lp_module.FEAS_TOL * np.maximum(1.0 / scales[of, None], given[of][:, tableau.ids])
-            failed = (tableau.body[at, tableau.cols:] > band).any(axis=0).tolist()
-            if any(failed):
-                outcomes.append((tuple(compress(tableau.ids, failed)), Status.INFEASIBLE, None, iterations))
-                if all(failed):
-                    continue
-                tableau = tableau.take(np.flatnonzero(np.logical_not(failed)))
+            if at:
+                of = [form.basis.index(tableau.basis[i]) for i in at]
+                band = lp_module.FEAS_TOL * np.maximum(1.0 / scales[of, None], given[of][:, tableau.ids])
+                failed = (tableau.body[at, tableau.cols:] > band).any(axis=0).tolist()
+                if any(failed):
+                    outcomes.append((tuple(compress(tableau.ids, failed)), Status.INFEASIBLE, None, iterations))
+                    if all(failed):
+                        continue
+                    tableau = tableau.take(np.flatnonzero(np.logical_not(failed)))
             redundant = lp_module._drive_out_artificials(tableau, first)
             keep = [i for i in range(tableau.rows) if i not in redundant]
             table = tableau.table[[*keep, tableau.rows]] if redundant else tableau.table
@@ -374,5 +405,5 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float]) -> tuple[
     production[block.at] = block.points
     # tuple.__new__ is SweepPoint._make without its length check; every
     # item of the zip holds the four fields in order.
-    fields = zip(map(float, values), block.status, objective.tolist(), map(tuple, production.tolist()))
+    fields = zip(map(float, values), block.status, objective.tolist(), zip(*production.T.tolist()))
     return tuple(map(tuple.__new__, itertools.repeat(SweepPoint), fields))
