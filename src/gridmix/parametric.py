@@ -12,23 +12,30 @@ shift, equilibration and sign flip live in one place. Rows of rhs whose
 standardized rhs have the same signs have the same tableau but for the
 rhs, so they share one: it carries one rhs column per row, and every
 pivot updates the whole block.
-The rows are grouped by one packed sign code each (``np.packbits``, any
-m). Each pivot is chosen by ``pivot_rule`` for the lead (first) column;
-the others replay its ratio test, tie band included, in
-``_leaving_rows``. The entering column depends only on the cost row and
-the Bland flag, which all columns of a block share, so a column leaves
-its block only where its leaving row, its Bland flag (from its own stall
-count) or its phase-1 verdict differs from the lead's; it continues in a
-block of its own from the same state. This is parametric rhs analysis
-(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, §5.2):
-one basis stays optimal over an interval of rhs values, so a sweep's grid
-needs few blocks. A block's per-column steps (stall counts, split tests,
-the phase-1 verdict, reading out its points) are whole-array operations,
-a block of one column included, and each runs only where it can change
-a bit. The stall counts start once the block has taken as many pivots as
-the stall limit: before that no column can reach Bland's rule, so the
-block keeps only its objectives after each pivot and replays them there.
-The phase-1 verdict runs only while an artificial is basic. The bits
+When no standardized rhs is negative (a sweep's usual case) all rows
+share one tableau; otherwise they are grouped by one packed sign code
+each (``np.packbits``, any m). Each pivot is chosen by ``pivot_rule`` for
+the lead (first) column; the others replay its ratio test, tie band
+included, in ``_split_test``. The entering column depends only on the
+cost row and the Bland flag, which all columns of a block share, so a
+column leaves its block only where its leaving row, its Bland flag (from
+its own stall count) or its phase-1 verdict differs from the lead's; it
+continues in a block of its own from the same state. This is parametric
+rhs analysis (Bertsimas & Tsitsiklis, *Introduction to Linear
+Optimization*, §5.2): one basis stays optimal over an interval of rhs
+values, so a sweep's grid needs few blocks. In a one-cap sweep the
+columns also differ only in the capped rows and in the rows that a pivot
+mixes with them, so each block flags the body rows whose rhs can differ
+between its columns. The split test folds the lead's Python floats, as
+``pivot_rule`` does, until a flagged row sends some column another way,
+and works elementwise only from there. A block's other per-column steps
+(stall counts, the phase-1 verdict, reading out its points) are
+whole-array operations, a block of one column included, and each runs
+only where it can change a bit. The stall counts start once the block
+has taken as many pivots as the stall limit: before that no column can
+reach Bland's rule, so the block keeps only its objectives after each
+pivot and replays them there. The phase-1 verdict runs only while an
+artificial is basic. The bits
 match ``solve`` because every operation on the tableau is elementwise per
 column (the outer-product update, the priced cost row, the ratios and
 tolerances), and the objectives of all optimal points come from one
@@ -67,32 +74,48 @@ from .scenario import CAP_FIELDS, Scenario
 __all__ = ["SweepPoint", "solve_many", "solve_rhs", "sweep"]
 
 
-def _leaving_rows(tableau: Tableau, col: int, bland: bool) -> np.ndarray:
+def _split_test(tableau: Tableau, col: int, bland: bool, varies: list[bool]) -> np.ndarray | None:
     """``pivot_rule``'s ratio test for entering column *col*, replayed on
-    every rhs column at once: the leaving row of each.
+    every rhs column: a mask of the columns whose leaving row differs from
+    the lead's, or None when none can.
 
-    Which rows are eligible depends on column *col* alone, so every rhs
-    column starts from the same first eligible row; the ratios, tie bands
-    and comparisons are pivot_rule's own, elementwise.
+    Which rows are eligible depends on column *col* alone. A row whose flag
+    in *varies* is off holds the lead's rhs in every column (``==``, so
+    +0.0 and -0.0 alike), hence the lead's ratio; the fold's comparisons
+    and tie bands treat ±0 alike. So the fold runs on the lead's Python
+    floats, as in ``pivot_rule``, while every column holds the lead's
+    (row, best), and elementwise once a flagged row gives the columns
+    different states. A test whose eligible rows are all unflagged builds
+    no array.
     """
-    rhs = tableau.body[:, tableau.cols:]
-    basis = np.array(tableau.basis) if bland else None
+    cols, body, basis, tol = tableau.cols, tableau.body, tableau.basis, lp_module.PIVOT_TOL
+    lead = body[:, cols].tolist()
     row = best = None
-    for i, entry in enumerate(tableau.body[:, col].tolist()):
-        if entry <= lp_module.PIVOT_TOL:
+    for i, entry in enumerate(body[:, col].tolist()):
+        if entry <= tol:
             continue
-        ratio = rhs[i] / entry
+        ratio = body[i, cols:] / entry if varies[i] else lead[i] / entry
         if row is None:
-            row, best = np.full(len(ratio), i), ratio
+            row, best = i, ratio
             continue
-        tie_band = lp_module.PIVOT_TOL * np.maximum(1.0, np.abs(best))
+        if type(best) is float:   # every column holds the lead's (row, best)
+            tie_band = tol * max(1.0, abs(best))
+            if type(ratio) is float:
+                if ratio < best - tie_band:
+                    row, best = i, ratio
+                elif bland and abs(ratio - best) <= tie_band and basis[i] < basis[row]:
+                    row = i
+                continue
+        else:
+            tie_band = tol * np.maximum(1.0, np.abs(best))
         lower = ratio < best - tie_band
         take = lower
         if bland:
-            take = lower | ((np.abs(ratio - best) <= tie_band) & (basis[i] < basis[row]))
-        row = np.where(take, i, row)
-        best = np.where(lower, ratio, best)
-    return row
+            take = lower | ((np.abs(ratio - best) <= tie_band) & (basis[i] < np.take(basis, row)))
+        if take.any():
+            row = np.where(take, i, row)
+            best = np.where(lower, ratio, best)
+    return row != row[0] if type(row) is np.ndarray else None
 
 
 def _stall_step(current: np.ndarray, stall: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,16 +140,28 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     ``stall_limit`` pivots: until then the block only keeps a copy of the
     cost row's rhs entries before its first pivot and after each one,
     split along with it, and replays that history through the stall rule
-    when it reaches the limit. Returns (block, iterations, unbounded) for
-    *tableau* and for every block split from it.
+    when it reaches the limit.
+
+    Each block also keeps one flag per body row: whether that row's rhs
+    can differ between its columns. The flags are set here by comparing
+    each row with the lead column (``!=``, so +0.0 and -0.0 count as
+    equal) and are carried along on every split. A pivot on an unflagged
+    row keeps every unflagged row equal; after a pivot on a flagged row,
+    every row with a nonzero entry in the pivot column is flagged too. The
+    split test reads the columns apart only at flagged rows, and a test
+    whose eligible rows are all unflagged splits nothing and builds no
+    array. Returns (block, iterations, unbounded) for *tableau* and for
+    every block split from it.
     """
     cols = tableau.cols
     stall_limit = 2 * (tableau.rows + cols)
-    # (block, iterations, history or None once replayed, stall, best)
-    todo = [(tableau, 0, [tableau.cost[cols:].copy()], None, None)]
+    rhs = tableau.body[:, cols:]
+    varies = (rhs[:, 1:] != rhs[:, :1]).any(axis=1).tolist()
+    # (block, iterations, history or None once replayed, stall, best, varies)
+    todo = [(tableau, 0, [tableau.cost[cols:].copy()], None, None, varies)]
     done: list[tuple[Tableau, int, bool]] = []
     while todo:
-        tableau, iterations, history, stall, best = todo.pop()
+        tableau, iterations, history, stall, best, varies = todo.pop()
         while True:
             if history is not None and iterations >= stall_limit:
                 stall, best = np.zeros(len(tableau.ids), dtype=np.intp), history[0]
@@ -144,18 +179,21 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
                 break
             row, col = pivot
             if len(tableau.ids) > 1:
-                moved = _leaving_rows(tableau, col, bland) != row
+                moved = _split_test(tableau, col, bland, varies)
                 if history is None:
-                    moved |= (stall >= stall_limit) != bland
-                if moved.any():
+                    stalled = (stall >= stall_limit) != bland
+                    moved = stalled if moved is None else moved | stalled
+                if moved is not None and moved.any():
                     away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
                     if history is None:
-                        todo.append((tableau.take(away), iterations, None, stall[away], best[away]))
+                        todo.append((tableau.take(away), iterations, None, stall[away], best[away], varies))
                         stall, best = stall[kept], best[kept]
                     else:
-                        todo.append((tableau.take(away), iterations, [h[away] for h in history], None, None))
+                        todo.append((tableau.take(away), iterations, [h[away] for h in history], None, None, varies))
                         history = [h[kept] for h in history]
                     tableau = tableau.take(kept)
+                if varies[row]:   # the pivot row mixes into every row it eliminates from
+                    varies = [flag or entry != 0.0 for flag, entry in zip(varies, tableau.body[:, col].tolist())]
             lp_module._apply_pivot(tableau, row, col)
             iterations += 1
             if iterations > lp_module.MAX_ITER:
@@ -282,7 +320,8 @@ def _solve_block(lp: LinearProgram, rhs: np.ndarray) -> _Block:
     status and pivot count, and the points and objectives of the optimal
     rows. Raises what ``solve_rhs`` raises, objective overflow included.
 
-    Rows whose standardized rhs have the same signs share one tableau; a
+    Rows whose standardized rhs have the same signs share one tableau.
+    When no standardized rhs is negative, every row shares one; otherwise a
     row's signs are packed into one code of ceil(m / 8) bytes, and one
     stable sort of the codes groups the rows in order of first appearance.
     """
@@ -300,13 +339,15 @@ def _solve_block(lp: LinearProgram, rhs: np.ndarray) -> _Block:
     scales = np.abs(view.matrix[:m]).max(axis=1)
     shifted = (given - (view.matrix[:m] @ view.rhs[m:])[:, None]) / scales[:, None]
     flips = shifted < 0.0
-    shifted = np.where(flips, -shifted, shifted)
-    codes = np.packbits(flips, axis=0)          # (ceil(m / 8), k): column j is row j's sign code
-    order = np.lexsort(codes) if m else np.arange(k)   # stable: each group's rows ascend
-    ordered = codes[:, order]
-    cuts = (np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1).tolist()
-    starts = [0, *cuts] if k else []
-    groups = sorted((order[a:b] for a, b in zip(starts, [*cuts, k])), key=lambda picks: picks[0])
+    if not flips.any():   # one sign code, as in a sweep whose rhs stay >= 0
+        groups = [np.arange(k)] if k else []
+    else:
+        shifted = np.where(flips, -shifted, shifted)
+        codes = np.packbits(flips, axis=0)          # (ceil(m / 8), k): column j is row j's sign code
+        order = np.lexsort(codes)                   # stable: each group's rows ascend
+        ordered = codes[:, order]
+        cuts = (np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1).tolist()
+        groups = sorted((order[a:b] for a, b in zip([0, *cuts], [*cuts, k])), key=lambda picks: picks[0])
 
     status = np.empty(k, dtype=object)
     iterations = np.zeros(k, dtype=int)

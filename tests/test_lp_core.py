@@ -497,13 +497,13 @@ def test_a_block_of_one_rhs_column_skips_the_split_test(monkeypatch):
     # split test only on blocks of two or more, here over the long grids
     # that the sweep golden pins.
     widths = []
-    leaving_rows = parametric._leaving_rows
+    split_test = parametric._split_test
 
-    def spy(tableau, col, bland):
+    def spy(tableau, col, bland, varies):
         widths.append(len(tableau.ids))
-        return leaving_rows(tableau, col, bland)
+        return split_test(tableau, col, bland, varies)
 
-    monkeypatch.setattr(parametric, "_leaving_rows", spy)
+    monkeypatch.setattr(parametric, "_split_test", spy)
     golden = Path(__file__).parent / "data" / "sweep_golden.json"
     for entry in json.loads(golden.read_text()):
         with contextlib.redirect_stdout(io.StringIO()):
