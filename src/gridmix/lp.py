@@ -31,14 +31,16 @@ and ``@``/``np.dot`` for activities and objectives.
 A ``Tableau`` is one array: the body rows with the reduced-cost row
 stacked under them (Bertsimas & Tsitsiklis, *Introduction to Linear
 Optimization*, §3.6), so ``_apply_pivot``'s one outer product updates
-both. ``solve`` runs the lone loop, ``_two_phase_lone`` over
-``_run_lone``: one rhs column, a scalar stall count and best objective,
-and the phase-1 verdict and the point read out on Python floats.
+both. ``_run_simplex`` is the one pivot loop, for a tableau of any
+number of rhs columns. ``solve``'s ``_two_phase_lone`` runs it on one
+column, with the phase-1 verdict and the point read out on Python
+floats; the split test, ``_split_test``, runs only in blocks of two or
+more columns.
 
-This module holds only what ``solve`` runs. The block loop that solves
-one program at many rhs lives in ``gridmix.parametric``, and
-``check_feasible`` with its report types in ``gridmix.oracle``; code in
-the package imports them from there. Three of those names, kept for the
+This module holds what ``solve`` runs and the split test. The driver
+that solves one program at many rhs lives in ``gridmix.parametric``,
+and ``check_feasible`` with its report types in ``gridmix.oracle``; code
+in the package imports them from there. Three of those names, kept for the
 benchmark and the pinned tests, still resolve here: ``solve_many``,
 ``solve_rhs`` and ``check_feasible`` load their module on first use
 (PEP 562), so a plain ``solve`` compiles neither.
@@ -497,38 +499,146 @@ def _drive_out_artificials(tableau: Tableau, first: int) -> list[int]:
     return redundant
 
 
-def _run_lone(tableau: Tableau) -> tuple[int, bool]:
-    """Iterate *tableau*, with its one rhs column, to optimality: returns
-    (iterations, unbounded).
+def _split_test(tableau: Tableau, col: int, bland: bool, varies: list[bool]) -> np.ndarray | None:
+    """``pivot_rule``'s ratio test for entering column *col*, replayed on
+    every rhs column: a mask of the columns whose leaving row differs from
+    the lead's, or None when none can.
 
-    Bland's rule takes over once the objective has not fallen below its
-    best so far for 2 * (tableau.rows + tableau.cols) pivots; the columns
-    include every slack, surplus and artificial column. Measured against
-    the previous pivot instead, a cycle whose objective falls and rises by
-    rounding-level steps would reset the count forever. The cost row holds
-    -objective, so the objective falls where that entry rises.
+    Which rows are eligible depends on column *col* alone. A row whose flag
+    in *varies* is off holds the lead's rhs in every column (``==``, so
+    +0.0 and -0.0 alike), hence the lead's ratio; the fold's comparisons
+    and tie bands treat ±0 alike. So the fold runs on the lead's Python
+    floats, as in ``pivot_rule``, while every column holds the lead's
+    (row, best), and elementwise once a flagged row gives the columns
+    different states. A test whose eligible rows are all unflagged builds
+    no array.
+    """
+    cols, body, basis, tol = tableau.cols, tableau.body, tableau.basis, PIVOT_TOL
+    lead = body[:, cols].tolist()
+    row = best = None
+    for i, entry in enumerate(body[:, col].tolist()):
+        if entry <= tol:
+            continue
+        ratio = body[i, cols:] / entry if varies[i] else lead[i] / entry
+        if row is None:
+            row, best = i, ratio
+            continue
+        if type(best) is float:   # every column holds the lead's (row, best)
+            tie_band = tol * max(1.0, abs(best))
+            if type(ratio) is float:
+                if ratio < best - tie_band:
+                    row, best = i, ratio
+                elif bland and abs(ratio - best) <= tie_band and basis[i] < basis[row]:
+                    row = i
+                continue
+        else:
+            tie_band = tol * np.maximum(1.0, np.abs(best))
+        lower = ratio < best - tie_band
+        take = lower
+        if bland:
+            take = lower | ((np.abs(ratio - best) <= tie_band) & (basis[i] < np.take(basis, row)))
+        if take.any():
+            row = np.where(take, i, row)
+            best = np.where(lower, ratio, best)
+    return row != row[0] if type(row) is np.ndarray else None
+
+
+def _stall_step(current: np.ndarray, stall: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stall rule for one pivot, elementwise: each column's stall count
+    and best objective after its cost row's rhs entry became *current*.
+    The cost row holds -objective, so the objective falls where that entry
+    rises."""
+    fell = current > best + STALL_TOL * np.maximum(1.0, np.abs(best))
+    return np.where(fell, 0, stall + 1), np.where(fell, current, best)
+
+
+def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
+    """Iterate every rhs column of *tableau* to optimality: the pivot loop
+    of ``solve``, whose tableau has one rhs column, and of the block loop
+    in ``gridmix.parametric``. Returns (block, iterations, unbounded) for
+    *tableau* and for every block split from it; a tableau of one column
+    never splits, so its answer is one entry, *tableau* itself.
+
+    Bland's rule takes over for a column once its objective has not fallen
+    below its best so far for 2 * (tableau.rows + tableau.cols) pivots;
+    the columns include every slack, surplus and artificial column.
+    Measured against the previous pivot instead, a cycle whose objective
+    falls and rises by rounding-level steps would reset the count forever.
+
+    The columns of a block share its entering column, which depends only
+    on the cost row and the Bland flag. Before a pivot, the columns whose
+    leaving row or Bland flag differs from the lead's are split off into
+    a block of their own, which continues from the same state; a block of
+    one column cannot split and skips that test. Each column's stall count
+    and best objective are kept as arrays and tested elementwise. A stall
+    count never exceeds the pivots taken, so no column can reach Bland's
+    rule before the block has taken ``stall_limit`` pivots: until then the
+    block only keeps a copy of the cost row's rhs entries before its first
+    pivot and after each one, split along with it, and replays that
+    history through the stall rule when it reaches the limit.
+
+    A tableau of two or more columns also keeps one flag per body row:
+    whether that row's rhs can differ between the block's columns. The
+    flags are set here by comparing each row with the lead column (``!=``,
+    so +0.0 and -0.0 count as equal) and are carried along on every split.
+    A pivot on an unflagged row keeps every unflagged row equal; after a
+    pivot on a flagged row, every row with a nonzero entry in the pivot
+    column is flagged too. The split test reads the columns apart only at
+    flagged rows, and a test whose eligible rows are all unflagged splits
+    nothing and builds no array.
     """
     cols = tableau.cols
-    cost = tableau.cost
     stall_limit = 2 * (tableau.rows + cols)
-    iterations = stall = 0
-    best = cost.item(cols)
-    while True:
-        try:
-            pivot = pivot_rule(tableau, bland=stall >= stall_limit)
-        except _Unbounded:
-            return iterations, True
-        if pivot is None:
-            return iterations, False
-        _apply_pivot(tableau, *pivot)
-        iterations += 1
-        if iterations > MAX_ITER:
-            raise IterationLimitError(f"no convergence within {MAX_ITER} iterations")
-        now = cost.item(cols)
-        if now > best + STALL_TOL * max(1.0, abs(best)):
-            stall, best = 0, now
-        else:
-            stall += 1
+    varies = None
+    if len(tableau.ids) > 1:
+        rhs = tableau.body[:, cols:]
+        varies = (rhs[:, 1:] != rhs[:, :1]).any(axis=1).tolist()
+    # (block, iterations, history or None once replayed, stall, best, varies)
+    todo = [(tableau, 0, [tableau.cost[cols:].copy()], None, None, varies)]
+    done: list[tuple[Tableau, int, bool]] = []
+    while todo:
+        tableau, iterations, history, stall, best, varies = todo.pop()
+        while True:
+            if history is not None and iterations >= stall_limit:
+                stall, best = np.zeros(len(tableau.ids), dtype=np.intp), history[0]
+                for current in history[1:]:
+                    stall, best = _stall_step(current, stall, best)
+                history = None
+            bland = history is None and stall[0] >= stall_limit
+            try:
+                pivot = pivot_rule(tableau, bland=bland)
+            except _Unbounded:
+                done.append((tableau, iterations, True))
+                break
+            if pivot is None:
+                done.append((tableau, iterations, False))
+                break
+            row, col = pivot
+            if len(tableau.ids) > 1:
+                moved = _split_test(tableau, col, bland, varies)
+                if history is None:
+                    stalled = (stall >= stall_limit) != bland
+                    moved = stalled if moved is None else moved | stalled
+                if moved is not None and moved.any():
+                    away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
+                    if history is None:
+                        todo.append((tableau.take(away), iterations, None, stall[away], best[away], varies))
+                        stall, best = stall[kept], best[kept]
+                    else:
+                        todo.append((tableau.take(away), iterations, [h[away] for h in history], None, None, varies))
+                        history = [h[kept] for h in history]
+                    tableau = tableau.take(kept)
+                if varies[row]:   # the pivot row mixes into every row it eliminates from
+                    varies = [flag or entry != 0.0 for flag, entry in zip(varies, tableau.body[:, col].tolist())]
+            _apply_pivot(tableau, row, col)
+            iterations += 1
+            if iterations > MAX_ITER:
+                raise IterationLimitError(f"no convergence within {MAX_ITER} iterations")
+            if history is None:
+                stall, best = _stall_step(tableau.cost[cols:], stall, best)
+            else:
+                history.append(tableau.cost[cols:].copy())
+    return done
 
 
 def _two_phase_lone(form: StandardForm) -> tuple[Status, tuple[float, ...] | None, int]:
@@ -549,8 +659,7 @@ def _two_phase_lone(form: StandardForm) -> tuple[Status, tuple[float, ...] | Non
     before = 0
     if first < total:
         _price(table, [0.0] * first + [1.0] * (total - first), basis)
-        phase1 = Tableau(table, basis)
-        before, unbounded = _run_lone(phase1)
+        phase1, before, unbounded = _run_simplex(Tableau(table, basis))[0]
         if unbounded:  # the phase-1 objective is bounded below by zero
             raise LPError("phase 1 reported unbounded; input is numerically degenerate")
         # A basic artificial is its own row's residual, so it is judged
@@ -570,7 +679,7 @@ def _two_phase_lone(form: StandardForm) -> tuple[Status, tuple[float, ...] | Non
 
     # Phase 2: original costs over the feasible basis; artificials barred.
     _price(table, form.objective, basis)
-    iterations, unbounded = _run_lone(Tableau(table, basis, form.artificial_cols))
+    _, iterations, unbounded = _run_simplex(Tableau(table, basis, form.artificial_cols))[0]
     if unbounded:
         return Status.UNBOUNDED, None, before + iterations
     # Scatter the basic values into the point, then un-shift.

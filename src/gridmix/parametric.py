@@ -1,41 +1,29 @@
 """Parametric rhs analysis: one program solved at many right-hand sides.
 
-``_solve_block`` runs the block loop, ``_two_phase`` over
-``_run_simplex``: it solves one program at each row of a (k, m) rhs
-array and returns each row's status and pivot count, and one (k, n)
-array of the optimal points with their objectives. Two read-outs sit on
-it: ``solve_rhs`` reads each row's Solution out through ``solve``'s
-``_build_solution``, and ``sweep`` reads its points straight from the
-arrays. ``solve_many`` groups a batch of programs that differ only in
-their constraints' rhs into one ``solve_rhs`` call each, so the rhs
-shift, equilibration and sign flip live in one place. Rows of rhs whose
-standardized rhs have the same signs have the same tableau but for the
-rhs, so they share one: it carries one rhs column per row, and every
-pivot updates the whole block.
+``_solve_block`` runs the block driver, ``_two_phase``: it solves one
+program at each row of a (k, m) rhs array and returns each row's status
+and pivot count, and one (k, n) array of the optimal points with their
+objectives. Two read-outs sit on it: ``solve_rhs`` reads each row's
+Solution out through ``solve``'s ``_build_solution``, and ``sweep`` reads
+its points straight from the arrays. ``solve_many`` groups a batch of
+programs that differ only in their constraints' rhs into one
+``solve_rhs`` call each, so the rhs shift, equilibration and sign flip
+live in one place. Rows of rhs whose standardized rhs have the same signs
+have the same tableau but for the rhs, so they share one: it carries one
+rhs column per row, and every pivot updates the whole block.
 When no standardized rhs is negative (a sweep's usual case) all rows
 share one tableau; otherwise they are grouped by one packed sign code
-each (``np.packbits``, any m). Each pivot is chosen by ``pivot_rule`` for
-the lead (first) column; the others replay its ratio test, tie band
-included, in ``_split_test``. The entering column depends only on the
-cost row and the Bland flag, which all columns of a block share, so a
-column leaves its block only where its leaving row, its Bland flag (from
-its own stall count) or its phase-1 verdict differs from the lead's; it
-continues in a block of its own from the same state. This is parametric
-rhs analysis (Bertsimas & Tsitsiklis, *Introduction to Linear
-Optimization*, §5.2): one basis stays optimal over an interval of rhs
-values, so a sweep's grid needs few blocks. In a one-cap sweep the
-columns also differ only in the capped rows and in the rows that a pivot
-mixes with them, so each block flags the body rows whose rhs can differ
-between its columns. The split test folds the lead's Python floats, as
-``pivot_rule`` does, until a flagged row sends some column another way,
-and works elementwise only from there. A block's other per-column steps
-(stall counts, the phase-1 verdict, reading out its points) are
-whole-array operations, a block of one column included, and each runs
-only where it can change a bit. The stall counts start once the block
-has taken as many pivots as the stall limit: before that no column can
-reach Bland's rule, so the block keeps only its objectives after each
-pivot and replays them there. The phase-1 verdict runs only while an
-artificial is basic. The bits
+each (``np.packbits``, any m). Each phase runs ``solve``'s pivot loop,
+``lp._run_simplex``, on the whole block: each pivot is chosen by
+``pivot_rule`` for the lead (first) column, and a column leaves its block
+only where its leaving row, its Bland flag (from its own stall count) or
+its phase-1 verdict differs from the lead's; it continues in a block of
+its own from the same state. This is parametric rhs analysis (Bertsimas
+& Tsitsiklis, *Introduction to Linear Optimization*, §5.2): one basis
+stays optimal over an interval of rhs values, so a sweep's grid needs
+few blocks. The phase-1 verdict and reading out the points are
+whole-array operations, a block of one column included; the verdict
+runs only while an artificial is basic. The bits
 match ``solve`` because every operation on the tableau is elementwise per
 column (the outer-product update, the priced cost row, the ratios and
 tolerances), and the objectives of all optimal points come from one
@@ -46,10 +34,10 @@ C-contiguous, or numpy skips BLAS and the objective can move by an ulp;
 and at n = 1 ``np.dot`` is the bare product c*x, -0.0 included, where
 the stacked form gives +0.0, so the objective is that product.
 
-The block loop shares ``solve``'s pivoting, pricing and read-out and its
-thresholds. It reads each of them as an attribute of ``gridmix.lp`` when
-it runs (``lp_module.pivot_rule``, ``lp_module.MAX_ITER``, ...), so both
-loops always run the same ones. ``solve`` loads none of this module.
+The driver reads ``solve``'s pivot loop, pricing, read-out and
+thresholds as attributes of ``gridmix.lp`` when it runs
+(``lp_module._run_simplex``, ``lp_module.FEAS_TOL``, ...), so both
+drivers always run the same ones. ``solve`` loads none of this module.
 """
 
 from __future__ import annotations
@@ -65,144 +53,13 @@ import numpy as np
 
 from . import lp as lp_module
 from .lp import (
-    _OUT_OF_RANGE, IterationLimitError, LinearProgram, LPError, Rows, Solution, StandardForm, Status, Tableau,
-    ValidationError, _in_float_range, _Unbounded,
+    _OUT_OF_RANGE, LinearProgram, LPError, Rows, Solution, StandardForm, Status, Tableau, ValidationError,
+    _in_float_range,
 )
 from .model import compile_sweep
 from .scenario import CAP_FIELDS, Scenario
 
 __all__ = ["SweepPoint", "solve_many", "solve_rhs", "sweep"]
-
-
-def _split_test(tableau: Tableau, col: int, bland: bool, varies: list[bool]) -> np.ndarray | None:
-    """``pivot_rule``'s ratio test for entering column *col*, replayed on
-    every rhs column: a mask of the columns whose leaving row differs from
-    the lead's, or None when none can.
-
-    Which rows are eligible depends on column *col* alone. A row whose flag
-    in *varies* is off holds the lead's rhs in every column (``==``, so
-    +0.0 and -0.0 alike), hence the lead's ratio; the fold's comparisons
-    and tie bands treat ±0 alike. So the fold runs on the lead's Python
-    floats, as in ``pivot_rule``, while every column holds the lead's
-    (row, best), and elementwise once a flagged row gives the columns
-    different states. A test whose eligible rows are all unflagged builds
-    no array.
-    """
-    cols, body, basis, tol = tableau.cols, tableau.body, tableau.basis, lp_module.PIVOT_TOL
-    lead = body[:, cols].tolist()
-    row = best = None
-    for i, entry in enumerate(body[:, col].tolist()):
-        if entry <= tol:
-            continue
-        ratio = body[i, cols:] / entry if varies[i] else lead[i] / entry
-        if row is None:
-            row, best = i, ratio
-            continue
-        if type(best) is float:   # every column holds the lead's (row, best)
-            tie_band = tol * max(1.0, abs(best))
-            if type(ratio) is float:
-                if ratio < best - tie_band:
-                    row, best = i, ratio
-                elif bland and abs(ratio - best) <= tie_band and basis[i] < basis[row]:
-                    row = i
-                continue
-        else:
-            tie_band = tol * np.maximum(1.0, np.abs(best))
-        lower = ratio < best - tie_band
-        take = lower
-        if bland:
-            take = lower | ((np.abs(ratio - best) <= tie_band) & (basis[i] < np.take(basis, row)))
-        if take.any():
-            row = np.where(take, i, row)
-            best = np.where(lower, ratio, best)
-    return row != row[0] if type(row) is np.ndarray else None
-
-
-def _stall_step(current: np.ndarray, stall: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``lp._run_lone``'s stall rule for one pivot, elementwise: each
-    column's stall count and best objective after its cost row's rhs entry
-    became *current*."""
-    fell = current > best + lp_module.STALL_TOL * np.maximum(1.0, np.abs(best))
-    return np.where(fell, 0, stall + 1), np.where(fell, current, best)
-
-
-def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
-    """Iterate every rhs column of *tableau* to optimality.
-
-    The columns of a block share its entering column, which depends only
-    on the cost row and the Bland flag. Before a pivot, the columns whose
-    leaving row or Bland flag differs from the lead's are split off into
-    a block of their own, which continues from the same state; a block of
-    one column cannot split and skips that test. Each column's stall
-    count and best objective are those of ``lp._run_lone``, kept as arrays
-    and tested elementwise. A stall count never exceeds the pivots taken,
-    so no column can reach Bland's rule before the block has taken
-    ``stall_limit`` pivots: until then the block only keeps a copy of the
-    cost row's rhs entries before its first pivot and after each one,
-    split along with it, and replays that history through the stall rule
-    when it reaches the limit.
-
-    Each block also keeps one flag per body row: whether that row's rhs
-    can differ between its columns. The flags are set here by comparing
-    each row with the lead column (``!=``, so +0.0 and -0.0 count as
-    equal) and are carried along on every split. A pivot on an unflagged
-    row keeps every unflagged row equal; after a pivot on a flagged row,
-    every row with a nonzero entry in the pivot column is flagged too. The
-    split test reads the columns apart only at flagged rows, and a test
-    whose eligible rows are all unflagged splits nothing and builds no
-    array. Returns (block, iterations, unbounded) for *tableau* and for
-    every block split from it.
-    """
-    cols = tableau.cols
-    stall_limit = 2 * (tableau.rows + cols)
-    rhs = tableau.body[:, cols:]
-    varies = (rhs[:, 1:] != rhs[:, :1]).any(axis=1).tolist()
-    # (block, iterations, history or None once replayed, stall, best, varies)
-    todo = [(tableau, 0, [tableau.cost[cols:].copy()], None, None, varies)]
-    done: list[tuple[Tableau, int, bool]] = []
-    while todo:
-        tableau, iterations, history, stall, best, varies = todo.pop()
-        while True:
-            if history is not None and iterations >= stall_limit:
-                stall, best = np.zeros(len(tableau.ids), dtype=np.intp), history[0]
-                for current in history[1:]:
-                    stall, best = _stall_step(current, stall, best)
-                history = None
-            bland = history is None and stall[0] >= stall_limit
-            try:
-                pivot = lp_module.pivot_rule(tableau, bland=bland)
-            except _Unbounded:
-                done.append((tableau, iterations, True))
-                break
-            if pivot is None:
-                done.append((tableau, iterations, False))
-                break
-            row, col = pivot
-            if len(tableau.ids) > 1:
-                moved = _split_test(tableau, col, bland, varies)
-                if history is None:
-                    stalled = (stall >= stall_limit) != bland
-                    moved = stalled if moved is None else moved | stalled
-                if moved is not None and moved.any():
-                    away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
-                    if history is None:
-                        todo.append((tableau.take(away), iterations, None, stall[away], best[away], varies))
-                        stall, best = stall[kept], best[kept]
-                    else:
-                        todo.append((tableau.take(away), iterations, [h[away] for h in history], None, None, varies))
-                        history = [h[kept] for h in history]
-                    tableau = tableau.take(kept)
-                if varies[row]:   # the pivot row mixes into every row it eliminates from
-                    varies = [flag or entry != 0.0 for flag, entry in zip(varies, tableau.body[:, col].tolist())]
-            lp_module._apply_pivot(tableau, row, col)
-            iterations += 1
-            if iterations > lp_module.MAX_ITER:
-                raise IterationLimitError(f"no convergence within {lp_module.MAX_ITER} iterations")
-            if history is None:
-                stall, best = _stall_step(tableau.cost[cols:], stall, best)
-            else:
-                history.append(tableau.cost[cols:].copy())
-    return done
 
 
 # (rhs columns, status, their (k, n) points when optimal, iterations)
@@ -216,9 +73,9 @@ def _two_phase(form: StandardForm, table: np.ndarray) -> list[_Outcome]:
     order.
 
     The steps are ``lp._two_phase_lone``'s, taken on every column of a
-    block at once: the phase-1 verdict and the read-out of the points are
-    whole arrays, elementwise, so each column's bits are those of a lone
-    solve.
+    block at once: the same pivot loop, and the phase-1 verdict and the
+    read-out of the points as whole arrays, elementwise, so each column's
+    bits are those of a lone solve.
     """
     total = form.column_count
     ids = tuple(range(table.shape[1] - total))
@@ -237,7 +94,7 @@ def _two_phase(form: StandardForm, table: np.ndarray) -> list[_Outcome]:
         lp_module._price(table, [0.0] * first + [1.0] * (total - first), form.basis)
         scales = np.array(form.row_scales)
         given = table[:-1, total:].copy()    # each program's equilibrated rhs, before phase 1 pivots
-        for tableau, iterations, unbounded in _run_simplex(Tableau(table, list(form.basis), ids=ids)):
+        for tableau, iterations, unbounded in lp_module._run_simplex(Tableau(table, list(form.basis), ids=ids)):
             if unbounded:  # the phase-1 objective is bounded below by zero
                 raise LPError("phase 1 reported unbounded; input is numerically degenerate")
             # Each basic artificial against its own row's scale, as in _two_phase_lone.
@@ -260,7 +117,7 @@ def _two_phase(form: StandardForm, table: np.ndarray) -> list[_Outcome]:
     # Phase 2: original costs over the feasible basis; artificials barred.
     for table, basis, ids, before in starts:
         lp_module._price(table, form.objective, basis)
-        for tableau, iterations, unbounded in _run_simplex(Tableau(table, basis, form.artificial_cols, ids)):
+        for tableau, iterations, unbounded in lp_module._run_simplex(Tableau(table, basis, form.artificial_cols, ids)):
             if unbounded:
                 outcomes.append((tableau.ids, Status.UNBOUNDED, None, before + iterations))
                 continue

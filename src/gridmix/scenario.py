@@ -193,6 +193,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.annual_need) and self.annual_need > 0.0):
             raise ScenarioError(f"scenario {self.name!r}: annual need must be finite and > 0")
+        names = [s.name for s in self.sources]
+        if len(set(names)) < len(names):
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ScenarioError(f"scenario {self.name!r}: source {repeated!r} appears more than once")
         for cap_name in CAP_FIELDS.values():
             cap = getattr(self, cap_name)
             if cap is not None:

@@ -222,6 +222,16 @@ def test_malformed_file_fields_exit_one_without_a_traceback(tmp_path, capsys, do
     assert err.startswith("gridmix: error: ") and where in err
 
 
+def test_a_file_that_repeats_a_source_exits_one_naming_it(tmp_path, capsys):
+    doc = scenario_to_dict(get_scenario("m1_flat_demand"))
+    doc["sources"].append(next(s for s in doc["sources"] if s["name"] == "wind"))
+    path = tmp_path / "two_winds.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path), "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == f"gridmix: error: {path}: scenario 'm1_flat_demand': source 'wind' appears more than once\n"
+
+
 def test_out_of_range_magnitudes_exit_one_instead_of_printing_inf(tmp_path, capsys):
     doc = nuclear_doc()
     doc["sources"][0]["lcoe"] = 1e308

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridmix.lp as lp_module
-from gridmix import cli, parametric
+from gridmix import cli
 from gridmix.catalog import get_scenario
 from gridmix.lp import (
     Constraint,
@@ -497,13 +497,13 @@ def test_a_block_of_one_rhs_column_skips_the_split_test(monkeypatch):
     # split test only on blocks of two or more, here over the long grids
     # that the sweep golden pins.
     widths = []
-    split_test = parametric._split_test
+    split_test = lp_module._split_test
 
     def spy(tableau, col, bland, varies):
         widths.append(len(tableau.ids))
         return split_test(tableau, col, bland, varies)
 
-    monkeypatch.setattr(parametric, "_split_test", spy)
+    monkeypatch.setattr(lp_module, "_split_test", spy)
     golden = Path(__file__).parent / "data" / "sweep_golden.json"
     for entry in json.loads(golden.read_text()):
         with contextlib.redirect_stdout(io.StringIO()):

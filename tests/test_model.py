@@ -67,6 +67,15 @@ def test_annual_need_must_be_finite_and_positive(need):
         Scenario(name="bad-need", sources=(), annual_need=need)
 
 
+def test_a_source_name_may_appear_only_once():
+    # Two sources of one name would compile two rows of one label and
+    # report one value under that name.
+    m1 = get_scenario("m1_flat_demand")
+    wind = next(s for s in m1.sources if s.name == "wind")
+    with pytest.raises(ScenarioError, match="source 'wind' appears more than once"):
+        replace(m1, sources=(*m1.sources, wind))
+
+
 def test_m4_nuclear_floor_and_daytime_share():
     lp = compile_scenario(get_scenario("m4_nuclear"))
     assert lp.lower_bounds == (0.0, 0.0, 2_628_000.0)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gridmix import cli, lp as lp_module, parametric
+from gridmix import cli, lp as lp_module
 from gridmix.lp import PIVOT_TOL as TOL
 from gridmix.lp import LPError, Tableau, solve_rhs
 
@@ -108,7 +108,7 @@ def block_tableaux(draw):
 def test_the_split_test_marks_the_columns_the_frozen_replay_moves(case):
     tableau, col, bland, varies = case
     rows = leaving_rows_frozen(tableau, col, bland)
-    moved = parametric._split_test(tableau, col, bland, varies)
+    moved = lp_module._split_test(tableau, col, bland, varies)
     expected = [False] * len(tableau.ids) if rows is None else (rows != rows[0]).tolist()
     assert ([False] * len(tableau.ids) if moved is None else moved.tolist()) == expected
 
@@ -119,7 +119,7 @@ def test_a_test_whose_eligible_rows_all_hold_the_leads_rhs_splits_nothing():
     tableau = block([1.0, -1.0, 1.0], [[0.0, -0.0, 0.0], [5.0, 1.0, 7.0], [TOL / 2] * 3], [3, 2, 1])
     for bland, row in ((False, 0), (True, 2)):
         assert leaving_rows_frozen(tableau, 0, bland).tolist() == [row] * 3
-        assert parametric._split_test(tableau, 0, bland, [False, True, False]) is None
+        assert lp_module._split_test(tableau, 0, bland, [False, True, False]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def check_flags(patch: pytest.MonkeyPatch) -> list[int]:
     row holds ``==`` rhs in every column of its block. Returns the running
     counts of (split tests, unflagged rows seen)."""
     counts = [0, 0]
-    split_test = parametric._split_test
+    split_test = lp_module._split_test
 
     def checked(tableau, col, bland, varies):
         rhs = tableau.body[:, tableau.cols:]
@@ -141,7 +141,7 @@ def check_flags(patch: pytest.MonkeyPatch) -> list[int]:
         counts[1] += varies.count(False)
         return split_test(tableau, col, bland, varies)
 
-    patch.setattr(parametric, "_split_test", checked)
+    patch.setattr(lp_module, "_split_test", checked)
     return counts
 
 
