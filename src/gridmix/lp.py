@@ -31,16 +31,17 @@ and ``@``/``np.dot`` for activities and objectives.
 A ``Tableau`` is one array: the body rows with the reduced-cost row
 stacked under them (Bertsimas & Tsitsiklis, *Introduction to Linear
 Optimization*, §3.6), so ``_apply_pivot``'s one outer product updates
-both. ``_run_simplex`` is the one pivot loop, for a tableau of any
-number of rhs columns. ``solve``'s ``_two_phase_lone`` runs it on one
-column, with the phase-1 verdict and the point read out on Python
-floats; the split test, ``_split_test``, runs only in blocks of two or
-more columns.
+both. ``_run_simplex`` is the one pivot loop and ``_two_phase`` the one
+two-phase driver, each for a tableau of any number of rhs columns; the
+split test, ``_split_test``, runs only in blocks of two or more columns.
+The driver returns each block's status, pivot count and final tableau,
+and each caller keeps only its read-out: ``solve`` runs the driver on
+one column and reads its point out on Python floats.
 
-This module holds what ``solve`` runs and the split test. The driver
-that solves one program at many rhs lives in ``gridmix.parametric``,
-and ``check_feasible`` with its report types in ``gridmix.oracle``; code
-in the package imports them from there. Three of those names, kept for the
+This module holds what ``solve`` runs. The read-out of one program at
+many rhs lives in ``gridmix.parametric``, and ``check_feasible`` with
+its report types in ``gridmix.oracle``; code in the package imports
+them from there. Three of those names, kept for the
 benchmark and the pinned tests, still resolve here: ``solve_many``,
 ``solve_rhs`` and ``check_feasible`` load their module on first use
 (PEP 562), so a plain ``solve`` compiles neither.
@@ -54,6 +55,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
 from importlib import import_module
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -554,10 +556,11 @@ def _stall_step(current: np.ndarray, stall: np.ndarray, best: np.ndarray) -> tup
 
 def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     """Iterate every rhs column of *tableau* to optimality: the pivot loop
-    of ``solve``, whose tableau has one rhs column, and of the block loop
-    in ``gridmix.parametric``. Returns (block, iterations, unbounded) for
-    *tableau* and for every block split from it; a tableau of one column
-    never splits, so its answer is one entry, *tableau* itself.
+    of each phase of ``_two_phase``, whose tableau has one rhs column
+    under ``solve`` and one per program under ``gridmix.parametric``.
+    Returns (block, iterations, unbounded) for *tableau* and for every
+    block split from it; a tableau of one column never splits, so its
+    answer is one entry, *tableau* itself.
 
     Bland's rule takes over for a column once its objective has not fallen
     below its best so far for 2 * (tableau.rows + tableau.cols) pivots;
@@ -641,52 +644,65 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     return done
 
 
-def _two_phase_lone(form: StandardForm) -> tuple[Status, tuple[float, ...] | None, int]:
-    """Both simplex phases on *form* with its own rhs, the one column of a
-    plain solve: (status, the optimal point or None, iterations). Its
-    tests and read-out are Python floats, which round as numpy's do."""
+def _two_phase(
+    form: StandardForm, table: np.ndarray, given: np.ndarray
+) -> list[tuple[tuple[int, ...], Status, int, Tableau | None]]:
+    """Run both simplex phases on *table*: *form*'s rows with one rhs
+    column per program, over a cost row that is overwritten here. *given*
+    holds each program's equilibrated rhs before phase 1, one column each.
+
+    Returns (ids, status, iterations, final tableau) for every block of rhs
+    columns that ended alike, in no fixed order: one entry for a table of
+    one column. The tableau is None where the block is infeasible or
+    *form* has no rows; each caller reads its points out of the rest.
+    Every step is elementwise per column, the phase-1 verdict included, so
+    each column's bits are those of a table of that column alone.
+    """
     total = form.column_count
+    ids = tuple(range(table.shape[1] - total))
     if not form.basis:
         # Only lower bounds constrain the problem; the minimum sits at the shift.
-        if min(form.objective, default=0.0) < 0.0:
-            return Status.UNBOUNDED, None, 0
-        return Status.OPTIMAL, form.shifts, 0
+        return [(ids, Status.UNBOUNDED if min(form.objective, default=0.0) < 0.0 else Status.OPTIMAL, 0, None)]
 
-    table = np.zeros((len(form.basis) + 1, total + 1))   # the body over a cost row
-    table[:-1] = form.body
-    basis = list(form.basis)
+    ended = []
     first = total - len(form.artificial_cols)   # the artificials are the last columns
-    before = 0
-    if first < total:
-        _price(table, [0.0] * first + [1.0] * (total - first), basis)
-        phase1, before, unbounded = _run_simplex(Tableau(table, basis))[0]
-        if unbounded:  # the phase-1 objective is bounded below by zero
-            raise LPError("phase 1 reported unbounded; input is numerically degenerate")
-        # A basic artificial is its own row's residual, so it is judged
-        # against that row's scale, max(1, |rhs|) in the row's own units as
-        # in check_rows: a row with a huge rhs cannot hide another's. In
-        # equilibrated units that is max(1 / row scale, equilibrated rhs).
-        rhs, given, scales = table[:, total].tolist(), form.body[:, total].tolist(), form.row_scales
-        for i, col in enumerate(basis):
-            if col >= first:
-                r = form.basis.index(col)
-                if rhs[i] > FEAS_TOL * max(1.0 / scales[r], given[r]):
-                    return Status.INFEASIBLE, None, before
-        redundant = _drive_out_artificials(phase1, first)
-        if redundant:
-            keep = [i for i in range(len(basis)) if i not in redundant]
-            table, basis = table[[*keep, len(basis)]], [basis[i] for i in keep]
+    starts = []   # phase-2 blocks: table, basis, ids, phase-1 iterations
+    if first == total:
+        starts.append((table, list(form.basis), ids, 0))
+    else:
+        _price(table, [0.0] * first + [1.0] * (total - first), form.basis)
+        for tableau, iterations, unbounded in _run_simplex(Tableau(table, list(form.basis), ids=ids)):
+            if unbounded:  # the phase-1 objective is bounded below by zero
+                raise LPError("phase 1 reported unbounded; input is numerically degenerate")
+            # A basic artificial is its own row's residual, so it is judged
+            # against that row's scale, max(1, |rhs|) in the row's own units as
+            # in check_rows: a row with a huge rhs cannot hide another's. In
+            # equilibrated units that is max(1 / row scale, equilibrated rhs).
+            # No column can fail once every artificial has left the basis.
+            at = [i for i, col in enumerate(tableau.basis) if col >= first]
+            if at:
+                of = [form.basis.index(tableau.basis[i]) for i in at]
+                scales = np.array(form.row_scales)[of, None]
+                band = FEAS_TOL * np.maximum(1.0 / scales, given[of][:, tableau.ids])
+                failed = (tableau.body[at, tableau.cols:] > band).any(axis=0).tolist()
+                if any(failed):
+                    ended.append((tuple(compress(tableau.ids, failed)), Status.INFEASIBLE, iterations, None))
+                    if all(failed):
+                        continue
+                    tableau = tableau.take(np.flatnonzero(np.logical_not(failed)))
+            redundant = _drive_out_artificials(tableau, first)
+            table, basis = tableau.table, tableau.basis
+            if redundant:
+                keep = [i for i in range(len(basis)) if i not in redundant]
+                table, basis = table[[*keep, len(basis)]], [basis[i] for i in keep]
+            starts.append((table, basis, tableau.ids, iterations))
 
     # Phase 2: original costs over the feasible basis; artificials barred.
-    _price(table, form.objective, basis)
-    _, iterations, unbounded = _run_simplex(Tableau(table, basis, form.artificial_cols))[0]
-    if unbounded:
-        return Status.UNBOUNDED, None, before + iterations
-    # Scatter the basic values into the point, then un-shift.
-    shifted = [0.0] * total
-    for j, value in zip(basis, table[:, total].tolist()):
-        shifted[j] = value
-    return Status.OPTIMAL, tuple([v + s for v, s in zip(shifted, form.shifts)]), before + iterations
+    for table, basis, ids, before in starts:
+        _price(table, form.objective, basis)
+        for tableau, iterations, unbounded in _run_simplex(Tableau(table, basis, form.artificial_cols, ids)):
+            ended.append((tableau.ids, Status.UNBOUNDED if unbounded else Status.OPTIMAL, before + iterations, tableau))
+    return ended
 
 
 @_in_float_range
@@ -701,7 +717,19 @@ def solve(lp: LinearProgram) -> Solution:
     LPError.
     """
     form = standardize(lp)
-    status, point, iterations = _two_phase_lone(form)
+    total = form.column_count
+    table = np.zeros((len(form.basis) + 1, total + 1))   # the body over a cost row
+    table[:-1] = form.body
+    [(_, status, iterations, final)] = _two_phase(form, table, form.body[:, total:])
+    point = None
+    if status is Status.OPTIMAL:
+        point = form.shifts   # no rows: the point is the shifts, -0.0 included
+        if final is not None:
+            # Scatter the basic values into the point, then un-shift, on Python floats.
+            shifted = [0.0] * total
+            for j, value in zip(final.basis, final.body[:, total].tolist()):
+                shifted[j] = value
+            point = tuple([v + s for v, s in zip(shifted, form.shifts)])
     return _build_solution(lp, lp.rows, status, point, iterations)
 
 

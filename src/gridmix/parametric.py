@@ -1,43 +1,42 @@
 """Parametric rhs analysis: one program solved at many right-hand sides.
 
-``_solve_block`` runs the block driver, ``_two_phase``: it solves one
-program at each row of a (k, m) rhs array and returns each row's status
-and pivot count, and one (k, n) array of the optimal points with their
-objectives. Two read-outs sit on it: ``solve_rhs`` reads each row's
-Solution out through ``solve``'s ``_build_solution``, and ``sweep`` reads
-its points straight from the arrays. ``solve_many`` groups a batch of
-programs that differ only in their constraints' rhs into one
-``solve_rhs`` call each, so the rhs shift, equilibration and sign flip
-live in one place. Rows of rhs whose standardized rhs have the same signs
-have the same tableau but for the rhs, so they share one: it carries one
-rhs column per row, and every pivot updates the whole block.
-When no standardized rhs is negative (a sweep's usual case) all rows
-share one tableau; otherwise they are grouped by one packed sign code
-each (``np.packbits``, any m). Each phase runs ``solve``'s pivot loop,
-``lp._run_simplex``, on the whole block: each pivot is chosen by
-``pivot_rule`` for the lead (first) column, and a column leaves its block
-only where its leaving row, its Bland flag (from its own stall count) or
-its phase-1 verdict differs from the lead's; it continues in a block of
-its own from the same state. This is parametric rhs analysis (Bertsimas
-& Tsitsiklis, *Introduction to Linear Optimization*, §5.2): one basis
-stays optimal over an interval of rhs values, so a sweep's grid needs
-few blocks. The phase-1 verdict and reading out the points are
-whole-array operations, a block of one column included; the verdict
-runs only while an artificial is basic. The bits
-match ``solve`` because every operation on the tableau is elementwise per
-column (the outer-product update, the priced cost row, the ratios and
-tolerances), and the objectives of all optimal points come from one
-stacked product, ``np.matmul(P[:, None, :], c[:, None])``: each (1, n)
-slice goes through the BLAS call of ``solve``'s ``np.dot(c, x)``, where
-a plain 2-D ``P @ c`` rounds differently. Two caveats: P must be
-C-contiguous, or numpy skips BLAS and the objective can move by an ulp;
-and at n = 1 ``np.dot`` is the bare product c*x, -0.0 included, where
-the stacked form gives +0.0, so the objective is that product.
+``_solve_block`` runs ``solve``'s two-phase driver, ``lp._two_phase``, on
+a tableau with one rhs column per row of a (k, m) rhs array, and reads
+out each row's status and pivot count, and one (k, n) array of the
+optimal points with their objectives. Two read-outs sit on it:
+``solve_rhs`` reads each row's Solution out through ``solve``'s
+``_build_solution``, and ``sweep`` reads its points straight from the
+arrays. ``solve_many`` groups a batch of programs that differ only in
+their constraints' rhs into one ``solve_rhs`` call each, so the rhs
+shift, equilibration and sign flip live in one place. Rows of rhs whose
+standardized rhs have the same signs have the same tableau but for the
+rhs, so they share one: it carries one rhs column per row, and every
+pivot updates the whole block. When no standardized rhs is negative (a
+sweep's usual case) all rows share one tableau; otherwise they are
+grouped by one packed sign code each (``np.packbits``, any m). Each
+pivot is chosen by ``pivot_rule`` for the lead (first) column, and a
+column leaves its block only where its leaving row, its Bland flag (from
+its own stall count) or its phase-1 verdict differs from the lead's; it
+continues in a block of its own from the same state. This is parametric
+rhs analysis (Bertsimas & Tsitsiklis, *Introduction to Linear
+Optimization*, §5.2): one basis stays optimal over an interval of rhs
+values, so a sweep's grid needs few blocks. The driver hands back each
+block's final tableau, and its points are scattered out as one array.
+The bits match ``solve`` because every operation on the tableau is
+elementwise per column (the outer-product update, the priced cost row,
+the ratios and tolerances, the phase-1 verdict), and the objectives of
+all optimal points come from one stacked product,
+``np.matmul(P[:, None, :], c[:, None])``: each (1, n) slice goes through
+the BLAS call of ``solve``'s ``np.dot(c, x)``, where a plain 2-D
+``P @ c`` rounds differently. Two caveats: P must be C-contiguous, or
+numpy skips BLAS and the objective can move by an ulp; and at n = 1
+``np.dot`` is the bare product c*x, -0.0 included, where the stacked
+form gives +0.0, so the objective is that product.
 
-The driver reads ``solve``'s pivot loop, pricing, read-out and
-thresholds as attributes of ``gridmix.lp`` when it runs
-(``lp_module._run_simplex``, ``lp_module.FEAS_TOL``, ...), so both
-drivers always run the same ones. ``solve`` loads none of this module.
+This module reads the driver, the standard form and the Solution
+read-out as attributes of ``gridmix.lp`` when it runs
+(``lp_module._two_phase``, ...), so it always runs ``solve``'s own.
+``solve`` loads none of this module.
 """
 
 from __future__ import annotations
@@ -46,87 +45,16 @@ import itertools
 import math
 import struct
 from collections.abc import Sequence
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lp as lp_module
-from .lp import (
-    _OUT_OF_RANGE, LinearProgram, LPError, Rows, Solution, StandardForm, Status, Tableau, ValidationError,
-    _in_float_range,
-)
+from .lp import _OUT_OF_RANGE, LinearProgram, LPError, Rows, Solution, Status, ValidationError, _in_float_range
 from .model import compile_sweep
 from .scenario import CAP_FIELDS, Scenario
 
 __all__ = ["SweepPoint", "solve_many", "solve_rhs", "sweep"]
-
-
-# (rhs columns, status, their (k, n) points when optimal, iterations)
-_Outcome = tuple[tuple[int, ...], Status, "np.ndarray | None", int]
-
-
-def _two_phase(form: StandardForm, table: np.ndarray) -> list[_Outcome]:
-    """Run both simplex phases on *table*: *form*'s rows with one rhs
-    column per program, over a cost row that is overwritten here. Returns
-    one outcome per block of rhs columns that ended alike, in no fixed
-    order.
-
-    The steps are ``lp._two_phase_lone``'s, taken on every column of a
-    block at once: the same pivot loop, and the phase-1 verdict and the
-    read-out of the points as whole arrays, elementwise, so each column's
-    bits are those of a lone solve.
-    """
-    total = form.column_count
-    ids = tuple(range(table.shape[1] - total))
-    if not form.basis:
-        # Only lower bounds constrain the problem; the minimum sits at the shift.
-        if min(form.objective, default=0.0) < 0.0:
-            return [(ids, Status.UNBOUNDED, None, 0)]
-        return [(ids, Status.OPTIMAL, np.tile(form.shifts, (len(ids), 1)), 0)]
-
-    outcomes: list[_Outcome] = []
-    first = total - len(form.artificial_cols)   # the artificials are the last columns
-    starts = []   # phase-2 blocks: table, basis, ids, phase-1 iterations
-    if first == total:
-        starts.append((table, list(form.basis), ids, 0))
-    else:
-        lp_module._price(table, [0.0] * first + [1.0] * (total - first), form.basis)
-        scales = np.array(form.row_scales)
-        given = table[:-1, total:].copy()    # each program's equilibrated rhs, before phase 1 pivots
-        for tableau, iterations, unbounded in lp_module._run_simplex(Tableau(table, list(form.basis), ids=ids)):
-            if unbounded:  # the phase-1 objective is bounded below by zero
-                raise LPError("phase 1 reported unbounded; input is numerically degenerate")
-            # Each basic artificial against its own row's scale, as in _two_phase_lone.
-            # No column can fail once every artificial has left the basis.
-            at = [i for i, col in enumerate(tableau.basis) if col >= first]
-            if at:
-                of = [form.basis.index(tableau.basis[i]) for i in at]
-                band = lp_module.FEAS_TOL * np.maximum(1.0 / scales[of, None], given[of][:, tableau.ids])
-                failed = (tableau.body[at, tableau.cols:] > band).any(axis=0).tolist()
-                if any(failed):
-                    outcomes.append((tuple(compress(tableau.ids, failed)), Status.INFEASIBLE, None, iterations))
-                    if all(failed):
-                        continue
-                    tableau = tableau.take(np.flatnonzero(np.logical_not(failed)))
-            redundant = lp_module._drive_out_artificials(tableau, first)
-            keep = [i for i in range(tableau.rows) if i not in redundant]
-            table = tableau.table[[*keep, tableau.rows]] if redundant else tableau.table
-            starts.append((table, [tableau.basis[i] for i in keep], tableau.ids, iterations))
-
-    # Phase 2: original costs over the feasible basis; artificials barred.
-    for table, basis, ids, before in starts:
-        lp_module._price(table, form.objective, basis)
-        for tableau, iterations, unbounded in lp_module._run_simplex(Tableau(table, basis, form.artificial_cols, ids)):
-            if unbounded:
-                outcomes.append((tableau.ids, Status.UNBOUNDED, None, before + iterations))
-                continue
-            # Scatter each column's basic values into its point, then un-shift.
-            points = np.zeros((len(tableau.ids), total))
-            points[:, tableau.basis] = tableau.body[:, tableau.cols:].T
-            points = points[:, : form.var_count] + np.array(form.shifts)
-            outcomes.append((tableau.ids, Status.OPTIMAL, points, before + iterations))
-    return outcomes
 
 
 def _shape(lp: LinearProgram) -> tuple:
@@ -215,14 +143,22 @@ def _solve_block(lp: LinearProgram, rhs: np.ndarray) -> _Block:
         total = form.column_count
         table = np.zeros((m + 1, total + len(picks)))   # _two_phase prices its last row, the cost row
         table[:-1, :total] = form.body[:, :-1]
-        table[:-1, total:] = shifted[:, picks]
-        for ids, outcome, block_points, count in _two_phase(form, table):
+        table[:-1, total:] = block_rhs = shifted[:, picks]
+        for ids, outcome, count, final in lp_module._two_phase(form, table, block_rhs):
             at = np.take(picks, ids)
             status[at] = outcome
             iterations[at] = count
-            if block_points is not None:
-                found.append(at)
-                points.append(block_points)
+            if outcome is not Status.OPTIMAL:
+                continue
+            if final is None:   # no rows: every point is the shifts, -0.0 included
+                block_points = np.tile(form.shifts, (len(ids), 1))
+            else:
+                # Scatter each column's basic values into its point, then un-shift.
+                block_points = np.zeros((len(ids), total))
+                block_points[:, final.basis] = final.body[:, total:].T
+                block_points = block_points[:, : lp.var_count] + np.array(form.shifts)
+            found.append(at)
+            points.append(block_points)
 
     # One stacked product, each point's own (1, n) product as in solve,
     # where a 2-D product would round differently (see above).

@@ -206,6 +206,12 @@ class Scenario:
                 raise ScenarioError(f"scenario {self.name!r}: per-period demand needs 3 periods")
             if sum(p.hours for p in self.periods) != 24:
                 raise ScenarioError(f"scenario {self.name!r}: period hours must sum to 24")
+        # Demand row i reads every source's i-th period fraction.
+        if self.periods and tuple(p.name for p in self.periods) != PERIOD_NAMES:
+            raise ScenarioError(
+                f"scenario {self.name!r}: periods must be {', '.join(PERIOD_NAMES)} in that order, "
+                f"got {', '.join(p.name for p in self.periods)}"
+            )
 
     def with_objective(self, mode: ObjectiveMode) -> "Scenario":
         return replace(self, objective_mode=mode)

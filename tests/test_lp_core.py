@@ -31,7 +31,7 @@ from gridmix.lp import (
 )
 from gridmix.model import CoefficientVariant, compile_scenario
 from gridmix.oracle import check_feasible
-from gridmix.parametric import solve_rhs
+from gridmix.parametric import solve_many, solve_rhs
 
 TD = CoefficientVariant.TABLE_DERIVED
 
@@ -416,7 +416,7 @@ def test_fuzz_against_oracle_small():
 
 
 # ---------------------------------------------------------------------------
-# the lone loop of solve against the block loop of solve_rhs
+# one column of solve against a block of solve_rhs
 
 
 def hexed(solution):
@@ -490,6 +490,20 @@ def test_lone_loop_branches_equal_the_block_loop(monkeypatch, program, status, o
     rhs = [c.rhs for c in lp.constraints]
     for given in (np.array([rhs]), np.array([rhs, *others])):
         assert hexed(solve_rhs(lp, given)[0]) == hexed(solution)
+
+
+@pytest.mark.parametrize("sense, status", [(Sense.MINIMIZE, Status.OPTIMAL), (Sense.MAXIMIZE, Status.UNBOUNDED)])
+def test_a_program_without_rows_has_solves_bits_in_every_caller(sense, status):
+    # Only lower bounds constrain it, so the minimum sits at the bounds,
+    # read out unchanged: the -0.0 bound stays -0.0, where 0.0 + -0.0
+    # would give +0.0.
+    lp = LinearProgram(sense, (1.0, 2.0), (), 2, lower_bounds=(-0.0, 3.0))
+    solution = solve(lp)
+    assert solution.status is status
+    if status is Status.OPTIMAL:
+        assert [v.hex() for v in solution.values] == ["-0x0.0p+0", "0x1.8000000000000p+1"]
+    for other in (*solve_rhs(lp, np.zeros((3, 0))), *solve_many([lp, lp])):
+        assert hexed(other) == hexed(solution)
 
 
 def test_a_block_of_one_rhs_column_skips_the_split_test(monkeypatch):

@@ -526,6 +526,18 @@ def test_periods_out_of_order_are_rejected(order, demand_mode):
         scenario_from_dict(doc)
 
 
+def test_a_scenario_built_with_periods_out_of_order_is_refused():
+    # Without the check this compiled demand_daytime with every source's
+    # early-morning fraction.
+    base = get_scenario("m2_period_demand")
+    early_morning, daytime, evening = base.periods
+    with pytest.raises(ScenarioError, match="periods must be early_morning, daytime, evening in that order"):
+        replace(base, periods=(daytime, early_morning, evening))
+    with pytest.raises(ScenarioError, match="got early_morning, evening, daytime"):
+        replace(base, demand_mode=DemandMode.FLAT_ANNUAL, periods=(early_morning, evening, daytime))
+    assert replace(base, periods=(early_morning, daytime, evening)) == base
+
+
 def test_readme_example_is_the_example_file():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     section = readme.split("## Scenario file format", 1)[1]
