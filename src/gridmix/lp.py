@@ -17,8 +17,11 @@ termination on degenerate instances.
 ``LinearProgram.rows`` is one dense view of a program's constraints and
 lower bounds, built once and read by ``standardize``, the binding set of
 a Solution, ``oracle.check_feasible`` and the vertex oracle.
-``check_rows`` is the only test of points against rows. Every threshold
-is a module constant below (ROW_TOL, FEAS_TOL, ...), never a parameter.
+``check_rows`` is the only test of points against rows. A Solution's
+read-out needs only its activities and binding set, so it runs
+``check_rows``' binding test, ``_binding``, alone, without the
+violations and satisfied masks. Every threshold is a module constant
+below (ROW_TOL, FEAS_TOL, ...), never a parameter.
 
 ``solve`` is deterministic to the bit, and tests/test_solve_golden.py pins
 every field of its Solutions. At this size a numpy call costs more than
@@ -196,11 +199,18 @@ def check_rows(rows: Rows, points: np.ndarray) -> tuple[np.ndarray, ...]:
 def _check_activity(rows: Rows, activity: np.ndarray) -> tuple[np.ndarray, ...]:
     """``check_rows`` for activities already computed. Every step is
     elementwise, so *rows*' rhs may hold one row of rhs per point."""
-    gap = activity - rows.rhs
-    distance = np.abs(gap)
-    binding = distance <= ROW_TOL * rows.scale
+    gap, distance, binding = _binding(rows, activity)
     satisfied = binding | (rows.sense * gap < 0.0)
     return activity, np.where(satisfied, 0.0, distance), satisfied, binding
+
+
+def _binding(rows: Rows, activity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``check_rows``' binding test of activities already computed: the gap
+    activity - rhs, its size, and the binding mask. A Solution's read-out
+    needs only the mask."""
+    gap = activity - rows.rhs
+    distance = np.abs(gap)
+    return gap, distance, distance <= ROW_TOL * rows.scale
 
 
 @dataclass(frozen=True)
@@ -479,9 +489,13 @@ def _price(table: np.ndarray, cost: Sequence[float], basis: list[int]) -> None:
     row[: len(cost)] = cost
     row[len(cost):] = 0.0
     # Basic columns are exact unit vectors, so no subtraction below changes
-    # a factor before its turn: all can be read up front.
+    # a factor before its turn: all can be read up front. A factor of
+    # exactly 1.0 (every phase-1 artificial row) subtracts the row itself,
+    # since 1.0 * x == x for every float.
     for i, factor in enumerate(row.take(basis).tolist()):
-        if factor != 0.0:
+        if factor == 1.0:
+            row -= table[i]
+        elif factor != 0.0:
             row -= factor * table[i]
 
 
@@ -682,9 +696,10 @@ def _two_phase(
             at = [i for i, col in enumerate(tableau.basis) if col >= first]
             if at:
                 of = [form.basis.index(tableau.basis[i]) for i in at]
-                scales = np.array(form.row_scales)[of, None]
-                band = FEAS_TOL * np.maximum(1.0 / scales, given[of][:, tableau.ids])
-                failed = (tableau.body[at, tableau.cols:] > band).any(axis=0).tolist()
+                floors = [[1.0 / form.row_scales[r]] for r in of]
+                band = np.maximum(floors, given.take(of, 0).take(tableau.ids, 1))
+                band *= FEAS_TOL
+                failed = (tableau.body.take(at, 0)[:, tableau.cols:] > band).any(0).tolist()
                 if any(failed):
                     ended.append((tuple(compress(tableau.ids, failed)), Status.INFEASIBLE, iterations, None))
                     if all(failed):
@@ -744,27 +759,15 @@ def _build_solution(
     None. Activities and the binding set are tested against *rows*: *lp*'s
     matrix and sense with the solved rhs, then the lower bounds."""
     if values is None:
-        empty = (0.0,) * lp.var_count
-        return Solution(
-            status=status,
-            values=empty,
-            objective_value=math.nan,
-            activities=(),
-            binding=frozenset(),
-            iterations=iterations,
-        )
+        return Solution(status, (0.0,) * lp.var_count, math.nan, (), frozenset(), iterations)
     objective = lp.objective_at(values)
     if not math.isfinite(objective):   # np.dot's overflow raises no floating-point flag
         raise LPError(f"{_OUT_OF_RANGE} (the objective is {objective})")
-    activity, _, _, binding = check_rows(rows, np.array([values]))
-    return Solution(
-        status=status,
-        values=values,
-        objective_value=objective,
-        activities=tuple(activity[0, : len(lp.constraints)].tolist()),
-        binding=frozenset(c.label for c, b in zip(lp.constraints, binding[0].tolist()) if b),
-        iterations=iterations,
-    )
+    m = len(lp.constraints)
+    activity = rows.matrix @ values    # check_rows' activities of the one point
+    binding = _binding(rows, activity)[2][:m].tolist()
+    labels = frozenset(compress([c.label for c in lp.constraints], binding))
+    return Solution(status, values, objective, tuple(activity[:m].tolist()), labels, iterations)
 
 
 # The three moved names still read as ``lp.<name>`` from outside the package

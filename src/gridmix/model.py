@@ -18,7 +18,9 @@ re-exported here, for callers that read them as ``gridmix.model.<name>``.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -66,25 +68,21 @@ def compile_scenario(scenario: Scenario) -> LinearProgram:
 
 
 # A capped row: its index, its label, the Scenario cap attribute it reads,
-# and its rhs as a function of that cap: of one value, or elementwise of an
-# array of values.
-_CapRow = tuple[int, str, str, Callable]
-
-
-def _same(cap):
-    return cap
+# and how its rhs follows from that cap: floor(cap / divisor), or cap +
+# offset where the divisor is None.
+_CapRow = tuple[int, str, str, "float | None", float]
 
 
 def _rhs_of(scenario_name: str, row: _CapRow, caps):
     """Capped *row*'s rhs at *caps*, one cap value or an array of them.
     Raises ScenarioError at the first cap whose rhs is past the float range."""
-    _, label, cap_name, rhs_at = row
+    _, label, cap_name, divisor, offset = row
     if isinstance(caps, np.ndarray):
         with np.errstate(over="ignore"):
-            rhs = rhs_at(caps)
+            rhs = caps + offset if divisor is None else np.floor(caps / divisor)
         past = caps[~np.isfinite(rhs)].tolist()
     else:
-        rhs = float(rhs_at(caps))
+        rhs = caps + offset if divisor is None else float(np.floor(caps / divisor))
         past = [] if math.isfinite(rhs) else [caps]
     if past:
         raise ScenarioError(
@@ -94,31 +92,16 @@ def _rhs_of(scenario_name: str, row: _CapRow, caps):
 
 
 def _compile(scenario: Scenario) -> tuple[LinearProgram, list[_CapRow]]:
-    """``compile_scenario``, plus every row a cap writes and how: each
-    capped row's rhs is written by its own function of the cap."""
+    """``compile_scenario``, plus every row a cap writes and how."""
     if not scenario.sources:
         raise ScenarioError(f"scenario {scenario.name!r}: at least one source is required")
     sources = scenario.sources
     n = len(sources)
-    objective = tuple(_objective_rate(s, scenario.objective_mode) for s in sources)
+    objective = tuple([_objective_rate(s, scenario.objective_mode) for s in sources])
     constraints: list[Constraint] = []
-    capped: list[_CapRow] = []
-
-    def cap_row(cap_name: str, rhs_at: Callable, coefficients, label: str, unit: str) -> None:
-        capped.append((len(constraints), label, cap_name, rhs_at))
-        rhs = _rhs_of(scenario.name, capped[-1], getattr(scenario, cap_name))
-        constraints.append(Constraint(tuple(coefficients), Relation.LE, rhs, label, ROW_UNITS[unit]))
 
     if scenario.demand_mode is DemandMode.FLAT_ANNUAL:
-        constraints.append(
-            Constraint(
-                coefficients=(1.0,) * n,
-                relation=Relation.GE,
-                rhs=scenario.annual_need,
-                label="demand",
-                unit=ROW_UNITS["demand"],
-            )
-        )
+        constraints.append(Constraint((1.0,) * n, Relation.GE, scenario.annual_need, "demand", ROW_UNITS["demand"]))
     else:
         for idx, period in enumerate(scenario.periods):
             coeffs = []
@@ -132,26 +115,17 @@ def _compile(scenario: Scenario) -> tuple[LinearProgram, list[_CapRow]]:
             if rhs is None:
                 rhs = scenario.annual_need * period.demand_fraction
             constraints.append(
-                Constraint(
-                    coefficients=tuple(coeffs),
-                    relation=Relation.GE,
-                    rhs=rhs,
-                    label=f"demand_{period.name}",
-                    unit=ROW_UNITS["demand"],
-                )
+                Constraint(tuple(coeffs), Relation.GE, rhs, f"demand_{period.name}", ROW_UNITS["demand"])
             )
 
+    # Each capped row: its cap attribute, coefficients, label, unit, divisor and offset.
+    caps: list[tuple[str, list[float], str, str, float | None, float]] = []
     if scenario.emissions_cap is not None:
-        cap_row("emissions_cap", _same, (s.emissions for s in sources), "emissions", "emissions")
-
+        caps.append(("emissions_cap", [s.emissions for s in sources], "emissions", "emissions", None, 0.0))
     if scenario.budget_cap is not None:
-        rate = (
-            (lambda s: s.capital_cost)
-            if scenario.budget_rates is BudgetRates.CAPITAL
-            else (lambda s: s.lcoe)
-        )
-        cap_row("budget_cap", _same, (rate(s) for s in sources), "budget", "budget")
-
+        capital = scenario.budget_rates is BudgetRates.CAPITAL
+        rates = [s.capital_cost if capital else s.lcoe for s in sources]
+        caps.append(("budget_cap", rates, "budget", "budget", None, 0.0))
     if scenario.space_mode is SpaceMode.SEPARATE_BOUNDS:
         for j, s in enumerate(sources):
             if s.rooftop_allowance > 0.0:
@@ -159,13 +133,14 @@ def _compile(scenario: Scenario) -> tuple[LinearProgram, list[_CapRow]]:
                     raise ScenarioError(
                         f"scenario {scenario.name!r}: rooftop source {s.name!r} needs a rooftop cap"
                     )
-                cap_name, rhs_at = "rooftop_cap", _same
+                cap_name, divisor = "rooftop_cap", None
             elif s.land_use > 0.0 and scenario.land_cap is not None:
-                cap_name, rhs_at = "land_cap", lambda cap, rate=s.land_use: np.floor(cap / rate)
+                cap_name, divisor = "land_cap", s.land_use
             else:
                 continue
-            coeffs = (1.0 if k == j else 0.0 for k in range(n))
-            cap_row(cap_name, rhs_at, coeffs, f"space_{s.name}", "space_bound")
+            unit = [0.0] * n
+            unit[j] = 1.0
+            caps.append((cap_name, unit, f"space_{s.name}", "space_bound", divisor, 0.0))
     else:
         if scenario.land_cap is None:
             raise ScenarioError(
@@ -173,7 +148,14 @@ def _compile(scenario: Scenario) -> tuple[LinearProgram, list[_CapRow]]:
             )
         # Rooftop-exempt output enters as an affine offset on the rhs.
         offset = sum(s.land_use * s.rooftop_allowance for s in sources)
-        cap_row("land_cap", lambda cap: cap + offset, (s.land_use for s in sources), "land", "land")
+        caps.append(("land_cap", [s.land_use for s in sources], "land", "land", None, offset))
+
+    capped: list[_CapRow] = []
+    for cap_name, coefficients, label, unit, divisor, offset in caps:
+        row = (len(constraints), label, cap_name, divisor, offset)
+        capped.append(row)
+        rhs = _rhs_of(scenario.name, row, getattr(scenario, cap_name))
+        constraints.append(Constraint(tuple(coefficients), Relation.LE, rhs, label, ROW_UNITS[unit]))
 
     return LinearProgram(
         sense=Sense.MINIMIZE,
@@ -211,7 +193,7 @@ def compile_sweep(scenario: Scenario, cap_name: str, values: Sequence[float]) ->
     m = len(program.constraints)
     rhs = np.tile(program.rows.rhs[:m], (len(caps), 1))
     for row in capped:
-        index, _, name, _ = row
+        index, _, name, *_ = row
         if name == cap_name:
             rhs[:, index] = _rhs_of(scenario.name, row, caps)
     return program, rhs
@@ -220,7 +202,7 @@ def compile_sweep(scenario: Scenario, cap_name: str, values: Sequence[float]) ->
 def cap_rows(scenario: Scenario, cap_name: str) -> tuple[str, ...]:
     """The labels of the rows whose rhs *scenario*'s *cap_name* writes; none
     when the cap bounds no row (see ``compile_sweep``)."""
-    return tuple(label for _, label, name, _ in _compile(scenario)[1] if name == cap_name)
+    return tuple(label for _, label, name, *_ in _compile(scenario)[1] if name == cap_name)
 
 
 # ---------------------------------------------------------------------------
@@ -256,42 +238,36 @@ def tabulate(scenario: Scenario, values: Sequence[float]) -> tuple[tuple[SourceR
     LP row bounds an uncapped rate, so the solve cannot catch it; every
     per-source amount is >= 0, so any infinite one makes its total infinite.
     """
-    rows = []
     per_period_mode = scenario.demand_mode is DemandMode.PER_PERIOD
+    mode = scenario.objective_mode
+    rows = []
     for s, value in zip(scenario.sources, values):
-        per_period = None
-        if per_period_mode and s.period_fractions is not None:
-            per_period = tuple(value * f for f in s.period_fractions)
+        fractions = s.period_fractions if per_period_mode else None
         rows.append(
             SourceReportRow(
-                source=s.name,
-                per_period=per_period,
-                annual=value,
-                land_ft2=s.land_use * max(0.0, value - s.rooftop_allowance),
-                emissions_g=s.emissions * value,
-                capital_usd=s.capital_cost * value,
-                objective=_objective_rate(s, scenario.objective_mode) * value,
+                s.name,
+                None if fractions is None else tuple([value * f for f in fractions]),
+                value,
+                s.land_use * max(0.0, value - s.rooftop_allowance),
+                s.emissions * value,
+                s.capital_cost * value,
+                _objective_rate(s, mode) * value,
             )
         )
-    amounts = {
-        "annual": sum(r.annual for r in rows),
-        "land_ft2": sum(r.land_ft2 for r in rows),
-        "emissions_g": sum(r.emissions_g for r in rows),
-        "capital_usd": sum(r.capital_usd for r in rows),
-        "objective": sum(r.objective for r in rows),
-    }
-    if not all(map(math.isfinite, amounts.values())):
-        overflowed = ", ".join(name for name, amount in amounts.items() if not math.isfinite(amount))
+    # One transposition; each total adds its column to 0 in source order.
+    # Not sum(): from Python 3.12 it compensates float sums, so a total's
+    # last bit would depend on the Python version.
+    _, periods, *columns = zip(*rows) if rows else ((),) * len(SourceReportRow._fields)
+    amounts = [reduce(add, column, 0) for column in columns]
+    if not all(map(math.isfinite, amounts)):
+        overflowed = ", ".join(
+            name for name, amount in zip(SourceReportRow._fields[2:], amounts) if not math.isfinite(amount)
+        )
         raise ScenarioError(f"scenario {scenario.name!r}: report totals past the float range: {overflowed}")
-    total = SourceReportRow(
-        source="total",
-        per_period=(
-            tuple(sum(r.per_period[i] for r in rows if r.per_period) for i in range(3))
-            if per_period_mode
-            else None
-        ),
-        **amounts,
-    )
+    per_period = None
+    if per_period_mode:
+        per_period = tuple(reduce(add, (p[i] for p in periods if p), 0) for i in range(3))
+    total = SourceReportRow("total", per_period, *amounts)
     return tuple(rows), total
 
 

@@ -311,10 +311,14 @@ def check_feasible(lp: LinearProgram, values: tuple[float, ...]) -> FeasibilityR
 
     Violations and binding tests are those of ``check_rows``, relative to
     each row's scale max(1, |rhs|), which keeps gram-scale rows (~1e12)
-    and fraction-scale demand rows comparable.
+    and fraction-scale demand rows comparable. Raises ValidationError
+    when *values* has the wrong length or a value that is not finite.
     """
     if len(values) != lp.var_count:
         raise ValidationError(f"expected {lp.var_count} values, got {len(values)}")
+    for name, value in zip(lp.variable_names, values):
+        if not math.isfinite(value):
+            raise ValidationError(f"the value of {name!r} is not finite: {value!r}")
     m = len(lp.constraints)
     rows = lp.rows
     activity, violation, satisfied, binding = (

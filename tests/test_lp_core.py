@@ -336,6 +336,18 @@ def test_check_feasible_length_mismatch():
         check_feasible(lp, (1.0,))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_check_feasible_refuses_a_value_that_is_not_finite(value):
+    # Let through, inf meets a 0.0 coefficient in check_rows' product, an
+    # invalid operation, and nan reads as an ordinary violation.
+    lp = compile_scenario(get_scenario("m1_flat_demand"))
+    names = lp.variable_names
+    with pytest.raises(ValidationError, match=f"^the value of {names[0]!r} is not finite: {value!r}$"):
+        check_feasible(lp, (value, 0.0))
+    with pytest.raises(ValidationError, match=f"^the value of {names[1]!r} is not finite"):
+        check_feasible(lp, (1.0, value))
+
+
 # ---------------------------------------------------------------------------
 # properties
 
