@@ -69,16 +69,19 @@ def _extra_catalog() -> dict[str, Scenario]:
 
 
 def _resolve_scenario(ref: str, variant: CoefficientVariant, base: str | None) -> Scenario:
+    """The scenario *ref* names. A ref with a .json suffix or a path
+    separator is a file; a bare word is a builtin or $GRIDMIX_CATALOG_DIR
+    scenario, else an existing file, so a shell redirect that creates a
+    file of that name first cannot shadow the scenario."""
     looks_like_path = ref.endswith(".json") or os.sep in ref
-    if looks_like_path or Path(ref).is_file():
+    extra = {} if looks_like_path else _extra_catalog()
+    named = ref in extra or ref in catalog.scenario_names()
+    if looks_like_path or (not named and Path(ref).is_file()):
         base_scenario = catalog.get_scenario(base, variant) if base else None
         return load_scenario_file(ref, base=base_scenario)
     if base:
         raise ScenarioError("--base only applies when solving a scenario file")
-    extra = _extra_catalog()
-    if ref in extra:
-        return extra[ref]
-    return catalog.get_scenario(ref, variant)
+    return extra[ref] if ref in extra else catalog.get_scenario(ref, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +214,7 @@ def _cmd_solve(args) -> int:
                 )
                 return 1
     records = [
-        {
-            "source": r.source,
-            "per_period_mwh": r.per_period,
-            **dict(zip(_AMOUNTS, (r.annual, r.land_ft2, r.emissions_g, r.capital_usd, r.objective))),
-        }
+        _record(r, per_period="per_period_mwh", annual="annual_mwh")
         for r in ((*rep.rows, rep.total) if rep.total else rep.rows)
     ]
     doc = {

@@ -35,11 +35,13 @@ A ``Tableau`` is one array: the body rows with the reduced-cost row
 stacked under them (Bertsimas & Tsitsiklis, *Introduction to Linear
 Optimization*, §3.6), so ``_apply_pivot``'s one outer product updates
 both. ``_run_simplex`` is the one pivot loop and ``_two_phase`` the one
-two-phase driver, each for a tableau of any number of rhs columns; the
-split test, ``_split_test``, runs only in blocks of two or more columns.
-The driver returns each block's status, pivot count and final tableau,
-and each caller keeps only its read-out: ``solve`` runs the driver on
-one column and reads its point out on Python floats.
+two-phase driver, each for a tableau of any number of rhs columns, and
+``_leaving_row`` the one ratio test: ``pivot_rule`` runs it on the lead
+column, and the split test, ``_split_test``, on every column of a block
+of two or more. The driver builds its table from the standard form and
+the callers' rhs columns, and returns each block's status, pivot count
+and final tableau; ``solve`` runs it on one column and reads its point
+out on Python floats.
 
 This module holds what ``solve`` runs. The read-out of one program at
 many rhs lives in ``gridmix.parametric``, and ``check_feasible`` with
@@ -428,10 +430,10 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | No
     """Pick the next (row, col) pivot for the lead rhs column, or None when
     no reduced cost is negative.
 
-    Default: Dantzig entering column with the smallest-ratio leaving row,
-    ratio ties broken toward the lowest row index. Bland: lowest-index
-    entering column, ratio ties broken toward the lowest basic variable
-    index, which prevents cycling.
+    Default: Dantzig entering column, and ``_leaving_row``'s smallest-ratio
+    row of the lead column, ratio ties broken toward the lowest row index.
+    Bland: lowest-index entering column, ratio ties broken toward the
+    lowest basic variable index, which prevents cycling.
 
     Raises _Unbounded when the chosen column has no positive pivot entry.
     """
@@ -448,23 +450,8 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | No
     if col < 0:
         return None
 
-    row = -1
-    best_ratio = math.inf
-    basis = tableau.basis
-    for i, (entry, rhs) in enumerate(zip(tableau.body[:, col].tolist(), tableau.body[:, cols].tolist())):
-        if entry <= PIVOT_TOL:
-            continue
-        ratio = rhs / entry
-        if row < 0:
-            row, best_ratio = i, ratio
-            continue
-        tie_band = PIVOT_TOL * max(1.0, abs(best_ratio))
-        if ratio < best_ratio - tie_band:
-            row, best_ratio = i, ratio
-        elif abs(ratio - best_ratio) <= tie_band and bland and basis[i] < basis[row]:
-            row = i
-        # default rule keeps the lowest row index already held on ties
-    if row < 0:
+    row = _leaving_row(tableau, col, bland, None)
+    if row is None:
         raise _Unbounded()
     return row, col
 
@@ -515,19 +502,22 @@ def _drive_out_artificials(tableau: Tableau, first: int) -> list[int]:
     return redundant
 
 
-def _split_test(tableau: Tableau, col: int, bland: bool, varies: list[bool]) -> np.ndarray | None:
-    """``pivot_rule``'s ratio test for entering column *col*, replayed on
-    every rhs column: a mask of the columns whose leaving row differs from
-    the lead's, or None when none can.
+def _leaving_row(tableau: Tableau, col: int, bland: bool, varies: list[bool] | None) -> int | np.ndarray | None:
+    """The ratio test for entering column *col*: the leaving row, as an
+    int while every rhs column agrees on it and as an array of each
+    column's row once they differ, or None when no row is eligible.
+
+    Rows whose entry in *col* exceeds PIVOT_TOL are eligible; ratios
+    within PIVOT_TOL * max(1, |best|) tie, and a tie keeps the lower row,
+    or under Bland's rule the lower basic variable index.
 
     Which rows are eligible depends on column *col* alone. A row whose flag
-    in *varies* is off holds the lead's rhs in every column (``==``, so
-    +0.0 and -0.0 alike), hence the lead's ratio; the fold's comparisons
-    and tie bands treat ±0 alike. So the fold runs on the lead's Python
-    floats, as in ``pivot_rule``, while every column holds the lead's
-    (row, best), and elementwise once a flagged row gives the columns
-    different states. A test whose eligible rows are all unflagged builds
-    no array.
+    in *varies* is off (None flags none) holds the lead's rhs in every
+    column (``==``, so +0.0 and -0.0 alike), hence the lead's ratio; the
+    comparisons and tie bands treat ±0 alike. So the fold runs on the
+    lead's Python floats while every column holds the lead's (row, best),
+    and elementwise once a flagged row gives the columns different states.
+    A test whose eligible rows are all unflagged builds no array.
     """
     cols, body, basis, tol = tableau.cols, tableau.body, tableau.basis, PIVOT_TOL
     lead = body[:, cols].tolist()
@@ -535,7 +525,7 @@ def _split_test(tableau: Tableau, col: int, bland: bool, varies: list[bool]) -> 
     for i, entry in enumerate(body[:, col].tolist()):
         if entry <= tol:
             continue
-        ratio = body[i, cols:] / entry if varies[i] else lead[i] / entry
+        ratio = body[i, cols:] / entry if varies and varies[i] else lead[i] / entry
         if row is None:
             row, best = i, ratio
             continue
@@ -556,6 +546,13 @@ def _split_test(tableau: Tableau, col: int, bland: bool, varies: list[bool]) -> 
         if take.any():
             row = np.where(take, i, row)
             best = np.where(lower, ratio, best)
+    return row
+
+
+def _split_test(tableau: Tableau, col: int, bland: bool, varies: list[bool]) -> np.ndarray | None:
+    """``_leaving_row`` on every rhs column: a mask of the columns whose
+    leaving row differs from the lead's, or None when none can."""
+    row = _leaving_row(tableau, col, bland, varies)
     return row != row[0] if type(row) is np.ndarray else None
 
 
@@ -586,13 +583,16 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     on the cost row and the Bland flag. Before a pivot, the columns whose
     leaving row or Bland flag differs from the lead's are split off into
     a block of their own, which continues from the same state; a block of
-    one column cannot split and skips that test. Each column's stall count
-    and best objective are kept as arrays and tested elementwise. A stall
-    count never exceeds the pivots taken, so no column can reach Bland's
-    rule before the block has taken ``stall_limit`` pivots: until then the
-    block only keeps a copy of the cost row's rhs entries before its first
-    pivot and after each one, split along with it, and replays that
-    history through the stall rule when it reaches the limit.
+    one column cannot split and skips that test.
+
+    Each block keeps one stall track, split along with it. A stall count
+    never exceeds the pivots taken, so no column can reach Bland's rule
+    before the block has taken ``stall_limit`` pivots. Until then the
+    track is the cost row's rhs entries before the first pivot and after
+    each one; the pivot that reaches the limit replays it through the
+    stall rule into [stall, best], each column's stall count and best
+    objective, which ``_stall_step`` steps from then on. So the pivot
+    count says which form a track holds.
 
     A tableau of two or more columns also keeps one flag per body row:
     whether that row's rhs can differ between the block's columns. The
@@ -606,22 +606,17 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     """
     cols = tableau.cols
     stall_limit = 2 * (tableau.rows + cols)
-    varies = None
+    varies = [False] * tableau.rows   # one column: no row differs
     if len(tableau.ids) > 1:
         rhs = tableau.body[:, cols:]
         varies = (rhs[:, 1:] != rhs[:, :1]).any(axis=1).tolist()
-    # (block, iterations, history or None once replayed, stall, best, varies)
-    todo = [(tableau, 0, [tableau.cost[cols:].copy()], None, None, varies)]
+    # (block, iterations, stall track, varies)
+    todo = [(tableau, 0, [tableau.cost[cols:].copy()], varies)]
     done: list[tuple[Tableau, int, bool]] = []
     while todo:
-        tableau, iterations, history, stall, best, varies = todo.pop()
+        tableau, iterations, track, varies = todo.pop()
         while True:
-            if history is not None and iterations >= stall_limit:
-                stall, best = np.zeros(len(tableau.ids), dtype=np.intp), history[0]
-                for current in history[1:]:
-                    stall, best = _stall_step(current, stall, best)
-                history = None
-            bland = history is None and stall[0] >= stall_limit
+            bland = iterations >= stall_limit and track[0][0] >= stall_limit
             try:
                 pivot = pivot_rule(tableau, bland=bland)
             except _Unbounded:
@@ -633,37 +628,35 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
             row, col = pivot
             if len(tableau.ids) > 1:
                 moved = _split_test(tableau, col, bland, varies)
-                if history is None:
-                    stalled = (stall >= stall_limit) != bland
+                if iterations >= stall_limit:
+                    stalled = (track[0] >= stall_limit) != bland
                     moved = stalled if moved is None else moved | stalled
                 if moved is not None and moved.any():
                     away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
-                    if history is None:
-                        todo.append((tableau.take(away), iterations, None, stall[away], best[away], varies))
-                        stall, best = stall[kept], best[kept]
-                    else:
-                        todo.append((tableau.take(away), iterations, [h[away] for h in history], None, None, varies))
-                        history = [h[kept] for h in history]
-                    tableau = tableau.take(kept)
+                    todo.append((tableau.take(away), iterations, [t[away] for t in track], varies))
+                    tableau, track = tableau.take(kept), [t[kept] for t in track]
                 if varies[row]:   # the pivot row mixes into every row it eliminates from
                     varies = [flag or entry != 0.0 for flag, entry in zip(varies, tableau.body[:, col].tolist())]
             _apply_pivot(tableau, row, col)
             iterations += 1
             if iterations > MAX_ITER:
                 raise IterationLimitError(f"no convergence within {MAX_ITER} iterations")
-            if history is None:
-                stall, best = _stall_step(tableau.cost[cols:], stall, best)
+            if iterations > stall_limit:
+                track = _stall_step(tableau.cost[cols:], *track)
             else:
-                history.append(tableau.cost[cols:].copy())
+                track.append(tableau.cost[cols:].copy())
+                if iterations == stall_limit:   # replay the history into [stall, best]
+                    stall, best = np.zeros(len(tableau.ids), dtype=np.intp), track[0]
+                    for current in track[1:]:
+                        stall, best = _stall_step(current, stall, best)
+                    track = [stall, best]
     return done
 
 
-def _two_phase(
-    form: StandardForm, table: np.ndarray, given: np.ndarray
-) -> list[tuple[tuple[int, ...], Status, int, Tableau | None]]:
-    """Run both simplex phases on *table*: *form*'s rows with one rhs
-    column per program, over a cost row that is overwritten here. *given*
-    holds each program's equilibrated rhs before phase 1, one column each.
+def _two_phase(form: StandardForm, given: np.ndarray) -> list[tuple[tuple[int, ...], Status, int, Tableau | None]]:
+    """Run both simplex phases on *form*'s rows with one rhs column per
+    program: *given* holds each program's standardized rhs, one column
+    each, in the place of *form*'s own.
 
     Returns (ids, status, iterations, final tableau) for every block of rhs
     columns that ended alike, in no fixed order: one entry for a table of
@@ -673,11 +666,14 @@ def _two_phase(
     each column's bits are those of a table of that column alone.
     """
     total = form.column_count
-    ids = tuple(range(table.shape[1] - total))
+    ids = tuple(range(given.shape[1]))
     if not form.basis:
         # Only lower bounds constrain the problem; the minimum sits at the shift.
         return [(ids, Status.UNBOUNDED if min(form.objective, default=0.0) < 0.0 else Status.OPTIMAL, 0, None)]
 
+    table = np.zeros((len(form.basis) + 1, total + len(ids)))   # the body over a cost row, priced below
+    table[:-1, :total] = form.body[:, :total]
+    table[:-1, total:] = given
     ended = []
     first = total - len(form.artificial_cols)   # the artificials are the last columns
     starts = []   # phase-2 blocks: table, basis, ids, phase-1 iterations
@@ -733,9 +729,7 @@ def solve(lp: LinearProgram) -> Solution:
     """
     form = standardize(lp)
     total = form.column_count
-    table = np.zeros((len(form.basis) + 1, total + 1))   # the body over a cost row
-    table[:-1] = form.body
-    [(_, status, iterations, final)] = _two_phase(form, table, form.body[:, total:])
+    [(_, status, iterations, final)] = _two_phase(form, form.body[:, total:])
     point = None
     if status is Status.OPTIMAL:
         point = form.shifts   # no rows: the point is the shifts, -0.0 included

@@ -141,10 +141,7 @@ def _solve_block(lp: LinearProgram, rhs: np.ndarray) -> _Block:
     for picks in groups:
         form = lp_module._standardize(lp, given[:, picks[0]])
         total = form.column_count
-        table = np.zeros((m + 1, total + len(picks)))   # _two_phase prices its last row, the cost row
-        table[:-1, :total] = form.body[:, :-1]
-        table[:-1, total:] = block_rhs = shifted[:, picks]
-        for ids, outcome, count, final in lp_module._two_phase(form, table, block_rhs):
+        for ids, outcome, count, final in lp_module._two_phase(form, shifted[:, picks]):
             at = np.take(picks, ids)
             status[at] = outcome
             iterations[at] = count

@@ -348,6 +348,25 @@ def test_any_argv_exits_with_a_documented_code(argv):
     assert err.getvalue() == "" or err.getvalue().startswith(("gridmix", "usage:")), (argv, err.getvalue())
 
 
+def test_a_file_named_like_a_catalog_scenario_does_not_shadow_it(tmp_path, capsys, monkeypatch):
+    # `gridmix solve m1_flat_demand > m1_flat_demand`: the shell creates the
+    # empty file before the command runs.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m1_flat_demand").write_text("")
+    code, out, err = run(capsys, "solve", "m1_flat_demand")
+    assert (code, err) == (0, "")
+    assert "25,621,059" in out
+    # A path-like ref still reads the file, and so does a bare word that
+    # names no scenario.
+    code, _, err = run(capsys, "solve", os.path.join(".", "m1_flat_demand"))
+    assert code == 1 and "m1_flat_demand" in err
+    scenario = scenario_to_dict(get_scenario("m1_flat_demand"))
+    scenario["name"] = "my_city"
+    (tmp_path / "my_city").write_text(json.dumps(scenario))
+    code, out, _ = run(capsys, "solve", "my_city")
+    assert code == 0 and "scenario: my_city" in out
+
+
 def test_base_requires_file(capsys):
     code, _, err = run(capsys, "solve", "m1_flat_demand", "--base", "m2_period_demand")
     assert code == 1

@@ -3,7 +3,9 @@ columns can differ. Each block keeps one flag per body row: off means
 every column holds the lead's rhs there (``==``, so ±0 alike). These tests
 pin that the flags never miss a row that differs, and that the split test
 marks exactly the columns that the full elementwise replay of
-``pivot_rule``'s ratio test, frozen below, sends to another row.
+``pivot_rule``'s ratio test, frozen below, sends to another row. Both run
+one fold, ``lp._leaving_row``, so ``pivot_rule``'s leaving row is checked
+against the replay's lead column too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from gridmix import cli, lp as lp_module
 from gridmix.lp import PIVOT_TOL as TOL
-from gridmix.lp import LPError, Tableau, solve_rhs
+from gridmix.lp import LPError, Tableau, pivot_rule, solve_rhs
 
 from test_stall_replay import CAPS, capped_cycling_program, degenerate_families
 
@@ -61,11 +63,13 @@ OFFSETS = [0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]
 
 
 def block(entries: list[float], rhs: list[list[float]], basis: list[int]) -> Tableau:
-    """A block tableau whose entering column 0 holds *entries*, with one
-    row of *rhs* per entry and one rhs column per item of each row."""
+    """A block tableau whose entering column 0, the only one with a
+    negative reduced cost, holds *entries*, with one row of *rhs* per
+    entry and one rhs column per item of each row."""
     m, k = len(rhs), len(rhs[0])
     table = np.zeros((m + 1, m + 1 + k))
     table[:-1, 0] = entries
+    table[-1, 0] = -1.0
     table[:-1, m + 1:] = rhs
     return Tableau(table, basis, ids=tuple(range(k)))
 
@@ -111,6 +115,11 @@ def test_the_split_test_marks_the_columns_the_frozen_replay_moves(case):
     moved = lp_module._split_test(tableau, col, bland, varies)
     expected = [False] * len(tableau.ids) if rows is None else (rows != rows[0]).tolist()
     assert ([False] * len(tableau.ids) if moved is None else moved.tolist()) == expected
+    if rows is None:
+        with pytest.raises(lp_module._Unbounded):
+            pivot_rule(tableau, bland=bland)
+    else:
+        assert pivot_rule(tableau, bland=bland) == (rows[0], col)
 
 
 def test_a_test_whose_eligible_rows_all_hold_the_leads_rhs_splits_nothing():

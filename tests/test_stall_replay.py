@@ -1,7 +1,8 @@
-"""The block loop's stall counts are kept lazily: until a block has taken
-``stall_limit`` pivots it keeps only the cost row's rhs entries, split
-along with the block, and replays them through ``solve``'s stall rule at
-the limit. These tests pin that a block split off long before the limit
+"""The block loop keeps its stall counts lazily, in one stall track per
+block: until the block has taken ``stall_limit`` pivots the track holds
+only the cost row's rhs entries, split along with the block, replayed
+through ``solve``'s stall rule on the pivot that reaches the limit. These
+tests pin that a block split off long before the limit
 still reaches Bland's rule on the pivot ``solve`` does, and that small
 degenerate families keep the bits of ``solve``.
 """
