@@ -36,12 +36,12 @@ stacked under them (Bertsimas & Tsitsiklis, *Introduction to Linear
 Optimization*, §3.6), so ``_apply_pivot``'s one outer product updates
 both. ``_run_simplex`` is the one pivot loop and ``_two_phase`` the one
 two-phase driver, each for a tableau of any number of rhs columns, and
-``_leaving_row`` the one ratio test: ``pivot_rule`` runs it on the lead
-column, and the split test, ``_split_test``, on every column of a block
-of two or more. The driver builds its table from the standard form and
-the callers' rhs columns, and returns each block's status, pivot count
-and final tableau; ``solve`` runs it on one column and reads its point
-out on Python floats.
+``_leaving_row`` the one ratio test, run once per pivot by ``pivot_rule``
+on every column of a block, whose leaving rows also say which columns
+split off. The driver builds its table from the standard form and the
+callers' rhs columns, and returns each block's status, pivot count and
+final tableau; ``solve`` runs it on one column and reads its point out
+on Python floats.
 
 This module holds what ``solve`` runs. The read-out of one program at
 many rhs lives in ``gridmix.parametric``, and ``check_feasible`` with
@@ -225,6 +225,11 @@ class LinearProgram:
     variable_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.sense) is not Sense:   # the member, also when given its value string
+            try:
+                object.__setattr__(self, "sense", Sense(self.sense))
+            except ValueError:
+                raise ValidationError(f"sense: expected one of {sorted(s.value for s in Sense)}, got {self.sense!r}") from None
         if self.var_count <= 0:
             raise ValidationError("var_count must be positive")
         if len(self.objective) != self.var_count:
@@ -299,8 +304,6 @@ class StandardForm(NamedTuple):
     body: np.ndarray                # (m, total_cols + 1), rhs last
     objective: tuple[float, ...]    # minimization cost of each column, zero past the structural ones
     var_count: int
-    slack_cols: tuple[int, ...]
-    surplus_cols: tuple[int, ...]
     artificial_cols: tuple[int, ...]
     basis: tuple[int, ...]          # each row's slack or artificial column: the phase-1 basis
     row_scales: tuple[float, ...]   # divisor applied to each original row
@@ -345,28 +348,18 @@ def _standardize(lp: LinearProgram, given: np.ndarray) -> StandardForm:
     n_slack = sense.count(1.0)
     n_surplus = sense.count(-1.0)
     total = n + m + n_surplus
-    slack_cols: list[int] = []
-    surplus_cols: list[int] = []
-    artificial_cols: list[int] = []
+    first = n + n_slack + n_surplus   # the artificials are the last columns
+    # Each kind of column is handed out in row order.
+    slacks = iter(range(n, n + n_slack))
+    surpluses = iter(range(n + n_slack, first))
+    artificials = iter(range(first, total))
     basis: list[int] = []
-    next_slack = n
-    next_surplus = n + n_slack
-    next_artificial = n + n_slack + n_surplus
     for row, b, s in zip(scaled, rhs, sense):
         row += [0.0] * (total - n)
         row.append(b)
         if s < 0.0:
-            row[next_surplus] = -1.0
-            surplus_cols.append(next_surplus)
-            next_surplus += 1
-        if s > 0.0:
-            basic = next_slack
-            slack_cols.append(basic)
-            next_slack += 1
-        else:
-            basic = next_artificial
-            artificial_cols.append(basic)
-            next_artificial += 1
+            row[next(surpluses)] = -1.0
+        basic = next(slacks) if s > 0.0 else next(artificials)
         row[basic] = 1.0
         basis.append(basic)
 
@@ -375,9 +368,7 @@ def _standardize(lp: LinearProgram, given: np.ndarray) -> StandardForm:
         body=np.array(scaled, dtype=float).reshape(m, total + 1),
         objective=tuple([sign * c for c in lp.objective] + [0.0] * (total - n)),
         var_count=n,
-        slack_cols=tuple(slack_cols),
-        surplus_cols=tuple(surplus_cols),
-        artificial_cols=tuple(artificial_cols),
+        artificial_cols=tuple(range(first, total)),
         basis=tuple(basis),
         row_scales=tuple(scales),
         shifts=tuple(shifts.tolist()),
@@ -398,11 +389,11 @@ class Tableau:
     of the k programs named in ``ids``. ``body`` is a view of its first m
     rows and ``cost`` of its last: the reduced-cost row, whose rhs entries
     hold each program's negated objective value. ``basis[i]`` is the
-    column basic in row i. The first rhs column leads: ``pivot_rule`` reads
-    it.
+    column basic in row i. The first rhs column leads. ``varies`` holds
+    the row flags of a block of two or more (see ``_run_simplex``).
     """
 
-    __slots__ = ("body", "cost", "basis", "blocked", "ids", "table", "cols")
+    __slots__ = ("body", "cost", "basis", "blocked", "ids", "table", "cols", "varies")
 
     def __init__(
         self,
@@ -410,9 +401,10 @@ class Tableau:
         basis: list[int],
         blocked: Sequence[int] = (),            # columns barred from entering
         ids: tuple[int, ...] = (0,),            # the program of each rhs column
+        varies: list[bool] | None = None,       # per body row: may its rhs differ between columns
     ) -> None:
         self.table, self.body, self.cost = table, table[:-1], table[-1]
-        self.basis, self.blocked, self.ids = basis, blocked, ids
+        self.basis, self.blocked, self.ids, self.varies = basis, blocked, ids, varies
         self.cols = table.shape[1] - len(ids)   # N, the matrix columns
 
     @property
@@ -420,20 +412,23 @@ class Tableau:
         return self.body.shape[0]
 
     def take(self, picks: np.ndarray) -> Tableau:
-        """A copy holding only the rhs columns at positions *picks*."""
+        """A copy holding only the rhs columns at positions *picks*; one column has no row flags."""
         index = np.concatenate((np.arange(self.cols), self.cols + picks))
         ids = tuple(map(self.ids.__getitem__, picks.tolist()))
-        return Tableau(self.table[:, index], list(self.basis), self.blocked, ids)
+        varies = self.varies if len(ids) > 1 else None
+        return Tableau(self.table[:, index], list(self.basis), self.blocked, ids, varies)
 
 
-def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | None:
-    """Pick the next (row, col) pivot for the lead rhs column, or None when
-    no reduced cost is negative.
+def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int | np.ndarray, int] | None:
+    """Pick the next (row, col) pivot, or None when no reduced cost is
+    negative.
 
     Default: Dantzig entering column, and ``_leaving_row``'s smallest-ratio
-    row of the lead column, ratio ties broken toward the lowest row index.
-    Bland: lowest-index entering column, ratio ties broken toward the
-    lowest basic variable index, which prevents cycling.
+    row, ratio ties broken toward the lowest row index. Bland:
+    lowest-index entering column, ratio ties broken toward the lowest basic
+    variable index, which prevents cycling. The row is an int while every
+    rhs column agrees on it (always without row flags), else an array of
+    each column's row, the lead's first.
 
     Raises _Unbounded when the chosen column has no positive pivot entry.
     """
@@ -450,7 +445,7 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int, int] | No
     if col < 0:
         return None
 
-    row = _leaving_row(tableau, col, bland, None)
+    row = _leaving_row(tableau, col, bland)
     if row is None:
         raise _Unbounded()
     return row, col
@@ -502,7 +497,7 @@ def _drive_out_artificials(tableau: Tableau, first: int) -> list[int]:
     return redundant
 
 
-def _leaving_row(tableau: Tableau, col: int, bland: bool, varies: list[bool] | None) -> int | np.ndarray | None:
+def _leaving_row(tableau: Tableau, col: int, bland: bool) -> int | np.ndarray | None:
     """The ratio test for entering column *col*: the leaving row, as an
     int while every rhs column agrees on it and as an array of each
     column's row once they differ, or None when no row is eligible.
@@ -511,15 +506,15 @@ def _leaving_row(tableau: Tableau, col: int, bland: bool, varies: list[bool] | N
     within PIVOT_TOL * max(1, |best|) tie, and a tie keeps the lower row,
     or under Bland's rule the lower basic variable index.
 
-    Which rows are eligible depends on column *col* alone. A row whose flag
-    in *varies* is off (None flags none) holds the lead's rhs in every
-    column (``==``, so +0.0 and -0.0 alike), hence the lead's ratio; the
+    Which rows are eligible depends on column *col* alone. A row whose
+    flag in ``tableau.varies`` is off (every row, without flags) holds the
+    lead's rhs in every column, hence the lead's ratio; the
     comparisons and tie bands treat ±0 alike. So the fold runs on the
     lead's Python floats while every column holds the lead's (row, best),
     and elementwise once a flagged row gives the columns different states.
     A test whose eligible rows are all unflagged builds no array.
     """
-    cols, body, basis, tol = tableau.cols, tableau.body, tableau.basis, PIVOT_TOL
+    cols, body, basis, varies, tol = tableau.cols, tableau.body, tableau.basis, tableau.varies, PIVOT_TOL
     lead = body[:, cols].tolist()
     row = best = None
     for i, entry in enumerate(body[:, col].tolist()):
@@ -549,13 +544,6 @@ def _leaving_row(tableau: Tableau, col: int, bland: bool, varies: list[bool] | N
     return row
 
 
-def _split_test(tableau: Tableau, col: int, bland: bool, varies: list[bool]) -> np.ndarray | None:
-    """``_leaving_row`` on every rhs column: a mask of the columns whose
-    leaving row differs from the lead's, or None when none can."""
-    row = _leaving_row(tableau, col, bland, varies)
-    return row != row[0] if type(row) is np.ndarray else None
-
-
 def _stall_step(current: np.ndarray, stall: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stall rule for one pivot, elementwise: each column's stall count
     and best objective after its cost row's rhs entry became *current*.
@@ -581,9 +569,10 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
 
     The columns of a block share its entering column, which depends only
     on the cost row and the Bland flag. Before a pivot, the columns whose
-    leaving row or Bland flag differs from the lead's are split off into
-    a block of their own, which continues from the same state; a block of
-    one column cannot split and skips that test.
+    leaving row (an array from ``pivot_rule`` once the columns' rows
+    differ) or Bland flag differs from the lead's are split off into a
+    block of their own, which continues from the same state, and the
+    block pivots on the lead's row. A block of one column cannot split.
 
     Each block keeps one stall track, split along with it. A stall count
     never exceeds the pivots taken, so no column can reach Bland's rule
@@ -594,27 +583,24 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
     objective, which ``_stall_step`` steps from then on. So the pivot
     count says which form a track holds.
 
-    A tableau of two or more columns also keeps one flag per body row:
-    whether that row's rhs can differ between the block's columns. The
-    flags are set here by comparing each row with the lead column (``!=``,
-    so +0.0 and -0.0 count as equal) and are carried along on every split.
-    A pivot on an unflagged row keeps every unflagged row equal; after a
-    pivot on a flagged row, every row with a nonzero entry in the pivot
-    column is flagged too. The split test reads the columns apart only at
-    flagged rows, and a test whose eligible rows are all unflagged splits
-    nothing and builds no array.
+    A tableau of two or more columns also keeps its row flags,
+    ``Tableau.varies``: whether each body row's rhs can differ between the
+    block's columns. They are set here by comparing each row with the lead
+    column (``!=``, so +0.0 and -0.0 count as equal), and ``Tableau.take``
+    carries them into both halves of a split. A pivot on an unflagged row
+    keeps every unflagged row equal; after a pivot on a flagged row, every
+    row with a nonzero entry in the pivot column is flagged too.
     """
     cols = tableau.cols
     stall_limit = 2 * (tableau.rows + cols)
-    varies = [False] * tableau.rows   # one column: no row differs
     if len(tableau.ids) > 1:
         rhs = tableau.body[:, cols:]
-        varies = (rhs[:, 1:] != rhs[:, :1]).any(axis=1).tolist()
-    # (block, iterations, stall track, varies)
-    todo = [(tableau, 0, [tableau.cost[cols:].copy()], varies)]
+        tableau.varies = (rhs[:, 1:] != rhs[:, :1]).any(axis=1).tolist()
+    # (block, iterations, stall track)
+    todo = [(tableau, 0, [tableau.cost[cols:].copy()])]
     done: list[tuple[Tableau, int, bool]] = []
     while todo:
-        tableau, iterations, track, varies = todo.pop()
+        tableau, iterations, track = todo.pop()
         while True:
             bland = iterations >= stall_limit and track[0][0] >= stall_limit
             try:
@@ -626,17 +612,18 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
                 done.append((tableau, iterations, False))
                 break
             row, col = pivot
-            if len(tableau.ids) > 1:
-                moved = _split_test(tableau, col, bland, varies)
-                if iterations >= stall_limit:
-                    stalled = (track[0] >= stall_limit) != bland
-                    moved = stalled if moved is None else moved | stalled
-                if moved is not None and moved.any():
-                    away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
-                    todo.append((tableau.take(away), iterations, [t[away] for t in track], varies))
-                    tableau, track = tableau.take(kept), [t[kept] for t in track]
-                if varies[row]:   # the pivot row mixes into every row it eliminates from
-                    varies = [flag or entry != 0.0 for flag, entry in zip(varies, tableau.body[:, col].tolist())]
+            moved = None
+            if type(row) is np.ndarray:   # the block's columns leave by different rows
+                moved, row = row != row[0], int(row[0])
+            if iterations >= stall_limit:
+                stalled = (track[0] >= stall_limit) != bland
+                moved = stalled if moved is None else moved | stalled
+            if moved is not None and moved.any():
+                away, kept = np.flatnonzero(moved), np.flatnonzero(~moved)
+                todo.append((tableau.take(away), iterations, [t[away] for t in track]))
+                tableau, track = tableau.take(kept), [t[kept] for t in track]
+            if (varies := tableau.varies) and varies[row]:   # the pivot row mixes into every row it eliminates from
+                tableau.varies = [flag or entry != 0.0 for flag, entry in zip(varies, tableau.body[:, col].tolist())]
             _apply_pivot(tableau, row, col)
             iterations += 1
             if iterations > MAX_ITER:

@@ -186,8 +186,9 @@ def compile_sweep(scenario: Scenario, cap_name: str, values: Sequence[float]) ->
         raise ScenarioError(f"scenario {scenario.name!r}: no {cap_name} values to sweep")
     program, capped = _compile(scenario.with_cap(cap_name, values[0]))
     caps = np.asarray(values, dtype=float)
-    with np.errstate(invalid="ignore"):   # nan compares false
-        bad = np.flatnonzero(~(np.isfinite(caps) & (caps > 0.0)))
+    ok = np.isfinite(caps)
+    ok[ok] = caps[ok] > 0.0   # compares finite values only
+    bad = np.flatnonzero(~ok)
     if len(bad):
         _check_cap(scenario.name, cap_name, float(caps[bad[0]]))   # raises
     m = len(program.constraints)
@@ -201,7 +202,10 @@ def compile_sweep(scenario: Scenario, cap_name: str, values: Sequence[float]) ->
 
 def cap_rows(scenario: Scenario, cap_name: str) -> tuple[str, ...]:
     """The labels of the rows whose rhs *scenario*'s *cap_name* writes; none
-    when the cap bounds no row (see ``compile_sweep``)."""
+    when the cap bounds no row (see ``compile_sweep``). An unknown cap
+    raises ScenarioError."""
+    if cap_name not in CAP_FIELDS.values():
+        raise ScenarioError(f"unknown cap {cap_name!r}")
     return tuple(label for _, label, name, *_ in _compile(scenario)[1] if name == cap_name)
 
 

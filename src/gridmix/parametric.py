@@ -14,10 +14,11 @@ rhs, so they share one: it carries one rhs column per row, and every
 pivot updates the whole block. When no standardized rhs is negative (a
 sweep's usual case) all rows share one tableau; otherwise they are
 grouped by one packed sign code each (``np.packbits``, any m). Each
-pivot is chosen by ``pivot_rule`` for the lead (first) column, and a
-column leaves its block only where its leaving row, its Bland flag (from
-its own stall count) or its phase-1 verdict differs from the lead's; it
-continues in a block of its own from the same state. This is parametric
+pivot is chosen by ``pivot_rule``, whose one ratio test gives every
+column's leaving row, and a column leaves its block only where its
+leaving row, its Bland flag (from its own stall count) or its phase-1
+verdict differs from the lead's (first) column's; it continues in a
+block of its own from the same state. This is parametric
 rhs analysis (Bertsimas & Tsitsiklis, *Introduction to Linear
 Optimization*, §5.2): one basis stays optimal over an interval of rhs
 values, so a sweep's grid needs few blocks. The driver hands back each
@@ -100,24 +101,18 @@ class _Block(NamedTuple):
 
 
 @_in_float_range
-def _solve_block(lp: LinearProgram, rhs: np.ndarray) -> _Block:
-    """The simplex of ``solve_rhs`` without its read-out: every row's
-    status and pivot count, and the points and objectives of the optimal
-    rows. Raises what ``solve_rhs`` raises, objective overflow included.
+def _solve_block(lp: LinearProgram, given: np.ndarray) -> _Block:
+    """The simplex of ``solve_rhs`` without its read-out, on a (k, m) rhs
+    *given* already checked: every row's status and pivot count, and the
+    points and objectives of the optimal rows. Raises what ``solve_rhs``
+    raises past that check, objective overflow included.
 
     Rows whose standardized rhs have the same signs share one tableau.
     When no standardized rhs is negative, every row shares one; otherwise a
     row's signs are packed into one code of ceil(m / 8) bytes, and one
     stable sort of the codes groups the rows in order of first appearance.
     """
-    m = len(lp.constraints)
-    given = np.asarray(rhs, dtype=float)
-    if given.ndim != 2 or given.shape[1] != m:
-        raise ValidationError(f"rhs has shape {given.shape}; expected (k, {m})")
-    finite = np.isfinite(given).all(axis=0).tolist()
-    if not all(finite):
-        raise ValidationError(f"constraint {lp.constraints[finite.index(False)].label!r}: rhs is not finite")
-    k = len(given)
+    k, m = given.shape
     given = given.T
     view = lp.rows
     # standardize's rhs of every row at once: shifted, equilibrated, flipped to >= 0
@@ -182,12 +177,19 @@ def solve_rhs(lp: LinearProgram, rhs: np.ndarray) -> tuple[Solution, ...]:
     out each row's Solution against that row's rhs, as ``solve`` does. An
     error that ``solve`` would raise for any row is raised here.
     """
-    status, iterations, at, points, _ = _solve_block(lp, rhs)
+    m = len(lp.constraints)
+    given = np.asarray(rhs, dtype=float)
+    if given.ndim != 2 or given.shape[1] != m:
+        raise ValidationError(f"rhs has shape {given.shape}; expected (k, {m})")
+    finite = np.isfinite(given).all(axis=0).tolist()
+    if not all(finite):
+        raise ValidationError(f"constraint {lp.constraints[finite.index(False)].label!r}: rhs is not finite")
+    status, iterations, at, points, _ = _solve_block(lp, given)
     found = dict(zip(at.tolist(), map(tuple, points.tolist())))
     view = lp.rows
-    bounds = view.rhs[len(lp.constraints):]
+    bounds = view.rhs[m:]
     solutions = []
-    for k, row in enumerate(np.asarray(rhs, dtype=float)):
+    for k, row in enumerate(given):
         rows = Rows(view.matrix, np.concatenate((row, bounds)), view.sense)
         solutions.append(lp_module._build_solution(lp, rows, status[k], found.get(k), iterations[k]))
     return tuple(solutions)

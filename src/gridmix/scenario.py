@@ -191,6 +191,10 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
+        for key, kind in (*_ENUM_FIELDS.items(), ("budget_rates", BudgetRates)):
+            value = getattr(self, key)
+            if type(value) is not kind:   # its value string becomes the member; anything else is refused
+                object.__setattr__(self, key, _enum(value, kind, f"scenario {self.name!r}: {key}", ScenarioError))
         if not (math.isfinite(self.annual_need) and self.annual_need > 0.0):
             raise ScenarioError(f"scenario {self.name!r}: annual need must be finite and > 0")
         names = [s.name for s in self.sources]
@@ -266,10 +270,10 @@ def _positive(value: float, where: str) -> float:
     return value
 
 
-def _enum(value, kind: type[Enum], where: str):
+def _enum(value, kind: type[Enum], where: str, error: type[ScenarioError] = ScenarioFormatError):
     values = [m.value for m in kind]
     if not isinstance(value, str) or value not in values:
-        raise ScenarioFormatError(f"{where}: expected one of {sorted(values)}, got {value!r}")
+        raise error(f"{where}: expected one of {sorted(values)}, got {value!r}")
     return kind(value)
 
 

@@ -14,7 +14,7 @@ from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense, Stat
 from gridmix.model import CoefficientVariant, ObjectiveMode, cap_rows, compile_scenario, compile_sweep
 from gridmix.oracle import UnsupportedSizeError, _near, check_feasible, corner_report, enumerate_vertices, oracle_solve
 from gridmix.parametric import SweepPoint, sweep
-from gridmix.scenario import CAP_FIELDS
+from gridmix.scenario import CAP_FIELDS, ScenarioError
 
 AP = CoefficientVariant.AS_PRINTED
 TD = CoefficientVariant.TABLE_DERIVED
@@ -286,6 +286,22 @@ def test_cap_rows_is_empty_exactly_where_no_row_compiles():
         if not cap_rows(get_scenario(name, variant).with_cap(field, _DEFAULT_CAPS[field]), field)
     }
     assert empty == _RHS_BLIND
+
+
+def test_cap_rows_of_an_unknown_cap_raises_scenario_error():
+    with pytest.raises(ScenarioError, match="^unknown cap 'foo'$"):
+        cap_rows(get_scenario("m4_nuclear"), "foo")
+
+
+def test_compile_sweep_refuses_the_first_bad_value_before_a_later_nan():
+    # The value check compares finite values only, so a NaN raises no
+    # floating-point error even where invalid operations raise.
+    scenario = get_scenario("m4_nuclear")
+    with pytest.raises(ScenarioError) as first:
+        scenario.with_cap("land_cap", -1.0)
+    with np.errstate(all="raise"), pytest.raises(ScenarioError) as raised:
+        compile_sweep(scenario, "land_cap", [1e10, -1.0, math.nan])
+    assert str(raised.value) == str(first.value)
 
 
 def test_sweep_unknown_parameter():

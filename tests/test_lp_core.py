@@ -30,7 +30,7 @@ from gridmix.lp import (
     standardize,
 )
 from gridmix.model import CoefficientVariant, compile_scenario
-from gridmix.oracle import check_feasible
+from gridmix.oracle import check_feasible, oracle_solve
 from gridmix.parametric import solve_many, solve_rhs
 
 TD = CoefficientVariant.TABLE_DERIVED
@@ -130,6 +130,23 @@ def test_maximize_sense():
     assert sol.objective_value == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize("sense", [Sense.MINIMIZE, "minimize"])
+def test_a_sense_given_as_its_value_string_is_its_member(sense):
+    # Every reader tests the sense with ``is``: a value string kept as a
+    # str would maximize this program, to 20.
+    rows = (Constraint((1.0, 1.0), Relation.GE, 3.0, "floor"), Constraint((1.0, 1.0), Relation.LE, 10.0, "cap"))
+    lp = LinearProgram(sense, (1.0, 2.0), rows, 2)
+    assert lp.sense is Sense.MINIMIZE
+    assert solve(lp).objective_value == 3.0
+    assert oracle_solve(lp).objective == 3.0
+
+
+@pytest.mark.parametrize("sense", ["bogus", "MINIMIZE", None, 1, Relation.LE])
+def test_a_sense_that_is_no_member_nor_its_value_string_is_refused(sense):
+    with pytest.raises(ValidationError, match="^sense: "):
+        LinearProgram(sense, (1.0,), (), 1)
+
+
 def test_equality_constraint():
     lp = lp_min(
         [1.0, 1.0],
@@ -213,19 +230,24 @@ def test_objective_matches_dot_product():
 # standardize
 
 
+def slack_and_surplus_counts(form) -> tuple[int, int]:
+    """The slack columns are the phase-1 basis's non-artificial columns;
+    every column past the structural and basic ones is a surplus."""
+    slack = sum(col not in form.artificial_cols for col in form.basis)
+    return slack, form.column_count - form.var_count - len(form.basis)
+
+
 def test_standardize_single_le_row():
     lp = lp_min([1.0, 1.0], [Constraint((1.0, 2.0), Relation.LE, 5.0, "cap")])
     form = standardize(lp)
     assert form.column_count == 3
-    assert len(form.slack_cols) == 1
-    assert len(form.surplus_cols) == 0
+    assert slack_and_surplus_counts(form) == (1, 0)
     assert len(form.artificial_cols) == 0
 
 
 def test_standardize_m2_slack_surplus_counts():
     form = standardize(compile_scenario(get_scenario("m2_period_demand")))
-    assert len(form.surplus_cols) == 3
-    assert len(form.slack_cols) == 4
+    assert slack_and_surplus_counts(form) == (4, 3)
 
 
 def test_standardize_shifts_nuclear_floor():
@@ -242,8 +264,7 @@ def test_standardize_flips_negative_rhs():
     lp = lp_min([1.0], [Constraint((-1.0,), Relation.LE, -2.0, "neg")])
     form = standardize(lp)
     # -x <= -2 becomes x >= 2: surplus plus artificial, no slack.
-    assert len(form.slack_cols) == 0
-    assert len(form.surplus_cols) == 1
+    assert slack_and_surplus_counts(form) == (0, 1)
     assert len(form.artificial_cols) == 1
     sol = solve(lp)
     assert sol.values == pytest.approx((2.0,))
@@ -518,23 +539,32 @@ def test_a_program_without_rows_has_solves_bits_in_every_caller(sense, status):
         assert hexed(other) == hexed(solution)
 
 
-def test_a_block_of_one_rhs_column_skips_the_split_test(monkeypatch):
-    # A block of one column can never split, so the block loop runs the
-    # split test only on blocks of two or more, here over the long grids
-    # that the sweep golden pins.
-    widths = []
-    split_test = lp_module._split_test
+def test_a_one_column_tableau_carries_no_flags_and_pivot_rule_returns_an_int_row(monkeypatch):
+    # A block of one column can never split, so it carries no row flags
+    # and its ratio test runs on the lead's floats alone: in solve, in
+    # solve_rhs of one rhs row, and in the long grids that the sweep golden
+    # pins, which pivot only on blocks of two or more.
+    seen = []   # (rhs columns, flagged, the row's type) of every pivot
+    rule = lp_module.pivot_rule
 
-    def spy(tableau, col, bland, varies):
-        widths.append(len(tableau.ids))
-        return split_test(tableau, col, bland, varies)
+    def spy(tableau, *, bland=False):
+        pivot = rule(tableau, bland=bland)
+        if pivot is not None:
+            seen.append((len(tableau.ids), tableau.varies is not None, type(pivot[0])))
+        return pivot
 
-    monkeypatch.setattr(lp_module, "_split_test", spy)
+    monkeypatch.setattr(lp_module, "pivot_rule", spy)
     golden = Path(__file__).parent / "data" / "sweep_golden.json"
     for entry in json.loads(golden.read_text()):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(list(entry["argv"])) == entry["exit"]
-    assert widths and min(widths) > 1
+    program = compile_scenario(get_scenario("m4_nuclear"))
+    solve(program)
+    solve_rhs(program, np.array([[c.rhs for c in program.constraints]]))
+    lone = {(flagged, kind) for width, flagged, kind in seen if width == 1}
+    assert lone == {(False, int)}
+    assert {flagged for width, flagged, _ in seen if width > 1} == {True}
+    assert {kind for width, _, kind in seen if width > 1} == {int, np.ndarray}
 
 
 # ---------------------------------------------------------------------------

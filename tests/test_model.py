@@ -14,6 +14,7 @@ from gridmix.lp import Relation, Solution, Status, solve
 from gridmix.model import compile_scenario, report
 from gridmix.scenario import (
     PERIOD_NAMES,
+    BudgetRates,
     CoefficientVariant,
     DayPeriod,
     DemandMode,
@@ -113,6 +114,38 @@ def test_compile_is_deterministic():
     a = compile_scenario(get_scenario("m5_geothermal"))
     b = compile_scenario(get_scenario("m5_geothermal"))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "field, value, member",
+    [
+        ("objective_mode", "emissions", ObjectiveMode.EMISSIONS),
+        ("demand_mode", "flat_annual", DemandMode.FLAT_ANNUAL),
+        ("space_mode", "shared_land", SpaceMode.SHARED_LAND),
+        ("coefficient_variant", "table_derived", CoefficientVariant.TABLE_DERIVED),
+        ("budget_rates", "lcoe", BudgetRates.LCOE),
+    ],
+)
+def test_an_enum_field_given_as_its_value_string_holds_its_member(field, value, member):
+    # Readers test these fields with ``is``: a value string kept as a str
+    # took the wrong branch (no demand row, the emissions objective).
+    m1 = get_scenario("m1_flat_demand")
+    scenario = replace(m1, **{field: value})
+    assert getattr(scenario, field) is member
+    assert compile_scenario(scenario) == compile_scenario(replace(m1, **{field: member}))
+
+
+def test_an_objective_given_as_its_value_string_compiles_its_rates():
+    m1 = get_scenario("m1_flat_demand")
+    assert compile_scenario(m1.with_objective("lcoe")).objective == tuple(s.lcoe for s in m1.sources)
+    assert compile_scenario(replace(m1, demand_mode="flat_annual")).constraints[0].label == "demand"
+
+
+@pytest.mark.parametrize("field", ["objective_mode", "demand_mode", "space_mode", "coefficient_variant", "budget_rates"])
+@pytest.mark.parametrize("value", ["bogus", None, 1, "LCOE"])
+def test_an_enum_field_that_is_no_member_nor_its_value_string_is_refused(field, value):
+    with pytest.raises(ScenarioError, match=f"^scenario 'm1_flat_demand': {field}: expected one of "):
+        replace(get_scenario("m1_flat_demand"), **{field: value})
 
 
 def test_unit_coherence():

@@ -18,8 +18,7 @@ DATACLASSES = {"scenario.Scenario", "scenario.EnergySource", "scenario.DayPeriod
 # dataclass fields.
 NAMED_TUPLES = {
     "lp.Solution": ("status", "values", "objective_value", "activities", "binding", "iterations"),
-    "lp.StandardForm": ("body", "objective", "var_count", "slack_cols", "surplus_cols", "artificial_cols",
-                        "basis", "row_scales", "shifts"),
+    "lp.StandardForm": ("body", "objective", "var_count", "artificial_cols", "basis", "row_scales", "shifts"),
     "model.SourceReportRow": ("source", "per_period", "annual", "land_ft2", "emissions_g", "capital_usd",
                               "objective"),
     "model.ScenarioReport": ("scenario", "variant", "status", "objective_mode", "objective_value", "rows",

@@ -1,11 +1,11 @@
-"""The block loop's split test reads only the rows where a block's rhs
-columns can differ. Each block keeps one flag per body row: off means
-every column holds the lead's rhs there (``==``, so ±0 alike). These tests
-pin that the flags never miss a row that differs, and that the split test
-marks exactly the columns that the full elementwise replay of
-``pivot_rule``'s ratio test, frozen below, sends to another row. Both run
-one fold, ``lp._leaving_row``, so ``pivot_rule``'s leaving row is checked
-against the replay's lead column too.
+"""The block loop's ratio test reads only the rows where a block's rhs
+columns can differ. Each block's tableau carries one flag per body row,
+``Tableau.varies``: off means every column holds the lead's rhs there
+(``==``, so ±0 alike). These tests pin that the flags never miss a row
+that differs, that ``pivot_rule``'s leaving rows mark exactly the columns
+that the full elementwise replay of the ratio test, frozen below, sends
+to another row, and that each pivot runs that test, ``lp._leaving_row``,
+once.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def leaving_rows_frozen(tableau: Tableau, col: int, bland: bool) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the split test against the frozen replay
+# pivot_rule's leaving rows against the frozen replay
 
 
 # Entering-column entries: ineligible (negative, zero, exactly PIVOT_TOL)
@@ -109,26 +109,34 @@ def block_tableaux(draw):
 # those shared steps were right.
 @example((block([1.0, 1.0, 1.0], [[0.0, -0.0], [-TOL, -TOL], [-1.5 * TOL, 0.0]], [1, 2, 3]), 0, False, [False, False, True]))
 @example((block([1.0, 1.0, 1.0], [[0.0, 0.0], [TOL, TOL], [0.0, 3 * TOL]], [3, 1, 2]), 0, True, [False, False, True]))
-def test_the_split_test_marks_the_columns_the_frozen_replay_moves(case):
+def test_the_leaving_rows_mark_the_columns_the_frozen_replay_moves(case):
     tableau, col, bland, varies = case
     rows = leaving_rows_frozen(tableau, col, bland)
-    moved = lp_module._split_test(tableau, col, bland, varies)
     expected = [False] * len(tableau.ids) if rows is None else (rows != rows[0]).tolist()
-    assert ([False] * len(tableau.ids) if moved is None else moved.tolist()) == expected
-    if rows is None:
-        with pytest.raises(lp_module._Unbounded):
-            pivot_rule(tableau, bland=bland)
-    else:
-        assert pivot_rule(tableau, bland=bland) == (rows[0], col)
+    for flags in (varies, None):   # the block's flags, then none: the lead alone
+        tableau.varies = flags
+        if rows is None:
+            with pytest.raises(lp_module._Unbounded):
+                pivot_rule(tableau, bland=bland)
+            continue
+        row, entered = pivot_rule(tableau, bland=bland)
+        moved = row != row[0] if type(row) is np.ndarray else None
+        if flags is None:
+            assert moved is None and (row, entered) == (rows[0], col)
+        else:
+            assert ([False] * len(tableau.ids) if moved is None else moved.tolist()) == expected
+            assert (row if moved is None else row[0], entered) == (rows[0], col)
 
 
 def test_a_test_whose_eligible_rows_all_hold_the_leads_rhs_splits_nothing():
     # Row 1 varies but is not eligible; row 0 holds +0 and -0, and row 2's
     # ratio ties with it inside the band, where Bland's rule takes row 2.
     tableau = block([1.0, -1.0, 1.0], [[0.0, -0.0, 0.0], [5.0, 1.0, 7.0], [TOL / 2] * 3], [3, 2, 1])
+    tableau.varies = [False, True, False]
     for bland, row in ((False, 0), (True, 2)):
         assert leaving_rows_frozen(tableau, 0, bland).tolist() == [row] * 3
-        assert lp_module._split_test(tableau, 0, bland, [False, True, False]) is None
+        pivot = pivot_rule(tableau, bland=bland)
+        assert pivot == (row, 0) and type(pivot[0]) is int
 
 
 # ---------------------------------------------------------------------------
@@ -136,30 +144,37 @@ def test_a_test_whose_eligible_rows_all_hold_the_leads_rhs_splits_nothing():
 
 
 def check_flags(patch: pytest.MonkeyPatch) -> list[int]:
-    """Before every split test of the block loop, check that each unflagged
-    row holds ``==`` rhs in every column of its block. Returns the running
-    counts of (split tests, unflagged rows seen)."""
+    """Before every ``pivot_rule`` call of the block loop on a tableau
+    with row flags, check that each unflagged row holds ``==`` rhs in
+    every column of its block. Returns the running counts of (flagged
+    calls, unflagged rows seen)."""
     counts = [0, 0]
-    split_test = lp_module._split_test
+    rule = lp_module.pivot_rule
 
-    def checked(tableau, col, bland, varies):
-        rhs = tableau.body[:, tableau.cols:]
-        same = (rhs == rhs[:, :1]).all(axis=1).tolist()
-        assert all(same[i] for i, flag in enumerate(varies) if not flag)
-        counts[0] += 1
-        counts[1] += varies.count(False)
-        return split_test(tableau, col, bland, varies)
+    def checked(tableau, *, bland=False):
+        varies = tableau.varies
+        if varies is not None:
+            rhs = tableau.body[:, tableau.cols:]
+            same = (rhs == rhs[:, :1]).all(axis=1).tolist()
+            assert all(same[i] for i, flag in enumerate(varies) if not flag)
+            counts[0] += 1
+            counts[1] += varies.count(False)
+        return rule(tableau, bland=bland)
 
-    patch.setattr(lp_module, "_split_test", checked)
+    patch.setattr(lp_module, "pivot_rule", checked)
     return counts
 
 
-def test_unflagged_rows_are_equal_at_every_pivot_of_the_golden_sweeps(monkeypatch):
-    counts = check_flags(monkeypatch)
+def run_sweep_goldens() -> None:
     golden = Path(__file__).parent / "data" / "sweep_golden.json"
     for entry in json.loads(golden.read_text()):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(list(entry["argv"])) == entry["exit"]
+
+
+def test_unflagged_rows_are_equal_at_every_pivot_of_the_golden_sweeps(monkeypatch):
+    counts = check_flags(monkeypatch)
+    run_sweep_goldens()
     tests, unflagged = counts
     assert tests > 50 and unflagged > tests   # more than one unflagged row per test on average
 
@@ -177,3 +192,40 @@ def test_unflagged_rows_are_equal_at_every_pivot_of_small_degenerate_families(fa
     with pytest.MonkeyPatch.context() as patch, contextlib.suppress(LPError):
         check_flags(patch)
         solve_rhs(family[0], np.array([[c.rhs for c in program.constraints] for program in family]))
+
+
+# ---------------------------------------------------------------------------
+# one ratio test per pivot
+
+
+def test_each_pivot_of_the_golden_sweeps_runs_the_ratio_test_once(monkeypatch):
+    # A block's leaving rows come from the same fold that picks the lead's
+    # row, so no ratio test runs outside pivot_rule and each pivot runs one.
+    rule, fold = lp_module.pivot_rule, lp_module._leaving_row
+    running = [None]   # ratio tests of the pivot_rule call in progress, None outside one
+    stray = [0]        # ratio tests outside any pivot_rule call
+    pivots = []        # (rhs columns, ratio tests) of every call that returned a pivot
+
+    def counted_fold(*args):
+        if running[0] is None:
+            stray[0] += 1
+        else:
+            running[0] += 1
+        return fold(*args)
+
+    def counted_rule(tableau, *, bland=False):
+        running[0] = 0
+        try:
+            pivot = rule(tableau, bland=bland)
+        finally:
+            tests, running[0] = running[0], None
+        if pivot is not None:
+            pivots.append((len(tableau.ids), tests))
+        return pivot
+
+    monkeypatch.setattr(lp_module, "_leaving_row", counted_fold)
+    monkeypatch.setattr(lp_module, "pivot_rule", counted_rule)
+    run_sweep_goldens()
+    assert stray == [0]
+    assert {tests for _, tests in pivots} == {1}
+    assert sum(width > 1 for width, _ in pivots) > 50
