@@ -11,7 +11,8 @@ their pre-split module for the benchmark and the pinned tests, and
 nothing in the package imports it; ROADMAP item 8 (*Imports*) is the
 benchmark change that lets it go. The scenario, catalog and derivation
 modules load neither numpy nor ``gridmix.lp``, and ``gridmix.lp`` loads
-neither the block loop nor the oracle.
+neither the block loop nor the oracle, nor numpy until its array form
+first runs.
 """
 
 from importlib import import_module

@@ -406,18 +406,21 @@ def main(argv: list[str] | None = None) -> int:
     guard = contextlib.nullcontext()
     if getattr(args, "solves", False):
         # The solver commands (``solves=True`` on their subparser), and
-        # only they, load numpy and the LP layer, so only they can raise
-        # LPError. The guard covers them: magnitudes
-        # past the float range in numpy arithmetic (the LP and sweep arrays)
-        # would otherwise print an answer built on inf or nan. Report
-        # amounts are Python floats, which never raise: ``tabulate`` checks
-        # its totals and raises ScenarioError instead.
-        import numpy as np
-
+        # only they, load the LP layer, so only they can raise LPError.
+        # ``lp.solve`` guards its own arithmetic. The commands that run
+        # numpy arithmetic outside it (the sweep arrays, the oracle and the
+        # audit) run under numpy's guard, since magnitudes past the float
+        # range would otherwise print an answer built on inf or nan; a
+        # plain solve loads no numpy. Report amounts are Python floats,
+        # which never raise: ``tabulate`` checks its totals and raises
+        # ScenarioError instead.
         from .lp import LPError
 
         input_errors += (LPError,)
-        guard = np.errstate(over="raise", invalid="raise")
+        if args.func is not _cmd_solve or args.oracle:
+            import numpy as np
+
+            guard = np.errstate(over="raise", invalid="raise")
     try:
         with guard:
             code = args.func(args)

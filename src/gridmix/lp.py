@@ -31,7 +31,19 @@ floats round exactly as numpy's. Numpy stays where the order of a sum
 fixes the result: the pivot's outer product, the priced-out cost rows,
 and ``@``/``np.dot`` for activities and objectives.
 
-A ``Tableau`` is one array: the body rows with the reduced-cost row
+A table has two forms, and the driver, the loop and the ratio test run
+on both. The array form is one numpy array. The list form is a list of
+Python float rows for one rhs column: each elementwise step repeats
+numpy's operations in numpy's order, and its products call the BLAS
+``ddot`` and ``dgemv`` of numpy's wheel through ``ctypes`` on the shapes
+numpy's ``@`` and ``np.dot`` pass them, so both forms give the same bits.
+Its steps raise numpy's FloatingPointError where the array form's
+``errstate`` would. ``solve`` runs the list form while numpy is not
+loaded, so a cold ``gridmix solve`` never imports it, and the array form
+otherwise, or when the wheel's library is not found. This module imports
+numpy only when the array form first runs.
+
+A ``Tableau`` is one table: the body rows with the reduced-cost row
 stacked under them (Bertsimas & Tsitsiklis, *Introduction to Linear
 Optimization*, §3.6), so ``_apply_pivot``'s one outer product updates
 both. ``_run_simplex`` is the one pivot loop and ``_two_phase`` the one
@@ -55,15 +67,33 @@ benchmark and the pinned tests, still resolve here: ``solve_many``,
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import os
+import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from importlib import import_module
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
-import numpy as np
+
+class _Deferred:
+    """numpy, imported at the first attribute read. That read rebinds ``np``
+    in the module that made this stand-in, so every later read is the
+    module itself, and code that never reads ``np`` never imports numpy."""
+
+    def __init__(self, namespace: dict) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _Deferred(globals())
 
 __all__ = [
     "Relation",
@@ -121,6 +151,98 @@ def _in_float_range(func):
             raise LPError(f"{_OUT_OF_RANGE} ({exc})") from None
 
     return guarded
+
+
+def _finite(values, ufunc: str):
+    """*values* when each is finite, else the FloatingPointError numpy's
+    ``errstate(over="raise")`` raises for *ufunc*: the list form's range
+    check. Every input of a list-form step is finite, so a result that is
+    not finite is an overflow."""
+    if not all(map(math.isfinite, values)):
+        raise FloatingPointError(f"overflow encountered in {ufunc}")
+    return values
+
+
+# ---------------------------------------------------------------------------
+# the BLAS of numpy's wheel, without numpy
+
+_BLAS_SYMBOLS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_")   # the wheel's names, not an API
+
+
+def _find_openblas() -> str | None:
+    """The OpenBLAS that numpy's wheel bundles (``numpy.libs/libscipy_openblas64_*.so``),
+    found without importing numpy, or None."""
+    from importlib.util import find_spec
+
+    spec = find_spec("numpy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    libs = os.path.join(os.path.dirname(spec.submodule_search_locations[0]), "numpy.libs")
+    try:
+        names = sorted(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_") and n.endswith(".so"))
+    except OSError:
+        return None
+    return os.path.join(libs, names[0]) if names else None
+
+
+@cache
+def _blas() -> tuple[Callable, Callable] | None:
+    """(dot, gemv) on Python float lists, through the library
+    ``_find_openblas`` names: ddot of two vectors, and dgemv of a flat
+    C-ordered matrix and a vector. None where the library or one of its
+    symbols is missing."""
+    path = _find_openblas()
+    if path is None:
+        return None
+    try:
+        import ctypes
+
+        library = ctypes.CDLL(path)
+        ddot, dgemv = (getattr(library, name) for name in _BLAS_SYMBOLS)
+    except (ImportError, OSError, AttributeError):
+        return None
+    double, index, vector = ctypes.c_double, ctypes.c_int64, ctypes.POINTER(ctypes.c_double)
+    ddot.argtypes, ddot.restype = (index, vector, index, vector, index), double
+    dgemv.argtypes = (ctypes.c_int, ctypes.c_int, index, index, double, vector, index, vector, index, double, vector,
+                      index)
+    dgemv.restype = None
+
+    def dot(a: list[float], b: list[float]) -> float:
+        n = len(a)
+        return ddot(n, (double * n)(*a), 1, (double * n)(*b), 1)
+
+    def gemv(flat: list[float], x: list[float]) -> list[float]:
+        # numpy's call for a C-ordered (r, n) matrix: column-major, transposed
+        n, r = len(x), len(flat) // len(x)
+        out = (double * r)()
+        dgemv(102, 112, n, r, 1.0, (double * len(flat))(*flat), n, (double * n)(*x), 1, 0.0, out, 1)
+        return out[:]
+
+    return dot, gemv
+
+
+def _matvec(flat: list[float], x: list[float]) -> list[float]:
+    """numpy's ``matrix @ x`` for a C-ordered *flat* matrix of len(x)
+    columns, to the bit: one row is a ddot, one column (or no row) the
+    rounded products added to 0.0, any other shape a dgemv."""
+    n = len(x)
+    r = len(flat) // n
+    dot, gemv = _blas()
+    if r == 1:
+        out = [dot(flat, x)]
+    elif n == 1 or r == 0:
+        out = [0.0 + a * x[0] for a in flat]
+    else:
+        out = gemv(flat, x)
+    return _finite(out, "matmul")
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """numpy's ``np.dot`` of two vectors, to the bit: the bare product of
+    one term, else a ddot."""
+    a, b = [*map(float, a)], list(b)
+    [out] = _finite([a[0] * b[0] if len(a) == 1 else _blas()[0](a, b)], "dot")
+    return out
 
 
 class _Unbounded(Exception):
@@ -260,18 +382,29 @@ class LinearProgram:
     def objective_at(self, values: tuple[float, ...] | np.ndarray) -> float:
         return float(np.dot(self.objective, values))
 
-    @cached_property
-    def rows(self) -> Rows:
-        """Every half-space of the feasible region: the constraints in
-        order, then ``x_i >= lower_bounds[i]``."""
-        n, m = self.var_count, len(self.constraints)
+    def _half_spaces(self) -> tuple[list[float], list[float], list[float]]:
+        """Every half-space of the feasible region, the constraints in
+        order and then ``x_i >= lower_bounds[i]``: the flat C-ordered
+        matrix, the rhs and the sense, as given."""
+        n = self.var_count
         units = [0.0] * (n * n)                # unit lower-bound rows below the constraints
         units[:: n + 1] = [1.0] * n
-        return Rows(
-            matrix=np.array([a for c in self.constraints for a in c.coefficients] + units).reshape(m + n, n),
-            rhs=np.array([c.rhs for c in self.constraints] + list(self.lower_bounds), dtype=float),
-            sense=np.array([_SENSE[c.relation] for c in self.constraints] + [-1.0] * n),
+        return (
+            [a for c in self.constraints for a in c.coefficients] + units,
+            [c.rhs for c in self.constraints] + list(self.lower_bounds),
+            [_SENSE[c.relation] for c in self.constraints] + [-1.0] * n,
         )
+
+    @cached_property
+    def rows(self) -> Rows:
+        """Every half-space of the feasible region as arrays."""
+        matrix, rhs, sense = self._half_spaces()
+        return Rows(np.array(matrix).reshape(-1, self.var_count), np.array(rhs, dtype=float), np.array(sense))
+
+    @cached_property
+    def _float_rows(self) -> tuple[list[float], list[float], list[float]]:
+        """``rows`` for the list form: the same half-spaces as Python floats."""
+        return tuple([*map(float, part)] for part in self._half_spaces())
 
 
 class Solution(NamedTuple):
@@ -301,7 +434,7 @@ class StandardForm(NamedTuple):
     into the rhs (x = shift + x') and recorded for un-shifting.
     """
 
-    body: np.ndarray                # (m, total_cols + 1), rhs last
+    body: np.ndarray | list         # (m, total_cols + 1), rhs last; a list of rows in the list form
     objective: tuple[float, ...]    # minimization cost of each column, zero past the structural ones
     var_count: int
     artificial_cols: tuple[int, ...]
@@ -319,13 +452,23 @@ def standardize(lp: LinearProgram) -> StandardForm:
     return _standardize(lp, lp.rows.rhs[: len(lp.constraints)])
 
 
-def _standardize(lp: LinearProgram, given: np.ndarray) -> StandardForm:
-    """``standardize`` of *lp* with *given* as its constraints' rhs."""
+def _standardize(lp: LinearProgram, given: np.ndarray | None) -> StandardForm:
+    """``standardize`` of *lp* with *given* as its constraints' rhs, or in
+    the list form with *lp*'s own rhs where *given* is None: its body is
+    then a list of rows."""
     m = len(lp.constraints)
     n = lp.var_count
-    view = lp.rows
-    shifts = view.rhs[m:]
-    rows = view.matrix[:m]
+    listed = given is None
+    if listed:
+        matrix, bounds, senses = lp._float_rows
+        shifts = bounds[m:]
+        rows = [matrix[i * n: (i + 1) * n] for i in range(m)]
+        given = _finite([b - a for b, a in zip(bounds, _matvec(matrix[: m * n], shifts))], "subtract")
+    else:
+        view = lp.rows
+        shifts, rows = view.rhs[m:], view.matrix[:m]
+        given, rows, shifts = (given - rows @ shifts).tolist(), rows.tolist(), shifts.tolist()
+        senses = view.sense.tolist()
 
     # Equilibrate each row by its max-abs coefficient (every constraint has
     # a nonzero one) and flip rows with negative rhs so the textbook
@@ -334,7 +477,7 @@ def _standardize(lp: LinearProgram, given: np.ndarray) -> StandardForm:
     rhs: list[float] = []
     scales: list[float] = []
     sense: list[float] = []
-    for coefficients, b, s in zip(rows.tolist(), (given - rows @ shifts).tolist(), view.sense.tolist()):
+    for coefficients, b, s in zip(rows, given, senses):
         scale = max(map(abs, coefficients))
         row = [c / scale for c in coefficients]
         b /= scale
@@ -365,13 +508,13 @@ def _standardize(lp: LinearProgram, given: np.ndarray) -> StandardForm:
 
     sign = 1.0 if lp.sense is Sense.MINIMIZE else -1.0
     return StandardForm(
-        body=np.array(scaled, dtype=float).reshape(m, total + 1),
+        body=scaled if listed else np.array(scaled, dtype=float).reshape(m, total + 1),
         objective=tuple([sign * c for c in lp.objective] + [0.0] * (total - n)),
         var_count=n,
         artificial_cols=tuple(range(first, total)),
         basis=tuple(basis),
         row_scales=tuple(scales),
-        shifts=tuple(shifts.tolist()),
+        shifts=tuple(shifts),
     )
 
 
@@ -381,15 +524,16 @@ def _standardize(lp: LinearProgram, given: np.ndarray) -> StandardForm:
 
 class Tableau:
     """Canonical-form simplex tableau: body rows over a priced cost row,
-    stacked in one array, ``table``, so that one elimination step updates
+    stacked in one table, ``table``, so that one elimination step updates
     both (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
     §3.6).
 
     ``table`` is (m+1, N+k): N matrix columns, then one rhs column for each
-    of the k programs named in ``ids``. ``body`` is a view of its first m
-    rows and ``cost`` of its last: the reduced-cost row, whose rhs entries
-    hold each program's negated objective value. ``basis[i]`` is the
-    column basic in row i. The first rhs column leads. ``varies`` holds
+    of the k programs named in ``ids``: an array, or in the list form a
+    list of row lists with k = 1, which every step updates in place.
+    ``body`` is a view of its first m rows and ``cost`` of its last: the
+    reduced-cost row, whose rhs entries hold each program's negated
+    objective value. ``basis[i]`` is the column basic in row i. The first rhs column leads. ``varies`` holds
     the row flags of a block of two or more (see ``_run_simplex``).
     """
 
@@ -397,7 +541,7 @@ class Tableau:
 
     def __init__(
         self,
-        table: np.ndarray,                      # body over cost, one array
+        table: np.ndarray | list,               # body over cost, one table
         basis: list[int],
         blocked: Sequence[int] = (),            # columns barred from entering
         ids: tuple[int, ...] = (0,),            # the program of each rhs column
@@ -405,11 +549,11 @@ class Tableau:
     ) -> None:
         self.table, self.body, self.cost = table, table[:-1], table[-1]
         self.basis, self.blocked, self.ids, self.varies = basis, blocked, ids, varies
-        self.cols = table.shape[1] - len(ids)   # N, the matrix columns
+        self.cols = (len(table[0]) if type(table) is list else table.shape[1]) - len(ids)   # N, the matrix columns
 
     @property
     def rows(self) -> int:
-        return self.body.shape[0]
+        return len(self.body)
 
     def take(self, picks: np.ndarray) -> Tableau:
         """A copy holding only the rhs columns at positions *picks*; one column has no row flags."""
@@ -433,7 +577,9 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int | np.ndarr
     Raises _Unbounded when the chosen column has no positive pivot entry.
     """
     cols = tableau.cols
-    reduced = tableau.cost[:cols].tolist()
+    reduced = tableau.cost[:cols]   # a copy as Python floats in either form
+    if type(reduced) is not list:
+        reduced = reduced.tolist()
     tol = OPT_TOL * max(1.0, max(map(abs, reduced), default=1.0))
     for j in tableau.blocked:
         reduced[j] = 0.0
@@ -453,13 +599,30 @@ def pivot_rule(tableau: Tableau, *, bland: bool = False) -> tuple[int | np.ndarr
 
 def _apply_pivot(tableau: Tableau, row: int, col: int) -> None:
     """Pivot on (row, col): one outer-product update of the whole table,
-    cost row included, which becomes c - c[col] * pivot row entrywise."""
+    cost row included, which becomes c - c[col] * pivot row entrywise.
+
+    The list form takes numpy's steps in numpy's order, each over every
+    row: the pivot row's division, every row's products and every row's
+    subtraction. The pivot row and the rows whose factor is 0.0 go through
+    them too, since x - 0.0 * p turns a -0.0 into +0.0."""
     table = tableau.table
-    pivot_row = table[row]
-    pivot_row /= pivot_row[col]
-    factors = table[:, col].copy()
-    factors[row] = 0.0
-    table -= factors[:, None] * pivot_row       # np.outer(factors, pivot_row), without its wrapper
+    if type(table) is list:
+        pivot_row = table[row]
+        pivot = pivot_row[col]
+        pivot_row[:] = _finite([v / pivot for v in pivot_row], "divide")
+        factors = [r[col] for r in table]
+        factors[row] = 0.0
+        products = [[f * v for v in pivot_row] for f in factors]
+        _finite(chain.from_iterable(products), "multiply")
+        for r, product in zip(table, products):
+            r[:] = [x - y for x, y in zip(r, product)]
+        _finite(chain.from_iterable(table), "subtract")
+    else:
+        pivot_row = table[row]
+        pivot_row /= pivot_row[col]
+        factors = table[:, col].copy()
+        factors[row] = 0.0
+        table -= factors[:, None] * pivot_row   # np.outer(factors, pivot_row), without its wrapper
     tableau.basis[row] = col
 
 
@@ -468,12 +631,19 @@ def _price(table: np.ndarray, cost: Sequence[float], basis: list[int]) -> None:
     basic column priced out; its entries past *cost* hold -objective of
     each rhs column."""
     row = table[-1]
-    row[: len(cost)] = cost
-    row[len(cost):] = 0.0
     # Basic columns are exact unit vectors, so no subtraction below changes
     # a factor before its turn: all can be read up front. A factor of
     # exactly 1.0 (every phase-1 artificial row) subtracts the row itself,
     # since 1.0 * x == x for every float.
+    if type(table) is list:
+        row[:] = [*cost, *[0.0] * (len(row) - len(cost))]
+        for i, factor in enumerate([row[j] for j in basis]):
+            if factor != 0.0:
+                other = table[i] if factor == 1.0 else _finite([factor * v for v in table[i]], "multiply")
+                row[:] = _finite([x - y for x, y in zip(row, other)], "subtract")
+        return
+    row[: len(cost)] = cost
+    row[len(cost):] = 0.0
     for i, factor in enumerate(row.take(basis).tolist()):
         if factor == 1.0:
             row -= table[i]
@@ -488,7 +658,9 @@ def _drive_out_artificials(tableau: Tableau, first: int) -> list[int]:
     for i, basic in enumerate(tableau.basis):
         if basic < first:
             continue
-        entries = tableau.body[i, :first].tolist()
+        entries = tableau.body[i][:first]
+        if type(entries) is not list:
+            entries = entries.tolist()
         target = next((j for j, v in enumerate(entries) if abs(v) > PIVOT_TOL), -1)
         if target >= 0:
             _apply_pivot(tableau, i, target)
@@ -515,9 +687,12 @@ def _leaving_row(tableau: Tableau, col: int, bland: bool) -> int | np.ndarray | 
     A test whose eligible rows are all unflagged builds no array.
     """
     cols, body, basis, varies, tol = tableau.cols, tableau.body, tableau.basis, tableau.varies, PIVOT_TOL
-    lead = body[:, cols].tolist()
+    if type(body) is list:
+        lead, entries = [r[cols] for r in body], [r[col] for r in body]
+    else:
+        lead, entries = body[:, cols].tolist(), body[:, col].tolist()
     row = best = None
-    for i, entry in enumerate(body[:, col].tolist()):
+    for i, entry in enumerate(entries):
         if entry <= tol:
             continue
         ratio = body[i, cols:] / entry if varies and varies[i] else lead[i] / entry
@@ -544,13 +719,18 @@ def _leaving_row(tableau: Tableau, col: int, bland: bool) -> int | np.ndarray | 
     return row
 
 
-def _stall_step(current: np.ndarray, stall: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stall_step(current, stall, best) -> tuple:
     """The stall rule for one pivot, elementwise: each column's stall count
     and best objective after its cost row's rhs entry became *current*.
     The cost row holds -objective, so the objective falls where that entry
-    rises."""
+    rises. The replay starts *stall* as a list of zeros; the list form's
+    one column stays on lists."""
+    if type(current) is list:
+        [now], [was] = current, best
+        [bar] = _finite([was + STALL_TOL * max(1.0, abs(was))], "add")
+        return ([0], current) if now > bar else ([stall[0] + 1], best)
     fell = current > best + STALL_TOL * np.maximum(1.0, np.abs(best))
-    return np.where(fell, 0, stall + 1), np.where(fell, current, best)
+    return np.where(fell, 0, np.add(stall, 1)), np.where(fell, current, best)
 
 
 def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
@@ -613,9 +793,9 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
                 break
             row, col = pivot
             moved = None
-            if type(row) is np.ndarray:   # the block's columns leave by different rows
+            if type(row) is not int:   # the block's columns leave by different rows
                 moved, row = row != row[0], int(row[0])
-            if iterations >= stall_limit:
+            if iterations >= stall_limit and len(tableau.ids) > 1:   # a lone column's flag is its own
                 stalled = (track[0] >= stall_limit) != bland
                 moved = stalled if moved is None else moved | stalled
             if moved is not None and moved.any():
@@ -633,17 +813,20 @@ def _run_simplex(tableau: Tableau) -> list[tuple[Tableau, int, bool]]:
             else:
                 track.append(tableau.cost[cols:].copy())
                 if iterations == stall_limit:   # replay the history into [stall, best]
-                    stall, best = np.zeros(len(tableau.ids), dtype=np.intp), track[0]
+                    stall, best = [0] * len(tableau.ids), track[0]
                     for current in track[1:]:
                         stall, best = _stall_step(current, stall, best)
                     track = [stall, best]
     return done
 
 
-def _two_phase(form: StandardForm, given: np.ndarray) -> list[tuple[tuple[int, ...], Status, int, Tableau | None]]:
+def _two_phase(
+    form: StandardForm, given: np.ndarray | None = None
+) -> list[tuple[tuple[int, ...], Status, int, Tableau | None]]:
     """Run both simplex phases on *form*'s rows with one rhs column per
     program: *given* holds each program's standardized rhs, one column
-    each, in the place of *form*'s own.
+    each, in the place of *form*'s own. None stands for *form*'s own
+    column, the only column a list form runs on.
 
     Returns (ids, status, iterations, final tableau) for every block of rhs
     columns that ended alike, in no fixed order: one entry for a table of
@@ -653,14 +836,23 @@ def _two_phase(form: StandardForm, given: np.ndarray) -> list[tuple[tuple[int, .
     each column's bits are those of a table of that column alone.
     """
     total = form.column_count
-    ids = tuple(range(given.shape[1]))
+    listed = type(form.body) is list
+    if listed:
+        given, ids = [[row[total]] for row in form.body], (0,)
+    else:
+        given = form.body[:, total:] if given is None else given
+        ids = tuple(range(given.shape[1]))
     if not form.basis:
         # Only lower bounds constrain the problem; the minimum sits at the shift.
         return [(ids, Status.UNBOUNDED if min(form.objective, default=0.0) < 0.0 else Status.OPTIMAL, 0, None)]
 
-    table = np.zeros((len(form.basis) + 1, total + len(ids)))   # the body over a cost row, priced below
-    table[:-1, :total] = form.body[:, :total]
-    table[:-1, total:] = given
+    # the body over a cost row, priced below
+    if listed:
+        table = [row[:] for row in form.body] + [[0.0] * (total + 1)]
+    else:
+        table = np.zeros((len(form.basis) + 1, total + len(ids)))
+        table[:-1, :total] = form.body[:, :total]
+        table[:-1, total:] = given
     ended = []
     first = total - len(form.artificial_cols)   # the artificials are the last columns
     starts = []   # phase-2 blocks: table, basis, ids, phase-1 iterations
@@ -680,9 +872,13 @@ def _two_phase(form: StandardForm, given: np.ndarray) -> list[tuple[tuple[int, .
             if at:
                 of = [form.basis.index(tableau.basis[i]) for i in at]
                 floors = [[1.0 / form.row_scales[r]] for r in of]
-                band = np.maximum(floors, given.take(of, 0).take(tableau.ids, 1))
-                band *= FEAS_TOL
-                failed = (tableau.body.take(at, 0)[:, tableau.cols:] > band).any(0).tolist()
+                if listed:
+                    band = [FEAS_TOL * max(floor, b) for [floor], [b] in zip(floors, map(given.__getitem__, of))]
+                    failed = [any(tableau.body[i][-1] > limit for i, limit in zip(at, band))]
+                else:
+                    band = np.maximum(floors, given.take(of, 0).take(tableau.ids, 1))
+                    band *= FEAS_TOL
+                    failed = (tableau.body.take(at, 0)[:, tableau.cols:] > band).any(0).tolist()
                 if any(failed):
                     ended.append((tuple(compress(tableau.ids, failed)), Status.INFEASIBLE, iterations, None))
                     if all(failed):
@@ -692,7 +888,8 @@ def _two_phase(form: StandardForm, given: np.ndarray) -> list[tuple[tuple[int, .
             table, basis = tableau.table, tableau.basis
             if redundant:
                 keep = [i for i in range(len(basis)) if i not in redundant]
-                table, basis = table[[*keep, len(basis)]], [basis[i] for i in keep]
+                rows = [*keep, len(basis)]
+                table, basis = [table[i] for i in rows] if listed else table[rows], [basis[i] for i in keep]
             starts.append((table, basis, tableau.ids, iterations))
 
     # Phase 2: original costs over the feasible basis; artificials barred.
@@ -703,7 +900,6 @@ def _two_phase(form: StandardForm, given: np.ndarray) -> list[tuple[tuple[int, .
     return ended
 
 
-@_in_float_range
 def solve(lp: LinearProgram) -> Solution:
     """Solve *lp* with the two-phase simplex.
 
@@ -713,42 +909,75 @@ def solve(lp: LinearProgram) -> Solution:
     Activities, the binding set and the objective are recomputed against
     the original rows. Arithmetic that overflows the float range raises
     LPError.
+
+    While numpy is not loaded, the list form runs (see the module
+    docstring), else the array form; both give the same bits.
     """
-    form = standardize(lp)
+    if "numpy" in sys.modules or _blas() is None:
+        return _solve_arrays(lp)
+    return _solve_lists(lp)
+
+
+def _solve(lp: LinearProgram, listed: bool = False) -> Solution:
+    """``solve`` on the list form or on the array form, unguarded."""
+    form = _standardize(lp, None) if listed else standardize(lp)
     total = form.column_count
-    [(_, status, iterations, final)] = _two_phase(form, form.body[:, total:])
+    [(_, status, iterations, final)] = _two_phase(form)
     point = None
     if status is Status.OPTIMAL:
         point = form.shifts   # no rows: the point is the shifts, -0.0 included
         if final is not None:
             # Scatter the basic values into the point, then un-shift, on Python floats.
             shifted = [0.0] * total
-            for j, value in zip(final.basis, final.body[:, total].tolist()):
+            values = [r[total] for r in final.body] if listed else final.body[:, total].tolist()
+            for j, value in zip(final.basis, values):
                 shifted[j] = value
             point = tuple([v + s for v, s in zip(shifted, form.shifts)])
-    return _build_solution(lp, lp.rows, status, point, iterations)
+    return _build_solution(lp, None if listed else lp.rows, status, point, iterations)
+
+
+_solve_arrays = _in_float_range(_solve)
+
+
+def _solve_lists(lp: LinearProgram) -> Solution:
+    """``solve`` on the list form, whose range checks raise numpy's
+    FloatingPointError: each becomes the LPError ``_in_float_range``
+    raises."""
+    try:
+        return _solve(lp, True)
+    except FloatingPointError as exc:
+        raise LPError(f"{_OUT_OF_RANGE} ({exc})") from None
 
 
 def _build_solution(
     lp: LinearProgram,
-    rows: Rows,
+    rows: Rows | None,
     status: Status,
     values: tuple[float, ...] | None,
     iterations: int,
 ) -> Solution:
     """The Solution of *lp* at *values*, or an empty one when *values* is
     None. Activities and the binding set are tested against *rows*: *lp*'s
-    matrix and sense with the solved rhs, then the lower bounds."""
+    matrix and sense with the solved rhs, then the lower bounds; None
+    stands for *lp*'s own, on the list form."""
     if values is None:
         return Solution(status, (0.0,) * lp.var_count, math.nan, (), frozenset(), iterations)
-    objective = lp.objective_at(values)
-    if not math.isfinite(objective):   # np.dot's overflow raises no floating-point flag
+    objective = _dot(lp.objective, values) if rows is None else lp.objective_at(values)
+    if not math.isfinite(objective):   # for a numpy whose np.dot overflows without a floating-point flag
         raise LPError(f"{_OUT_OF_RANGE} (the objective is {objective})")
     m = len(lp.constraints)
-    activity = rows.matrix @ values    # check_rows' activities of the one point
-    binding = _binding(rows, activity)[2][:m].tolist()
+    if rows is None:
+        matrix, rhs, _ = lp._float_rows
+        activity = _matvec(matrix, list(values))
+        gap = _finite([a - b for a, b in zip(activity, rhs)], "subtract")
+        binding = [abs(g) <= ROW_TOL * max(1.0, abs(b)) for g, b in zip(gap[:m], rhs)]
+        activities = tuple(activity[:m])
+    else:
+        activity = rows.matrix @ values    # check_rows' activities of the one point
+        binding = _binding(rows, activity)[2][:m].tolist()
+        activities = tuple(activity[:m].tolist())
     labels = frozenset(compress([c.label for c in lp.constraints], binding))
-    return Solution(status, values, objective, tuple(activity[:m].tolist()), labels, iterations)
+    return Solution(status, values, objective, activities, labels, iterations)
 
 
 # The three moved names still read as ``lp.<name>`` from outside the package

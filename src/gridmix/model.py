@@ -9,10 +9,11 @@ affine offset. ``compile_sweep`` writes one rhs row per cap value,
 ``cap_rows`` names the rows a cap writes, and ``report`` tabulates a
 solution by source.
 
-This module loads numpy and ``gridmix.lp``; ``gridmix.scenario`` loads
-neither. The scenario data names live in ``gridmix.scenario``; of them,
-only ``CAP_FIELDS``, ``CoefficientVariant`` and ``load_scenario_file`` are
-re-exported here, for callers that read them as ``gridmix.model.<name>``.
+This module loads ``gridmix.lp``, and numpy only when ``compile_sweep``
+first runs; ``gridmix.scenario`` loads neither. The scenario data names
+live in ``gridmix.scenario``; of them, only ``CAP_FIELDS``,
+``CoefficientVariant`` and ``load_scenario_file`` are re-exported here,
+for callers that read them as ``gridmix.model.<name>``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-import numpy as np
-
-from .lp import Constraint, LinearProgram, Relation, Sense, Solution, Status
+from .lp import Constraint, LinearProgram, Relation, Sense, Solution, Status, _Deferred
 from .scenario import (
     ROW_UNITS,
     BudgetRates,
@@ -48,6 +47,8 @@ __all__ = [
     "tabulate",
     "report",
 ]
+
+np = _Deferred(globals())
 
 
 def _objective_rate(source: EnergySource, mode: ObjectiveMode) -> float:
@@ -77,13 +78,15 @@ def _rhs_of(scenario_name: str, row: _CapRow, caps):
     """Capped *row*'s rhs at *caps*, one cap value or an array of them.
     Raises ScenarioError at the first cap whose rhs is past the float range."""
     _, label, cap_name, divisor, offset = row
-    if isinstance(caps, np.ndarray):
+    if isinstance(caps, (int, float)):
+        rhs = caps + offset if divisor is None else caps / divisor
+        past = [] if math.isfinite(rhs) else [caps]
+        if divisor is not None and not past:   # math.floor raises on inf
+            rhs = float(math.floor(rhs))
+    else:
         with np.errstate(over="ignore"):
             rhs = caps + offset if divisor is None else np.floor(caps / divisor)
         past = caps[~np.isfinite(rhs)].tolist()
-    else:
-        rhs = caps + offset if divisor is None else float(np.floor(caps / divisor))
-        past = [] if math.isfinite(rhs) else [caps]
     if past:
         raise ScenarioError(
             f"scenario {scenario_name!r}: {cap_name} {past[0]!r} puts the rhs of row {label!r} past the float range"

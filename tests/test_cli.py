@@ -624,12 +624,12 @@ SOLVE_FILE = f"['solve', {str(Path(__file__).parent / 'data' / 'scenario_example
         ("import gridmix.catalog, gridmix.derivation", SOLVER + ANALYSIS, "[] None"),
         ("import gridmix; gridmix.Scenario", SOLVER + ANALYSIS, "[] None"),
         ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand'])",
-         ANALYSIS + (PARAMETRIC, ORACLE, AUDIT, DERIVATION) + FORMATS, "[] 0"),
+         ("numpy",) + ANALYSIS + (PARAMETRIC, ORACLE, AUDIT, DERIVATION) + FORMATS, "[] 0"),
         ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand', '--format', 'json'])",
-         FORMATS, "['json'] 0"),
+         ("numpy",) + FORMATS, "['json'] 0"),
         ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand', '--format', 'csv'])",
-         FORMATS, "['csv'] 0"),
-        (f"import gridmix.cli; code = gridmix.cli.main({SOLVE_FILE})", FORMATS, "['json'] 0"),
+         ("numpy",) + FORMATS, "['csv'] 0"),
+        (f"import gridmix.cli; code = gridmix.cli.main({SOLVE_FILE})", ("numpy",) + FORMATS, "['json'] 0"),
         ("import gridmix.cli; code = gridmix.cli.main(['solve', 'm1_flat_demand', '--oracle'])",
          ANALYSIS + (PARAMETRIC, AUDIT, DERIVATION), "[] 0"),
         (f"import gridmix.cli; code = gridmix.cli.main({SWEEP})", ANALYSIS + (ORACLE, AUDIT, DERIVATION), "[] 0"),

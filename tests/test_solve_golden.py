@@ -10,8 +10,11 @@ numpy calls; it pins status, values, objective, activities, the binding
 set and the iteration count. Activities and objectives come from numpy's
 ``@`` and ``np.dot``, so a BLAS that sums short products in another order
 could move their last bits; the file was written with numpy 2.4 and
-OpenBLAS on x86-64. Regenerate it only when a change to the solver's
-arithmetic is intended:
+OpenBLAS on x86-64. A cold ``solve``, which never imports numpy, reaches
+the same OpenBLAS ``ddot`` and ``dgemv`` through ``ctypes`` (the list
+form of ``gridmix.lp``), so the golden still depends on this CPU's
+OpenBLAS kernels, as it did before. Regenerate it only when a change to
+the solver's arithmetic is intended:
 
     PYTHONPATH=src python tests/test_solve_golden.py
 """
