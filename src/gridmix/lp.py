@@ -533,8 +533,9 @@ class Tableau:
     list of row lists with k = 1, which every step updates in place.
     ``body`` is a view of its first m rows and ``cost`` of its last: the
     reduced-cost row, whose rhs entries hold each program's negated
-    objective value. ``basis[i]`` is the column basic in row i. The first rhs column leads. ``varies`` holds
-    the row flags of a block of two or more (see ``_run_simplex``).
+    objective value. ``basis[i]`` is the column basic in row i. The first
+    rhs column leads. ``varies`` holds the row flags of a block of two or
+    more (see ``_run_simplex``).
     """
 
     __slots__ = ("body", "cost", "basis", "blocked", "ids", "table", "cols", "varies")
@@ -549,7 +550,7 @@ class Tableau:
     ) -> None:
         self.table, self.body, self.cost = table, table[:-1], table[-1]
         self.basis, self.blocked, self.ids, self.varies = basis, blocked, ids, varies
-        self.cols = (len(table[0]) if type(table) is list else table.shape[1]) - len(ids)   # N, the matrix columns
+        self.cols = len(self.cost) - len(ids)   # N, the matrix columns
 
     @property
     def rows(self) -> int:
@@ -837,10 +838,11 @@ def _two_phase(
     """
     total = form.column_count
     listed = type(form.body) is list
-    if listed:
-        given, ids = [[row[total]] for row in form.body], (0,)
+    own = given is None   # the body's own rhs column
+    if own:
+        given = [[row[total]] for row in form.body] if listed else form.body[:, total:]
+        ids = (0,)
     else:
-        given = form.body[:, total:] if given is None else given
         ids = tuple(range(given.shape[1]))
     if not form.basis:
         # Only lower bounds constrain the problem; the minimum sits at the shift.
@@ -851,8 +853,11 @@ def _two_phase(
         table = [row[:] for row in form.body] + [[0.0] * (total + 1)]
     else:
         table = np.zeros((len(form.basis) + 1, total + len(ids)))
-        table[:-1, :total] = form.body[:, :total]
-        table[:-1, total:] = given
+        if own:   # one copy of the body
+            table[:-1] = form.body
+        else:
+            table[:-1, :total] = form.body[:, :total]
+            table[:-1, total:] = given
     ended = []
     first = total - len(form.artificial_cols)   # the artificials are the last columns
     starts = []   # phase-2 blocks: table, basis, ids, phase-1 iterations
