@@ -11,7 +11,6 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from pathlib import Path
@@ -403,36 +402,30 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     input_errors: tuple[type[Exception], ...] = (ScenarioError, KeyError)
-    guard = contextlib.nullcontext()
+    command = args.func
     if getattr(args, "solves", False):
         # The solver commands (``solves=True`` on their subparser), and
         # only they, load the LP layer, so only they can raise LPError.
         # ``lp.solve`` guards its own arithmetic. The commands that run
         # numpy arithmetic outside it (the sweep arrays, the oracle and the
-        # audit) run under numpy's guard, since magnitudes past the float
-        # range would otherwise print an answer built on inf or nan; a
-        # plain solve loads no numpy. Report amounts are Python floats,
-        # which never raise: ``tabulate`` checks its totals and raises
-        # ScenarioError instead.
-        from .lp import LPError
+        # audit) run inside ``lp._in_float_range``, so magnitudes past the
+        # float range raise its LPError instead of printing an answer built
+        # on inf or nan; a plain solve loads no numpy. Report amounts are
+        # Python floats, which never raise: ``tabulate`` checks its totals
+        # and raises ScenarioError.
+        from .lp import LPError, _in_float_range
 
         input_errors += (LPError,)
-        if args.func is not _cmd_solve or args.oracle:
-            import numpy as np
-
-            guard = np.errstate(over="raise", invalid="raise")
+        if command is not _cmd_solve or args.oracle:
+            command = _in_float_range(command)
     try:
-        with guard:
-            code = args.func(args)
+        code = command(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
         # The reader closed stdout early (`gridmix list | head`). Point
         # stdout at devnull, so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except FloatingPointError as exc:
-        print(f"gridmix: error: the input's magnitudes are out of range ({exc})", file=sys.stderr)
         return 1
     except input_errors as exc:
         message = exc.args[0] if exc.args else str(exc)

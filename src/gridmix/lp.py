@@ -37,7 +37,7 @@ Python float rows for one rhs column: each elementwise step repeats
 numpy's operations in numpy's order, and its products call the BLAS
 ``ddot`` and ``dgemv`` of numpy's wheel through ``ctypes`` on the shapes
 numpy's ``@`` and ``np.dot`` pass them, so both forms give the same bits.
-Its steps raise numpy's FloatingPointError where the array form's
+Its steps raise the same LPError, at the steps where the array form's
 ``errstate`` would. ``solve`` runs the list form while numpy is not
 loaded, so a cold ``gridmix solve`` never imports it, and the array form
 otherwise, or when the wheel's library is not found. This module imports
@@ -140,7 +140,8 @@ _OUT_OF_RANGE = "the input's magnitudes are out of range"
 def _in_float_range(func):
     """Run *func* with numpy overflow and invalid operations raising: each
     becomes an LPError instead of a RuntimeWarning and an answer of inf or
-    nan."""
+    nan. The one place a FloatingPointError is caught; the list form's
+    ``_finite`` raises the same LPError itself."""
 
     @wraps(func)
     def guarded(*args):
@@ -154,12 +155,12 @@ def _in_float_range(func):
 
 
 def _finite(values, ufunc: str):
-    """*values* when each is finite, else the FloatingPointError numpy's
-    ``errstate(over="raise")`` raises for *ufunc*: the list form's range
-    check. Every input of a list-form step is finite, so a result that is
-    not finite is an overflow."""
+    """*values* when each is finite, else the LPError ``_in_float_range``
+    raises for *ufunc*'s overflow: the list form's range check. Every
+    input of a list-form step is finite, so a result that is not finite is
+    an overflow."""
     if not all(map(math.isfinite, values)):
-        raise FloatingPointError(f"overflow encountered in {ufunc}")
+        raise LPError(f"{_OUT_OF_RANGE} (overflow encountered in {ufunc})")
     return values
 
 
@@ -920,11 +921,11 @@ def solve(lp: LinearProgram) -> Solution:
     """
     if "numpy" in sys.modules or _blas() is None:
         return _solve_arrays(lp)
-    return _solve_lists(lp)
+    return _solve(lp, True)
 
 
 def _solve(lp: LinearProgram, listed: bool = False) -> Solution:
-    """``solve`` on the list form or on the array form, unguarded."""
+    """``solve`` on the list form, which checks its own range, or on the array form, unguarded."""
     form = _standardize(lp, None) if listed else standardize(lp)
     total = form.column_count
     [(_, status, iterations, final)] = _two_phase(form)
@@ -942,16 +943,6 @@ def _solve(lp: LinearProgram, listed: bool = False) -> Solution:
 
 
 _solve_arrays = _in_float_range(_solve)
-
-
-def _solve_lists(lp: LinearProgram) -> Solution:
-    """``solve`` on the list form, whose range checks raise numpy's
-    FloatingPointError: each becomes the LPError ``_in_float_range``
-    raises."""
-    try:
-        return _solve(lp, True)
-    except FloatingPointError as exc:
-        raise LPError(f"{_OUT_OF_RANGE} ({exc})") from None
 
 
 def _build_solution(

@@ -284,26 +284,16 @@ def report(scenario: Scenario, solution: Solution) -> ScenarioReport:
 
     Non-optimal solutions yield a status-only report.
     """
-    if solution.status is not Status.OPTIMAL:
-        return ScenarioReport(
-            scenario=scenario.name,
-            variant=scenario.coefficient_variant.value,
-            status=solution.status,
-            objective_mode=scenario.objective_mode,
-            objective_value=math.nan,
-            rows=(),
-            total=None,
-            binding=frozenset(),
-        )
-    rows, total = tabulate(scenario, solution.values)
+    optimal = solution.status is Status.OPTIMAL
+    rows, total = tabulate(scenario, solution.values) if optimal else ((), None)
     return ScenarioReport(
         scenario=scenario.name,
         variant=scenario.coefficient_variant.value,
         status=solution.status,
         objective_mode=scenario.objective_mode,
-        objective_value=solution.objective_value,
+        objective_value=solution.objective_value if optimal else math.nan,
         rows=rows,
         total=total,
-        binding=solution.binding,
+        binding=solution.binding if optimal else frozenset(),
     )
 

@@ -4,12 +4,16 @@ not, as in a cold ``gridmix solve``. Both are run here side by side on
 the same programs, and every Solution field must match to the bit, the
 iteration count included; a program that one form refuses with LPError
 the other must refuse with the same message. A cold start of the CLI,
-which runs the list form, is checked against the CLI golden, and the
-fallback to the array form where the wheel's BLAS is not found is pinned.
+which runs the list form, is checked against the CLI golden and on one
+refusal, and the fallback to the array form where the wheel's BLAS is
+not found is pinned.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
@@ -19,10 +23,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridmix import cli
 from gridmix import lp as lp_module
 from gridmix.catalog import CATALOG_NAMES, get_scenario
 from gridmix.lp import Constraint, LinearProgram, LPError, Relation, Sense
 from gridmix.model import CoefficientVariant, ObjectiveMode, compile_scenario
+from gridmix.scenario import scenario_to_dict
 
 from test_lp_core import lp_min, nuclear_with
 from test_phase_one import magnitude_program
@@ -36,21 +42,22 @@ pytestmark = pytest.mark.skipif(
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
+LISTED = functools.partial(lp_module._solve, listed=True)   # the list form, as a cold ``solve`` runs it
 
 
 def outcome(form, lp: LinearProgram) -> tuple:
     """*form*'s Solution of *lp* as bits, or the LPError it raises with its
-    message up to the parenthesis, which names numpy's failing step."""
+    whole message, whose parenthesis names numpy's failing step."""
     try:
         return bits(form(lp))
     except LPError as exc:
-        return type(exc), str(exc).split(" (")[0]
+        return type(exc), str(exc)
 
 
 def assert_forms_agree(programs) -> list[tuple]:
     outcomes = []
     for lp in programs:
-        listed = outcome(lp_module._solve_lists, lp)
+        listed = outcome(LISTED, lp)
         assert listed == outcome(lp_module._solve_arrays, lp), lp
         outcomes.append(listed)
     return outcomes
@@ -81,7 +88,7 @@ def test_blands_rule_engages_in_both_forms(monkeypatch):
     monkeypatch.setattr(lp_module, "pivot_rule", logged)
     for program in (cycling_program(0.0), *(capped_cycling_program(t, s) for t, s in CAPS)):
         engaged = []
-        for form in (lp_module._solve_lists, lp_module._solve_arrays):
+        for form in (LISTED, lp_module._solve_arrays):
             flags.clear()
             form(program)
             engaged.append(sum(flags))
@@ -90,20 +97,29 @@ def test_blands_rule_engages_in_both_forms(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "lp",
+    ("lp", "step"),
     [
-        nuclear_with(0, lcoe=1e308),                 # the objective overflows
-        nuclear_with(2, min_annual_output=1e308),    # the lower-bound shift overflows
-        lp_min((1e308, 1e308), [], lower_bounds=(1.0, 1.0)),   # only the objective's dot overflows
+        (nuclear_with(0, lcoe=1e308), "multiply"),                 # the objective overflows
+        (nuclear_with(2, min_annual_output=1e308), "matmul"),      # the lower-bound shift overflows
+        # Only the objective's dot overflows. Whether numpy flags an np.dot
+        # overflow depends on the installed numpy; where it does not,
+        # _build_solution's objective check refuses, naming the objective.
+        # So only the text before the parenthesis is compared.
+        (lp_min((1e308, 1e308), [], lower_bounds=(1.0, 1.0)), None),
         # A finite answer, (1e10, 0) at 1e10, whose second row's activity overflows.
-        lp_min((1.0, 1.0), [Constraint((1.0, 0.0), Relation.GE, 1e10, "a"),
-                            Constraint((1e300, 0.0), Relation.GE, 1.0, "b")]),
+        (lp_min((1.0, 1.0), [Constraint((1.0, 0.0), Relation.GE, 1e10, "a"),
+                             Constraint((1e300, 0.0), Relation.GE, 1.0, "b")]), "matmul"),
     ],
     ids=["wind-lcoe", "nuclear-floor", "dot-only", "activity"],
 )
-def test_both_forms_refuse_the_same_out_of_range_programs_with_the_same_message(lp):
-    [(kind, message)] = assert_forms_agree([lp])
-    assert (kind, message) == (LPError, "the input's magnitudes are out of range")
+def test_both_forms_refuse_the_same_out_of_range_programs_with_the_same_message(lp, step):
+    refusals = [outcome(form, lp) for form in (LISTED, lp_module._solve_arrays)]
+    expected = "the input's magnitudes are out of range"
+    if step is None:
+        refusals = [(kind, message.split(" (")[0]) for kind, message in refusals]
+    else:
+        expected += f" (overflow encountered in {step})"
+    assert refusals == [(LPError, expected)] * 2
 
 
 def run_cold(script: str) -> list[str]:
@@ -138,6 +154,33 @@ def test_a_cold_cli_prints_the_golden_of_every_solve_without_loading_numpy():
     assert (sum(argv[1] in CATALOG_NAMES for argv, _, _ in runs), len(runs)) == (30, 36)
     assert [argv for argv, same, _ in runs if not same] == []
     assert [("--oracle" in argv, loaded) for argv, _, loaded in runs] == [(False, False)] * 33 + [(True, True)] * 3
+
+
+COLD_REFUSAL = """
+import contextlib, io, json, sys
+from gridmix import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.main({argv!r})
+print(json.dumps([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+def test_a_cold_cli_refuses_out_of_range_magnitudes_as_the_array_form_does(tmp_path):
+    # The list form's refusal reaches the CLI's error line as the same
+    # bytes the array form's errstate refusal prints, and numpy stays unloaded.
+    doc = scenario_to_dict(get_scenario("m4_nuclear"))
+    next(s for s in doc["sources"] if s["name"] == "wind")["lcoe"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--base", "m4_nuclear"]
+    line = "gridmix: error: the input's magnitudes are out of range (overflow encountered in multiply)\n"
+    [cold] = run_cold(COLD_REFUSAL.format(argv=argv))
+    assert json.loads(cold) == [1, "", line, False]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", line)
 
 
 FALLBACK = """
